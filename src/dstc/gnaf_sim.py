@@ -47,8 +47,8 @@ import numpy as np
 
 from . import matkernel
 from .designs import Design, RelayMatrixSet, relay_matrix_set
-from .receivers import (Codebook, ml_grouped, ml_joint, mmse_detect,
-                        zf_detect)
+from .receivers import (Codebook, gram_crossterm, ml_grouped, ml_joint,
+                        mmse_detect, sufficient_stats, zf_detect)
 
 VARIANTS = ("gnaf1", "gnaf2", "gnaf3", "jh", "direct")
 
@@ -366,11 +366,18 @@ class SimResult:
 
     @property
     def ci95(self) -> tuple[float, float]:
+        """95% Wilson score interval of the SER.
+
+        Unlike the Wald interval it keeps a positive upper end at zero errors.
+        """
         if not self.trials:
             return (0.0, 0.0)
-        p = self.ser
-        half = 1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
-        return (max(p - half, 0.0), min(p + half, 1.0))
+        n, k, z = self.trials, self.errors, 1.96
+        z2 = z * z
+        half = z * np.sqrt(z2 + 4.0 * k * (n - k) / n)
+        den = 2.0 * (n + z2)
+        return (max((2.0 * k + z2 - half) / den, 0.0),
+                min((2.0 * k + z2 + half) / den, 1.0))
 
 
 @dataclass(frozen=True)
@@ -455,21 +462,15 @@ def _run_batch(cfg: SimConfig, snr_idx: int, batch_idx: int, n: int):
     if receiver == "joint-ml":
         dec = ml_joint(y, m, book)
     elif receiver == "grouped-ml":
-        gram = np.real(np.einsum("brk,brl->bkl", np.conj(m), m))
-        worst = np.zeros(n)
-        for a in range(book.n_groups):
-            for bgrp in range(a + 1, book.n_groups):
-                blk = gram[:, list(book.groups[a]), :][:, :, list(book.groups[bgrp])]
-                if blk.size:
-                    worst = np.maximum(worst, np.max(np.abs(blk), axis=(1, 2)))
+        dec = ml_grouped(y, m, book)
+        # grouped ML is exact only where the whitened model decomposes
+        _, gram = sufficient_stats(y, m)
+        worst = gram_crossterm(gram, book.groups)
         thr = matkernel.REL_TOL * (1.0 + np.max(np.abs(gram), axis=(1, 2)))
-        ok = worst <= thr
-        dec = np.zeros_like(tx)
-        if np.any(ok):
-            dec[ok] = ml_grouped(y[ok], m[ok], book)
-        if np.any(~ok):
-            dec[~ok] = ml_joint(y[~ok], m[~ok], book)
-            fallbacks = int(np.sum(~ok))
+        coupled = worst > thr
+        if np.any(coupled):
+            dec[coupled] = ml_joint(y[coupled], m[coupled], book)
+            fallbacks = int(np.sum(coupled))
     elif receiver == "zf":
         dec = zf_detect(y, m, book)
     elif receiver == "mmse":

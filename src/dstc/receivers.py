@@ -10,10 +10,16 @@ X group by group; a decision is one alphabet-point index per group, so joint
 and grouped detectors are directly comparable. Tie-breaking is by lowest
 codeword index, making every detector a pure function of (y, M).
 
+Every detector reads the same two sufficient statistics (sufficient_stats):
+z = Re(M^H y) and G = Re(M^H M). Joint ML minimizes x^T G x - 2 z.x over the
+codebook, one GEMM per batch; grouped ML does the same per group with z_g
+and the diagonal block G_gg; ZF and MMSE solve linear systems in G and z.
+
 The grouped detector is only valid when the whitened model actually
-decomposes: Re(M^H M) must vanish on cross-group entries (the decision-level
-consequence of the weight-matrix anticommutation condition). The Monte Carlo
-driver checks this per channel draw and falls back to joint ML otherwise.
+decomposes: G must vanish on cross-group entries (the decision-level
+consequence of the weight-matrix anticommutation condition, measured by
+gram_crossterm). The Monte Carlo driver checks this per channel draw and
+falls back to joint ML otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matkernel
 from .precoding import RotatedLattice, pam_alphabet
 
 ML_SIZE_GUARD = 10 ** 6
@@ -113,7 +120,10 @@ class Codebook:
 
         Exact (not sampled): by real-linearity of the designs, codeword-pair
         statistics depend only on symbol differences, and for a product
-        codebook the difference set is the per-group product. Guarded.
+        codebook the difference set is the per-group product. Per-group
+        differences that agree within the package zero test count once, so
+        roundoff in rotated-lattice points does not split equal differences.
+        Guarded.
         """
         bound = 1
         for sz in self.group_sizes:       # every group has >= sz differences
@@ -124,8 +134,10 @@ class Codebook:
         per_group = []
         total = 1
         for vals in self.group_values:
-            d = vals[:, None, :] - vals[None, :, :]
-            d = np.unique(d.reshape(-1, vals.shape[1]), axis=0)
+            d = (vals[:, None, :] - vals[None, :, :]).reshape(-1, vals.shape[1])
+            tol = matkernel.zero_threshold(float(np.max(np.abs(d), initial=0.0)))
+            d = np.stack([_snap_close(c, tol) for c in d.T], axis=-1)
+            d = np.unique(d, axis=0)
             per_group.append(d)
             total *= len(d)
             if total > PAIR_GUARD:
@@ -136,6 +148,26 @@ class Codebook:
         for g, (grp, d) in enumerate(zip(self.groups, per_group)):
             out[:, list(grp)] = d[grids[g].ravel()]
         return out[np.any(out != 0.0, axis=1)]
+
+
+def _snap_close(v: np.ndarray, tol: float) -> np.ndarray:
+    """Replace each value by a representative of its cluster.
+
+    A cluster is a maximal run of the sorted values whose consecutive gaps
+    are at most ``tol``, so values within ``tol`` of each other always share
+    one, wherever they fall relative to a rounding grid. The representative
+    is the member of least magnitude, so the cluster holding 0 snaps to
+    exactly 0 and the zero difference is still recognised.
+    """
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(sv) > tol]))
+    least = np.minimum.reduceat(np.abs(sv), starts)
+    # a cluster with members of both signs holds 0, so least is 0 there
+    rep = np.where(least > 0, np.copysign(least, sv[starts]), 0.0)
+    out = np.empty_like(v)
+    out[order] = np.repeat(rep, np.diff(np.append(starts, len(sv))))
+    return out
 
 
 def pam_codebook(partition, points_per_coord: int = 2,
@@ -169,7 +201,7 @@ def lattice_codebook(partition, lattice: RotatedLattice) -> Codebook:
 
 
 # ---------------------------------------------------------------------------
-# maximum likelihood
+# sufficient statistics
 # ---------------------------------------------------------------------------
 
 def _as_batch(y: np.ndarray, m: np.ndarray):
@@ -182,8 +214,70 @@ def _as_batch(y: np.ndarray, m: np.ndarray):
     return y, m, squeeze
 
 
+def sufficient_stats(y: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matched-filter output z = Re(M^H y) and Gram matrix G = Re(M^H M).
+
+    Shapes (..., K) and (..., K, K) for y (..., rows) and M (..., rows, K).
+    Since ||y - M x||^2 = ||y||^2 - 2 z.x + x^T G x for real x, (z, G)
+    carry everything every detector needs. Both come from one matmul on
+    the realified model [Re M; Im M] against [Re M; Im M | Re y; Im y].
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    m = np.asarray(m, dtype=np.complex128)
+    rows, k = m.shape[-2:]
+    aug = np.empty(m.shape[:-2] + (2 * rows, k + 1))
+    aug[..., :rows, :k] = m.real
+    aug[..., rows:, :k] = m.imag
+    aug[..., :rows, k] = y.real
+    aug[..., rows:, k] = y.imag
+    zg = np.swapaxes(aug[..., :k], -1, -2) @ aug
+    return zg[..., k], zg[..., :k]
+
+
+def gram_crossterm(gram: np.ndarray, groups) -> np.ndarray:
+    """Largest |G| entry across different groups, per matrix of (..., K, K).
+
+    Zero (numerically) certifies that the joint metric decomposes into
+    per-group metrics, i.e. grouped ML equals joint ML for this model.
+    """
+    gram = np.asarray(gram)
+    label = np.empty(gram.shape[-1], dtype=np.intp)
+    for g, grp in enumerate(groups):
+        label[list(grp)] = g
+    cross = label[:, None] != label[None, :]
+    return np.max(np.abs(gram) * cross, axis=(-2, -1), initial=0.0)
+
+
+def group_crossterm(model: np.ndarray, groups) -> float:
+    """Largest |Re(M^H M)| entry across different groups of one model matrix."""
+    m = np.asarray(model, dtype=np.complex128)
+    _, gram = sufficient_stats(np.zeros(m.shape[0]), m)
+    return float(gram_crossterm(gram, groups))
+
+
+# ---------------------------------------------------------------------------
+# maximum likelihood
+# ---------------------------------------------------------------------------
+
+def _ml_argmin(z: np.ndarray, gram: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Lowest-index argmin over the rows of x of x^T G x - 2 z.x.
+
+    One GEMM for the whole batch: [vec G, z] against each candidate's
+    [vec(x x^T), -2 x].
+    """
+    n, k = x.shape
+    coef = np.concatenate([gram.reshape(gram.shape[:-2] + (k * k,)), z], axis=-1)
+    cand = np.concatenate([(x[:, :, None] * x[:, None, :]).reshape(n, k * k),
+                           -2.0 * x], axis=-1)
+    return np.argmin(coef @ cand.T, axis=-1)
+
+
 def ml_joint_metrics(y: np.ndarray, model: np.ndarray, x_all: np.ndarray) -> np.ndarray:
-    """Squared-distance metric of every codeword: (batch, n_codewords)."""
+    """Squared-distance metric of every codeword: (batch, n_codewords).
+
+    The full-distance reference; the detectors use the equivalent
+    sufficient-statistic metric instead.
+    """
     y, m, squeeze = _as_batch(y, model)
     sig = np.einsum("brk,nk->bnr", m, x_all)
     met = np.sum(np.abs(y[:, None, :] - sig) ** 2, axis=-1)
@@ -198,26 +292,23 @@ def ml_joint(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray
     """
     if codebook.size > ML_SIZE_GUARD:
         raise ResourceGuardError(f"codebook size {codebook.size} exceeds ML guard")
-    x_all = codebook.enumerate_x()
-    met = ml_joint_metrics(y, model, x_all)
-    flat = np.argmin(met, axis=-1)
+    z, gram = sufficient_stats(y, model)
+    flat = _ml_argmin(z, gram, codebook.enumerate_x())
     return codebook.flat_to_indices(flat)
 
 
 def ml_grouped(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Per-group ML decisions (valid when the model decomposes across groups).
 
-    Searches sum(group sizes) candidates instead of their product: group k's
-    metric is || y - M_k X_k ||^2 with only that group's model columns.
+    Searches sum(group sizes) candidates instead of their product: group g
+    is scored on its own entries z_g and diagonal block G_gg.
     """
-    y, m, squeeze = _as_batch(y, model)
-    out = np.zeros((y.shape[0], codebook.n_groups), dtype=np.intp)
+    z, gram = sufficient_stats(y, model)
+    out = np.zeros(z.shape[:-1] + (codebook.n_groups,), dtype=np.intp)
     for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
-        mg = m[:, :, list(grp)]
-        sig = np.einsum("brk,nk->bnr", mg, vals)
-        met = np.sum(np.abs(y[:, None, :] - sig) ** 2, axis=-1)
-        out[:, g] = np.argmin(met, axis=-1)
-    return out[0] if squeeze else out
+        idx = list(grp)
+        out[..., g] = _ml_argmin(z[..., idx], gram[..., idx, :][..., idx], vals)
+    return out
 
 
 def group_metric(y: np.ndarray, model: np.ndarray, codebook: Codebook,
@@ -233,32 +324,9 @@ def group_metric(y: np.ndarray, model: np.ndarray, codebook: Codebook,
     return tot[0] if squeeze else tot
 
 
-def group_crossterm(model: np.ndarray, groups) -> float:
-    """Largest |Re(M^H M)| entry across different groups.
-
-    Zero (numerically) certifies that the joint metric decomposes into
-    per-group metrics, i.e. grouped ML equals joint ML for this model.
-    """
-    m = np.asarray(model, dtype=np.complex128)
-    gram = np.real(np.conj(m.T) @ m)
-    worst = 0.0
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            block = gram[np.ix_(list(groups[a]), list(groups[b]))]
-            if block.size:
-                worst = max(worst, float(np.max(np.abs(block))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # linear receivers
 # ---------------------------------------------------------------------------
-
-def _realify(y: np.ndarray, m: np.ndarray):
-    yr = np.concatenate([y.real, y.imag], axis=-1)
-    mr = np.concatenate([m.real, m.imag], axis=-2)
-    return yr, mr
-
 
 def _slice_groups(xhat: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Nearest constellation point per group.
@@ -285,28 +353,24 @@ def _slice_groups(xhat: np.ndarray, codebook: Codebook) -> np.ndarray:
 
 
 def zf_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Zero-forcing: least-squares inversion then per-group slicing.
+    """Zero-forcing: solve G x = z, then slice per group.
 
     Rank-deficient model matrices yield an erasure, marked as index -1 in
     every group (scored as symbol errors by the harness).
     """
     y, m, squeeze = _as_batch(y, model)
-    yr, mr = _realify(y, m)
-    a = np.einsum("bik,bil->bkl", mr, mr)
-    rhs = np.einsum("bik,bi->bk", mr, yr)
-    k = a.shape[-1]
-    dets = np.linalg.det(a)
-    good = np.abs(dets) > 1e-12
+    z, gram = sufficient_stats(y, m)
+    good = np.abs(np.linalg.det(gram)) > 1e-12
     out = -np.ones((y.shape[0], codebook.n_groups), dtype=np.intp)
     if np.any(good):
-        xhat = np.linalg.solve(a[good], rhs[good][..., None])[..., 0]
+        xhat = np.linalg.solve(gram[good], z[good][..., None])[..., 0]
         out[good] = _slice_groups(xhat, codebook)
     return out[0] if squeeze else out
 
 
 def mmse_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook,
                 noise_var: float) -> np.ndarray:
-    """Linear MMSE: regularized inversion then per-group slicing.
+    """Linear MMSE: solve (G + noise_var / Es) x = z, then slice per group.
 
     ``noise_var`` is the per-real-dimension noise variance (0.5 after
     whitening to unit complex variance). The prior symbol energy per
@@ -318,14 +382,12 @@ def mmse_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook,
         xhat = np.zeros((y.shape[0], codebook.k))
         out = _slice_groups(xhat, codebook)
         return out[0] if squeeze else out
-    yr, mr = _realify(y, m)
-    a = np.einsum("bik,bil->bkl", mr, mr)
-    rhs = np.einsum("bik,bi->bk", mr, yr)
+    z, gram = sufficient_stats(y, m)
     es = np.zeros(codebook.k)
     for grp, vals in zip(codebook.groups, codebook.group_values):
         es[list(grp)] = np.mean(vals ** 2, axis=0)
     es = np.where(es > 0, es, 1.0)
     reg = np.diag(noise_var / es)
-    xhat = np.linalg.solve(a + reg[None, :, :], rhs[..., None])[..., 0]
+    xhat = np.linalg.solve(gram + reg[None, :, :], z[..., None])[..., 0]
     out = _slice_groups(xhat, codebook)
     return out[0] if squeeze else out

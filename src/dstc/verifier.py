@@ -220,7 +220,7 @@ def _min_det_over(d: Design, diffs: np.ndarray) -> tuple[float, np.ndarray | Non
         j = int(np.argmin(dets))
         if dets[j] < best:
             best = float(dets[j])
-            bestdiff = chunk[j]
+            bestdiff = chunk[j].copy()      # a view would pin all of diffs
     return best, bestdiff
 
 
@@ -257,7 +257,7 @@ def min_delta_det_full(d: Design, codebook) -> tuple[float, np.ndarray | None]:
         j = int(np.argmin(dets))
         if dets[j] < best:
             best = float(dets[j])
-            bestdiff = diffs[j]
+            bestdiff = diffs[j].copy()
     return best, bestdiff
 
 

@@ -5,10 +5,10 @@ from dstc import matkernel as mk
 from dstc.designs import (Design, build_pciod, build_toeplitz, golden_cda,
                           relay_matrix_set)
 from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
-                           SimConfig, build_effective, draw_noise, make_rng,
-                           noise_cov, protocol_params, results_to_csv,
-                           run_monte_carlo, sample_channel, simulate_trial,
-                           whiten)
+                           SimConfig, SimResult, build_effective, draw_noise,
+                           make_rng, noise_cov, protocol_params,
+                           results_to_csv, run_monte_carlo, sample_channel,
+                           simulate_trial, whiten)
 from dstc.precoding import default_lattice
 from dstc.receivers import lattice_codebook
 from dstc.verifier import compute_gamma
@@ -283,6 +283,25 @@ class TestMonteCarlo:
         res = run_monte_carlo(self.config(trials=20000))
         for lo, hi in zip(res[:-1], res[1:]):
             assert hi.ser <= lo.ser or hi.ci95[0] <= lo.ci95[1]
+
+    def test_wilson_interval(self):
+        for errors, trials in ((0, 1000), (3, 1000), (1000, 1000)):
+            r = SimResult(30.0, trials, errors, "zf", 0, "x")
+            lo, hi = r.ci95
+            assert 0.0 <= lo <= r.ser <= hi <= 1.0
+            assert hi > 0.0
+        lo, hi = SimResult(30.0, 1000, 0, "zf", 0, "x").ci95
+        z2 = 1.96 ** 2
+        assert lo == 0.0 and hi == pytest.approx(z2 / (1000 + z2), rel=1e-12)
+
+    def test_coupled_draws_fall_back_to_joint(self, monkeypatch):
+        # every draw reported coupled: grouped-ml must decide as joint-ml
+        joint = run_monte_carlo(self.config(receiver="joint-ml"))
+        monkeypatch.setattr("dstc.gnaf_sim.gram_crossterm",
+                            lambda gram, groups: np.full(gram.shape[0], np.inf))
+        grouped = run_monte_carlo(self.config())
+        assert [r.errors for r in grouped] == [r.errors for r in joint]
+        assert all(r.fallbacks == 4000 for r in grouped)
 
     def test_worker_count_invariance(self):
         a = results_to_csv(run_monte_carlo(self.config(workers=1)))

@@ -1,0 +1,104 @@
+"""Property tests of the detectors on random small complex models.
+
+Each detector is compared with a plain reference computed from the model
+itself (full squared distances, or least squares on the realified model),
+batched and for a single squeezed trial.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dstc import matkernel
+from dstc.receivers import (group_crossterm, ml_grouped, ml_joint,
+                            pam_codebook, sufficient_stats, zf_detect)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def cases(draw, min_rows=1):
+    """(y, model, codebook, squeeze) with the rng seeded by Hypothesis."""
+    k = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    groups = tuple(tuple(i for i in range(k) if labels[i] == g)
+                   for g in sorted(set(labels)))
+    book = pam_codebook(groups, draw(st.integers(2, 3)))
+    rows = draw(st.integers(min_rows, 4))
+    batch = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.standard_normal((batch, rows, k)) + 1j * rng.standard_normal((batch, rows, k))
+    # zeroed columns: the metric ignores those symbols, so codewords tie
+    m[:, :, draw(st.lists(st.integers(0, k - 1), max_size=2))] = 0.0
+    y = rng.standard_normal((batch, rows)) + 1j * rng.standard_normal((batch, rows))
+    return y, m, book, draw(st.booleans())
+
+
+def detect(detector, y, m, book, squeeze):
+    """Decisions (batch, n_groups), through the 1-D call when squeezed."""
+    if squeeze:
+        out = detector(y[0], m[0], book)
+        assert out.shape == (book.n_groups,)
+        return out[None], 1
+    return detector(y, m, book), len(y)
+
+
+@SETTINGS
+@given(cases())
+def test_ml_joint_is_bruteforce_argmin(case):
+    y, m, book, squeeze = case
+    dec, n = detect(ml_joint, y, m, book, squeeze)
+    x_all = book.enumerate_x()
+    for b in range(n):
+        met = [float(np.sum(np.abs(y[b] - m[b] @ x) ** 2)) for x in x_all]
+        best = int(np.argmin(met))                 # first of any exact tie
+        assert np.array_equal(dec[b], book.flat_to_indices(best))
+
+
+def decomposable(rng, groups, rows, batch):
+    """Models whose realified group blocks span orthogonal subspaces."""
+    k = sum(len(g) for g in groups)
+    out = np.empty((batch, rows, k), dtype=np.complex128)
+    for b in range(batch):
+        q, _ = np.linalg.qr(rng.standard_normal((2 * rows, 2 * rows)))
+        real = np.empty((2 * rows, k))
+        used = 0
+        for grp in groups:
+            mix = rng.standard_normal((len(grp), len(grp)))
+            real[:, list(grp)] = q[:, used:used + len(grp)] @ mix
+            used += len(grp)
+        out[b] = real[:rows] + 1j * real[rows:]
+    return out
+
+
+@SETTINGS
+@given(cases(min_rows=2), st.integers(0, 2 ** 32 - 1))
+def test_ml_grouped_equals_joint_when_decomposable(case, seed):
+    y, _, book, squeeze = case
+    rng = np.random.default_rng(seed)
+    m = decomposable(rng, book.groups, y.shape[1], len(y))
+    for b in range(len(m)):
+        _, gram = sufficient_stats(y[b], m[b])
+        scale = float(np.max(np.abs(gram)))
+        assume(group_crossterm(m[b], book.groups) < matkernel.zero_threshold(scale))
+    grouped, _ = detect(ml_grouped, y, m, book, squeeze)
+    joint, _ = detect(ml_joint, y, m, book, squeeze)
+    assert np.array_equal(grouped, joint)
+
+
+@SETTINGS
+@given(cases())
+def test_zf_is_sliced_least_squares(case):
+    y, m, book, squeeze = case
+    dec, n = detect(zf_detect, y, m, book, squeeze)
+    for b in range(n):
+        a = np.concatenate([m[b].real, m[b].imag])
+        rhs = np.concatenate([y[b].real, y[b].imag])
+        xhat, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
+        if rank < book.k:
+            want = [-1] * book.n_groups
+        else:
+            want = [int(np.argmin(np.sum((vals - xhat[list(grp)]) ** 2, axis=1)))
+                    for grp, vals in zip(book.groups, book.group_values)]
+        assert np.array_equal(dec[b], want)

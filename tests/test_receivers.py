@@ -51,6 +51,14 @@ class TestCodebook:
         diffs = book.difference_vectors()
         assert diffs.shape == (8, 2)       # 3*3 minus the zero vector
 
+    def test_difference_vectors_merge_roundoff(self):
+        # 16 rotated points: 7 x 7 distinct differences (48 nonzero), which
+        # roundoff in the rotation splits into 101 under exact equality
+        book = lattice_codebook(((0, 1),), default_lattice(2, 4))
+        assert len(book.difference_vectors()) == 48
+        book = lattice_codebook(((0, 1),), default_lattice(2, 2))
+        assert len(book.difference_vectors()) == 8
+
 
 class TestMlJoint:
     def test_noiseless_recovery(self):

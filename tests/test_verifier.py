@@ -211,6 +211,14 @@ class TestMinDeltaDet:
         via_pairs, _ = min_delta_det_full(d, book.enumerate_x())
         assert via_diffs == pytest.approx(via_pairs, rel=1e-12)
 
+    def test_witness_owns_its_data(self):
+        # a view would keep the whole difference (or pair) array alive
+        d = build_pciod(2)
+        book = lattice_codebook(d.partition, default_lattice(1, 2))
+        for codebook in (book, book.enumerate_x()):
+            _, witness = min_delta_det_full(d, codebook)
+            assert witness.base is None
+
 
 class TestNvdProbe:
     def test_golden_size4(self):
