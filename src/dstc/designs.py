@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import matkernel
 from .precoding import partition_mod4
 
 PLAIN = "plain"
@@ -331,16 +332,18 @@ def golden_cda() -> Design:
 # relay matrix extraction
 # ---------------------------------------------------------------------------
 
-def relay_matrix_set(d: Design, tol: float = 1e-12) -> RelayMatrixSet:
+def relay_matrix_set(d: Design) -> RelayMatrixSet:
     """Extract one matrix per relay from a design with conjugate-linear columns.
 
     Plain columns give the matrix applied to the source vector s, conjugated
     columns the matrix applied to conj(s). Relays are emitted plain-first;
     ``columns`` maps each relay back to its design column. Raises ValueError
     (with the offending column) if some column mixes symbols and conjugates.
+    A part counts as zero by the package zero test, the one
+    verifier.check_condition1 classifies columns with.
     """
     scale = float(np.max(np.abs(d.weights))) if d.weights.size else 0.0
-    thr = tol * (1.0 + scale)
+    thr = matkernel.zero_threshold(scale)
     plain_relays, conj_relays = [], []
     for c in range(d.r):
         p, q = d.column_forms(c)

@@ -32,12 +32,6 @@ def zero_threshold(scale: float) -> float:
     return REL_TOL * (1.0 + float(scale))
 
 
-def is_zero(z, scale: float = 0.0) -> bool:
-    """True if |z| is numerically zero relative to the given magnitude scale."""
-    return bool(np.max(np.abs(z)) < zero_threshold(scale)) if np.ndim(z) else \
-        abs(z) < zero_threshold(scale)
-
-
 def herm(m: np.ndarray) -> np.ndarray:
     """Hermitian (conjugate) transpose."""
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
@@ -74,28 +68,3 @@ def inv_sqrt_pd(m: np.ndarray) -> np.ndarray:
     x = (v * (1.0 / np.sqrt(w))) @ herm(v)
     # symmetrize to kill roundoff skew; X is Hermitian by construction
     return 0.5 * (x + herm(x))
-
-
-def sqrt_pd(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a Hermitian positive-semidefinite matrix."""
-    a = as_cmatrix(m)
-    if not is_hermitian(a):
-        raise ValueError("sqrt_pd: input is not Hermitian")
-    w, v = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    x = (v * np.sqrt(w)) @ herm(v)
-    return 0.5 * (x + herm(x))
-
-
-def det(m: np.ndarray) -> complex:
-    """Determinant of a square matrix (pivoted LU under the hood)."""
-    a = as_cmatrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"det: matrix is not square ({a.shape[0]}x{a.shape[1]})")
-    return complex(np.linalg.det(a))
-
-
-def rank(m: np.ndarray, tol: float | None = None) -> int:
-    """Numerical rank via SVD."""
-    a = as_cmatrix(m)
-    return int(np.linalg.matrix_rank(a, tol=tol))

@@ -115,15 +115,15 @@ class Codebook:
             rem = rem // s
         return out
 
-    def difference_vectors(self) -> np.ndarray:
-        """All nonzero codeword differences, shape (D, K).
+    def group_differences(self) -> tuple[np.ndarray, ...]:
+        """Per-group tables of distinct value differences.
 
-        Exact (not sampled): by real-linearity of the designs, codeword-pair
-        statistics depend only on symbol differences, and for a product
-        codebook the difference set is the per-group product. Per-group
-        differences that agree within the package zero test count once, so
-        roundoff in rotated-lattice points does not split equal differences.
-        Guarded.
+        Entry g is an (m_g, len(groups[g])) table holding every difference
+        of two values of group g once, the zero row included. Differences
+        that agree within the package zero test count once, so roundoff in
+        rotated-lattice points does not split equal differences; the zero
+        difference stays exactly zero. Guarded on the size of the product
+        of the tables (the codebook's difference set).
         """
         bound = 1
         for sz in self.group_sizes:       # every group has >= sz differences
@@ -143,6 +143,18 @@ class Codebook:
             if total > PAIR_GUARD:
                 raise ResourceGuardError(
                     f"difference enumeration exceeds guard {PAIR_GUARD}")
+        return tuple(per_group)
+
+    def difference_vectors(self) -> np.ndarray:
+        """All nonzero codeword differences, shape (D, K).
+
+        Exact (not sampled): by real-linearity of the designs, codeword-pair
+        statistics depend only on symbol differences, and for a product
+        codebook the difference set is the product of the per-group tables
+        of group_differences, enumerated group-0-major without the zero row.
+        Guarded.
+        """
+        per_group = self.group_differences()
         grids = np.meshgrid(*[np.arange(len(d)) for d in per_group], indexing="ij")
         out = np.zeros((grids[0].size, self.k))
         for g, (grp, d) in enumerate(zip(self.groups, per_group)):
@@ -356,11 +368,16 @@ def zf_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarra
     """Zero-forcing: solve G x = z, then slice per group.
 
     Rank-deficient model matrices yield an erasure, marked as index -1 in
-    every group (scored as symbol errors by the harness).
+    every group (scored as symbol errors by the harness). The test is
+    relative, so it does not depend on the model's scale: by Hadamard's
+    inequality det G <= prod(diag G) for the PSD G, with equality for
+    orthogonal columns, and G counts as singular when det G falls below
+    REL_TOL times that bound.
     """
     y, m, squeeze = _as_batch(y, model)
     z, gram = sufficient_stats(y, m)
-    good = np.abs(np.linalg.det(gram)) > 1e-12
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    good = np.linalg.det(gram) > matkernel.REL_TOL * np.prod(diag, axis=-1)
     out = -np.ones((y.shape[0], codebook.n_groups), dtype=np.intp)
     if np.any(good):
         xhat = np.linalg.solve(gram[good], z[good][..., None])[..., 0]

@@ -12,11 +12,22 @@ Checks, each returning a report with a concrete witness on failure:
 * exhaustive minimum codeword-difference determinants (full diversity) and
   the determinant probe across constellation sizes (non-vanishing
   determinant evidence).
+
+The determinant minima never build the array of difference vectors. dS is
+linear in the symbol difference, so for a product codebook dS of a
+difference is a sum of one projected piece per group: the pieces of the
+leading and of the trailing half of the groups are summed once each, and
+leading x trailing combinations are scored in cache-sized blocks. Explicit
+codeword lists are projected once and scored pair by pair on differences
+of projections. Square designs are scored as |det dS|^2, others by the
+determinant of the R x R Gram matrix; small determinants are expanded in
+closed form over the whole block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -200,44 +211,149 @@ def check_whitened_group_decodable(d: Design, partition, params: ProtocolParams,
 # determinant criteria
 # ---------------------------------------------------------------------------
 
-_DET_CHUNK = 1 << 18
+_DET_CHUNK = 1 << 12          # differences scored per block (cache-sized)
+_DET_EXPAND_MAX = 4           # larger determinants go through batched LU
 
 
-def _delta_dets(d: Design, diffs: np.ndarray) -> np.ndarray:
-    """|det(dS^H dS)| for a batch of symbol-difference vectors."""
-    ds = np.einsum("nk,ktr->ntr", diffs, d.weights)
-    gram = np.einsum("nti,ntj->nij", np.conj(ds), ds)
-    return np.abs(np.linalg.det(gram))
+def _det_small(m: np.ndarray) -> np.ndarray:
+    """Determinants of a batch of n x n matrices stored batch-last, (n, n, N).
+
+    Up to _DET_EXPAND_MAX the rows are expanded bottom-up: the minor of the
+    trailing rows on every column subset is formed once from the minors one
+    row below, n 2^(n-1) vector products in all, with no per-matrix call.
+    """
+    n = m.shape[0]
+    if n > _DET_EXPAND_MAX:
+        return np.linalg.det(np.moveaxis(m, -1, 0))
+    minors = {(j,): m[n - 1, j] for j in range(n)}
+    for row in range(n - 2, -1, -1):
+        nxt = {}
+        for cols in combinations(range(n), n - row):
+            acc = m[row, cols[0]] * minors[cols[1:]]
+            for pos in range(1, len(cols)):
+                term = m[row, cols[pos]] * minors[cols[:pos] + cols[pos + 1:]]
+                acc = acc - term if pos % 2 else acc + term
+            nxt[cols] = acc
+        minors = nxt
+    return minors[tuple(range(n))]
 
 
-def _min_det_over(d: Design, diffs: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Chunked minimum so million-row difference sets stay in memory budget."""
-    best = np.inf
-    bestdiff = None
-    for lo in range(0, len(diffs), _DET_CHUNK):
-        chunk = diffs[lo:lo + _DET_CHUNK]
-        dets = _delta_dets(d, chunk)
-        j = int(np.argmin(dets))
-        if dets[j] < best:
-            best = float(dets[j])
-            bestdiff = chunk[j].copy()      # a view would pin all of diffs
-    return best, bestdiff
+def _abs_dets(ds: np.ndarray) -> np.ndarray:
+    """|det(dS^H dS)| for a batch of differences dS stored batch-last, (T, R, N).
+
+    Square designs take |det dS|^2. Otherwise the R x R Gram matrix is
+    formed entry by entry over the batch (Hermitian, so each pair of
+    columns once) and its determinant taken.
+    """
+    t, r = ds.shape[:2]
+    if t == r:
+        v = _det_small(ds)
+        return v.real ** 2 + v.imag ** 2
+    gram = np.empty((r, r) + ds.shape[2:], dtype=np.complex128)
+    for i in range(r):
+        for j in range(i, r):
+            gram[i, j] = np.sum(np.conj(ds[:, i]) * ds[:, j], axis=0)
+            gram[j, i] = np.conj(gram[i, j])
+    return np.abs(_det_small(gram))
+
+
+def _min_det_product(d: Design, book: Codebook) -> tuple[float, np.ndarray]:
+    """First minimum over a product codebook's difference set, group-0-major.
+
+    dS is linear in the difference, and the difference set is the product
+    of the per-group tables, so dS of any difference is the sum of one
+    projected piece per group. The pieces of the leading and of the
+    trailing half of the groups are summed once per half; blocks of
+    leading x trailing sums are then scored without building the
+    difference array.
+    """
+    tables = book.group_differences()
+    t, r = d.t, d.r
+    pieces = [(tab @ d.weights[list(grp)].reshape(len(grp), t * r)).T
+              for grp, tab in zip(book.groups, tables)]
+    half = len(pieces) // 2
+
+    def sums(part):
+        acc = np.zeros((t * r, 1), dtype=np.complex128)
+        for c in part:
+            acc = (acc[:, :, None] + c[:, None, :]).reshape(t * r, -1)
+        return acc
+
+    lead, trail = sums(pieces[:half]), sums(pieces[half:])
+    n_trail = trail.shape[1]
+    sizes = tuple(len(tab) for tab in tables)
+    zero = int(np.ravel_multi_index(
+        [int(np.flatnonzero(~np.any(tab, axis=1))[0]) for tab in tables], sizes))
+    za, zb = divmod(zero, n_trail)
+    rows = max(1, _DET_CHUNK // n_trail)
+    cols = min(n_trail, _DET_CHUNK)
+    best, best_flat = np.inf, -1
+    for a0 in range(0, lead.shape[1], rows):
+        a1 = min(a0 + rows, lead.shape[1])
+        for b0 in range(0, n_trail, cols):
+            b1 = min(b0 + cols, n_trail)
+            ds = lead[:, a0:a1, None] + trail[:, None, b0:b1]
+            dets = _abs_dets(ds.reshape(t, r, -1))
+            if a0 <= za < a1 and b0 <= zb < b1:
+                dets[(za - a0) * (b1 - b0) + zb - b0] = np.inf
+            j = int(np.argmin(dets))
+            if dets[j] < best:
+                a, b = divmod(j, b1 - b0)
+                best, best_flat = float(dets[j]), (a0 + a) * n_trail + b0 + b
+    witness = np.zeros(book.k)
+    for grp, tab, i in zip(book.groups, tables, np.unravel_index(best_flat, sizes)):
+        witness[list(grp)] = tab[i]
+    return best, witness
+
+
+def _min_det_pairs(d: Design, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """First minimum over the pairs (i, j > i) of explicit codewords, row-major.
+
+    Each codeword is projected once, S = x W, and a pair is scored on
+    S[j] - S[i], in blocks of consecutive pairs.
+    """
+    n = len(x)
+    t, r = d.t, d.r
+    proj = (x @ d.weights.reshape(d.k, t * r)).T
+    row = np.arange(n)
+    start = row * n - row * (row + 1) // 2      # flat index of pair (i, i + 1)
+    best, best_pair = np.inf, (0, 1)
+    for p0 in range(0, n * (n - 1) // 2, _DET_CHUNK):
+        p = np.arange(p0, min(p0 + _DET_CHUNK, n * (n - 1) // 2))
+        i = np.searchsorted(start, p, side="right") - 1
+        j = p - start[i] + i + 1
+        dets = _abs_dets((proj[:, j] - proj[:, i]).reshape(t, r, -1))
+        k = int(np.argmin(dets))
+        if dets[k] < best:
+            best, best_pair = float(dets[k]), (int(i[k]), int(j[k]))
+    return best, x[best_pair[1]] - x[best_pair[0]]
 
 
 def min_delta_det_full(d: Design, codebook) -> tuple[float, np.ndarray | None]:
     """Minimum |det(dS^H dS)| over distinct codeword pairs, with a witness.
 
-    ``codebook`` is either an (N, K) array of symbol vectors (exhaustive
-    pairing, guarded at N^2 <= 1e7) or a product Codebook (its exact
-    difference-vector enumeration is used instead — still exhaustive, and
-    much smaller than pairing). A one-codeword book returns +inf. Books too
-    large for exhaustion are refused outright; there is no sampling
-    fallback.
+    ``codebook`` is either an (N, K) array of symbol vectors or a product
+    Codebook. Both are searched exhaustively; there is no sampling fallback.
+
+    * Explicit codewords: every pair (i, j > i) is scored, guarded at
+      N^2 <= 1e7. Each codeword is projected once and a pair's dS is the
+      difference of two projections.
+    * Product codebook: the search runs over the exact difference set,
+      much smaller than the pairs, without building it. The difference set
+      is the product of the per-group tables (Codebook.group_differences,
+      guarded like difference_vectors), so dS of a difference is a sum of
+      one projected piece per group; the sums over the leading and the
+      trailing half of the groups are formed once and scored in blocks.
+
+    The witness is the first minimizing difference, in row-major pair
+    order or in the group-0-major order of difference_vectors, as a fresh
+    array. Square designs are scored as |det dS|^2. A one-codeword book
+    returns (+inf, None).
     """
     if isinstance(codebook, Codebook):
         if codebook.size < 2:
             return np.inf, None
-        return _min_det_over(d, codebook.difference_vectors())
+        return _min_det_product(d, codebook)
 
     x = np.asarray(codebook, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != d.k:
@@ -249,16 +365,7 @@ def min_delta_det_full(d: Design, codebook) -> tuple[float, np.ndarray | None]:
         raise ResourceGuardError(
             f"{n}^2 pairs exceed the exhaustive-pairing guard "
             f"{PAIR_GUARD}; refusing (no sampling fallback)")
-    best = np.inf
-    bestdiff = None
-    for i in range(n - 1):
-        diffs = x[i + 1:] - x[i]
-        dets = _delta_dets(d, diffs)
-        j = int(np.argmin(dets))
-        if dets[j] < best:
-            best = float(dets[j])
-            bestdiff = diffs[j].copy()
-    return best, bestdiff
+    return _min_det_pairs(d, x)
 
 
 def min_delta_det(d: Design, codebook) -> float:

@@ -9,6 +9,7 @@ from dstc.designs import (Design, build_cda, build_ciod4, build_family,
                           compose_precode, design_from_dict, design_to_dict,
                           golden_cda, load_design, relay_matrix_set,
                           save_design, unit_energy_relays)
+from dstc.verifier import check_condition1
 
 
 def sym(d, x):
@@ -65,7 +66,7 @@ class TestPciod:
             b1 = float(np.sum(dx[4:8] ** 2))
             want = np.diag([b0, b0, b1, b1])
             assert np.allclose(gram, want, atol=1e-12)
-            assert mk.det(gram) == pytest.approx(b0 ** 2 * b1 ** 2, rel=1e-9)
+            assert np.linalg.det(gram) == pytest.approx(b0 ** 2 * b1 ** 2, rel=1e-9)
 
     def test_partition_is_mod4(self):
         d = build_pciod(4)
@@ -256,6 +257,23 @@ class TestRelayMatrixSet:
         d = Design("custom", 2, 1, 2, w)
         with pytest.raises(ValueError, match="column 0"):
             relay_matrix_set(d)
+
+    def test_impurity_below_zero_test_extracts(self):
+        # a conj(s) part of 1e-10 in a plain column: below the package zero
+        # test, so condition1 calls the column plain and extraction agrees
+        d = build_toeplitz(2, 2)
+        w = d.weights.copy()
+        w[0, 0, 0] += 1e-10           # Q[0, 0] += 1e-10, P unchanged
+        w[1, 0, 0] += -1e-10j
+        d2 = Design(d.family, d.t, d.r, d.k, w, d.col_conj, d.partition)
+        _, q = d2.column_forms(0)
+        scale = float(np.max(np.abs(w)))
+        assert 1e-12 * (1 + scale) < np.max(np.abs(q)) < mk.zero_threshold(scale)
+        rep = check_condition1(d2)
+        assert rep.passed and rep.details["columns"][0] == "plain"
+        rs = relay_matrix_set(d2)
+        assert rs.conj == (False, False)
+        assert np.allclose(rs.matrices[0], relay_matrix_set(d).matrices[0], atol=1e-9)
 
     def test_unit_energy_scaling(self):
         rs = unit_energy_relays(relay_matrix_set(build_pciod(4)))

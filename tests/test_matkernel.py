@@ -42,30 +42,6 @@ class TestInvSqrtPd:
             mk.inv_sqrt_pd(np.diag([1.0, 0.0]).astype(complex))
 
 
-class TestDet:
-    def test_identity(self):
-        assert mk.det(np.eye(3)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert mk.det(np.diag([2.0, 5.0]).astype(complex)) == pytest.approx(10.0)
-
-    def test_inverse_consistency(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert mk.det(m) * mk.det(np.linalg.inv(m)) == pytest.approx(1.0, rel=1e-9)
-
-    def test_product_rule(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            assert mk.det(a @ b) == pytest.approx(mk.det(a) * mk.det(b), rel=1e-8)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            mk.det(np.zeros((2, 3), dtype=complex))
-
-
 def test_herm_is_involution():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
@@ -75,8 +51,3 @@ def test_herm_is_involution():
 def test_finiteness_rejected():
     with pytest.raises(ValueError):
         mk.as_cmatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_rank():
-    assert mk.rank(np.eye(4)) == 4
-    assert mk.rank(np.ones((3, 3))) == 1

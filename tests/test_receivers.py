@@ -218,6 +218,20 @@ class TestLinear:
         dec = zf_detect(np.ones((1, 3), complex), m, book)
         assert np.array_equal(dec, [[-1]])
 
+    def test_zf_small_scale_not_erased(self):
+        # realified model with singular values 10, 4, 2, 1 (condition 10):
+        # scaling it by 0.01 must not turn decisions into erasures
+        rng = np.random.default_rng(11)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        m = u @ np.diag([10.0, 4.0, 2.0, 1.0]) @ v.T
+        book = qam_codebook(2, 4)
+        tx = np.array([[i, j] for i in range(4) for j in range(4)])
+        for scale in (1.0, 0.01):
+            ms = np.broadcast_to(scale * m, (len(tx), 4, 4))
+            y = np.einsum("brk,bk->br", ms, book.assemble(tx))
+            assert np.array_equal(zf_detect(y, ms, book), tx)
+
     def test_mmse_noiseless_exact(self):
         book, m, rng = self.setup_case(seed=7)
         tx = rng.integers(0, 4, size=(40, 2))
