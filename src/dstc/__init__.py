@@ -16,10 +16,10 @@ from .designs import (Design, PrecodePair, RelayMatrixSet, build_cda,
                       golden_cda, load_design, relay_matrix_set, save_design,
                       unit_energy_relays)
 from .gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
-                       SimConfig, SimResult, build_effective, draw_noise,
-                       make_rng, noise_cov, protocol_params, results_to_csv,
-                       run_monte_carlo, sample_channel, simulate_trial,
-                       whiten)
+                       SimConfig, SimResult, column_gains, draw_noise,
+                       effective_matrix, make_rng, noise_cov,
+                       protocol_params, results_to_csv, run_monte_carlo,
+                       sample_channel, simulate_trial)
 from .precoding import (RotatedLattice, decode_groups, default_lattice,
                         encode_groups, min_product_distance, pam_alphabet,
                         partition_mod4, rotation)

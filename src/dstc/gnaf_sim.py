@@ -6,25 +6,27 @@ forwards the result over T2 uses (phase 2); the destination stacks what it
 heard in both phases. Two equivalent signal models are implemented:
 
 * ``two_phase``: the physical protocol, step by step;
-* ``compact``: the stacked linear model
-
-      y = sqrt(pi3*pi1*P^2/(pi1*P+1)) * S @ H + W
-
-  with S holding source and relay columns, H the effective gain vector
-  (relay entries g_i*f_i, conjugating relays g_i*conj(f_i)), and W the
-  relay-amplified noise plus destination noise.
+* ``compact``: the stacked real-linear model y = M X + W, with M built for
+  a whole batch of channels at once by ``effective_matrix`` from the
+  per-column gains g_i*f_i (conjugating relays g_i*conj(f_i), see
+  ``column_gains``), and W the relay-amplified noise plus destination
+  noise. There is one such model: the Monte Carlo runs it on batches and
+  a single trial is the batch of one.
 
 Fed identical noise draws the two modes agree to machine precision; that
 equivalence is the core correctness oracle for the model and is pinned in
-the acceptance suite.
+the acceptance suite, on single trials and on batches.
 
 Variants: ``gnaf1`` (source also transmits in phase 2 through A0), ``gnaf2``
 and ``gnaf3`` (source silent in phase 2), ``jh`` (no direct link: the
 destination only observes phase 2), ``direct`` (no relays at all, baseline).
 
-The relay-amplified noise makes the stacked noise covariance a non-identity
-(block) diagonal matrix; the destination whitens with its inverse square
-root before detection.
+The relay-amplified noise makes the stacked noise covariance Omega a
+non-identity block diagonal matrix, whose relay term is formed once
+(``relay_noise_cov``). ``noise_cov`` returns Omega dense, exact for any
+relay set. The Monte Carlo whitens with its diagonal only
+(``omega_diagonals``), which is exact for conjugate-linear row-orthogonal
+(CLRO) designs, so it refuses any design that fails the CLRO check.
 
 SNR convention: SNR == P (linear total power), reported as 10*log10(P);
 all noises have unit variance per complex dimension. The power fractions
@@ -149,80 +151,38 @@ def draw_noise(params: ProtocolParams, rng: np.random.Generator) -> NoiseDraw:
 
 
 # ---------------------------------------------------------------------------
-# the compact model (stacked S, H) and the noise covariance
+# the noise covariance
 # ---------------------------------------------------------------------------
 
-def _column_gains(rs: RelayMatrixSet, ch: ChannelRealization) -> np.ndarray:
-    """Effective gain per design column: g_i f_i, conjugating relays g_i f_i^*."""
-    h = np.zeros(rs.n_relays, dtype=np.complex128)
-    for i, (cj, col) in enumerate(zip(rs.conj, rs.columns)):
-        fi = np.conj(ch.f[i]) if cj else ch.f[i]
-        h[col] = ch.g[i] * fi
-    return h
+def relay_noise_cov(params: ProtocolParams, rs: RelayMatrixSet,
+                    g: np.ndarray) -> np.ndarray:
+    """Covariance of the relay-amplified noise, amplify * sum_i |g_i|^2 M_i M_i^H.
 
-
-def build_effective(d: Design | None, params: ProtocolParams,
-                    ch: ChannelRealization, s: np.ndarray,
-                    rs: RelayMatrixSet | None = None):
-    """Stacked codeword S, gain vector H and front scale of the compact model.
-
-    GNAF variants give S of shape (T1+T2) x (R+1) with the source in column
-    0 (top block sqrt((pi1*P+1)/(pi3*P)) * s; bottom block the phase-2
-    source term, present only for gnaf1). ``jh`` drops the direct link
-    entirely (T2 x R); ``direct`` keeps only the broadcast rows.
+    ``g`` holds the relay-to-destination gains on its last axis, (..., R).
+    This is the channel-dependent relay Gram matrix Gamma of the verifier.
     """
-    s = np.asarray(s, dtype=np.complex128)
-    p, pi1, pi2, pi3 = params.p, params.pi1, params.pi2, params.pi3
-    c_top = np.sqrt((pi1 * p + 1.0) / (pi3 * p))
-    if params.variant == "direct":
-        return c_top * s[:, None], np.array([ch.g0]), params.scale
-
-    if d is None:
-        raise ValueError("a design is required for relay variants")
-    rs = rs or relay_matrix_set(d)
-    relay_cols = np.zeros((params.t2, d.r), dtype=np.complex128)
-    for i, (m, cj, col) in enumerate(zip(rs.matrices, rs.conj, rs.columns)):
-        relay_cols[:, col] = m @ (np.conj(s) if cj else s)
-    h_cols = _column_gains(rs, ch)
-
-    if params.variant == "jh":
-        return relay_cols, h_cols, params.scale
-
-    smat = np.zeros((params.t1 + params.t2, d.r + 1), dtype=np.complex128)
-    smat[:params.t1, 0] = c_top * s
-    if params.variant == "gnaf1":
-        c_a0 = np.sqrt(pi2 * (pi1 * p + 1.0) / (pi3 * pi1 * p))
-        smat[params.t1:, 0] = c_a0 * (params.source_matrix() @ s)
-    smat[params.t1:, 1:] = relay_cols
-    h = np.concatenate([[ch.g0], h_cols])
-    return smat, h, params.scale
+    grams = np.stack([m @ matkernel.herm(m) for m in rs.matrices])
+    return params.amplify * np.einsum("...i,ist->...st", np.abs(g) ** 2, grams)
 
 
 def noise_cov(params: ProtocolParams, ch: ChannelRealization,
               rs: RelayMatrixSet | None) -> np.ndarray:
-    """Covariance of the stacked noise W.
+    """Covariance of the stacked noise W, dense, for one trial.
 
     Block diagonal: identity on the broadcast rows, and on the cooperation
-    rows I + amplify * sum_i |g_i|^2 M_i M_i^H. Row-orthogonal relay
-    matrices make the lower block (hence all of Omega) diagonal; arbitrary
-    relay matrices are still handled, just through the dense path.
+    rows I + relay_noise_cov. Row-orthogonal relay matrices make it
+    diagonal; for any other relay set the lower block is dense, and this
+    function still returns it exactly. The Monte Carlo uses only the
+    diagonal (omega_diagonals) and refuses designs that fail CLRO.
     """
     if params.variant == "direct":
         return np.eye(params.t1, dtype=np.complex128)
-    lower = np.eye(params.t2, dtype=np.complex128)
-    for i, m in enumerate(rs.matrices):
-        lower += params.amplify * (abs(ch.g[i]) ** 2) * (m @ matkernel.herm(m))
+    lower = np.eye(params.t2) + relay_noise_cov(params, rs, ch.g)
     if params.variant == "jh":
         return lower
-    omega = np.zeros((params.t1 + params.t2,) * 2, dtype=np.complex128)
-    omega[:params.t1, :params.t1] = np.eye(params.t1)
+    omega = np.eye(params.t1 + params.t2, dtype=np.complex128)
     omega[params.t1:, params.t1:] = lower
     return omega
-
-
-def whiten(y: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Apply the inverse square root of the noise covariance."""
-    return matkernel.inv_sqrt_pd(omega) @ np.asarray(y, dtype=np.complex128)
 
 
 def _stack_noise(params: ProtocolParams, ch: ChannelRealization,
@@ -261,8 +221,10 @@ def simulate_trial(d: Design | None, params: ProtocolParams,
         rs = relay_matrix_set(d)
 
     if mode == "compact":
-        smat, h, scale = build_effective(d, params, ch, s, rs=rs)
-        return scale * (smat @ h) + _stack_noise(params, ch, rs, noise)
+        h = None if rs is None else column_gains(rs, ch.f, ch.g)[None]
+        m = effective_matrix(d, params, np.array([ch.g0]), h, k=2 * s.size)[0]
+        x = np.stack([s.real, s.imag], axis=-1).ravel()
+        return m @ x + _stack_noise(params, ch, rs, noise)
 
     if mode != "two_phase":
         raise ValueError(f"unknown mode {mode!r}")
@@ -298,20 +260,31 @@ def _pairing_cols(k: int) -> np.ndarray:
     return m
 
 
+def column_gains(rs: RelayMatrixSet, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Effective gain per design column: g_i f_i, conjugating relays g_i f_i^*.
+
+    ``f`` and ``g`` hold the relay link gains in relay order on their last
+    axis, (..., R); the result has the same shape, in design-column order.
+    """
+    h = np.empty(np.shape(g), dtype=np.complex128)
+    h[..., list(rs.columns)] = g * np.where(rs.conj, np.conj(f), f)
+    return h
+
+
 def effective_matrix(d: Design | None, params: ProtocolParams,
                      g0: np.ndarray, h_cols: np.ndarray,
                      k: int | None = None) -> np.ndarray:
-    """Batched model matrices M with y_clean = M @ X.
+    """Batched model matrices M with y_clean = M @ X: the compact model.
 
-    ``g0`` has shape (B,), ``h_cols`` (B, R) per-column effective gains.
-    Rows follow the variant's receive vector layout. Everything but the
-    noise is folded in except whitening, which the caller applies.
+    ``g0`` has shape (B,), ``h_cols`` (B, R) per-column effective gains
+    (column_gains; unused by ``direct``). Rows follow the variant's receive vector layout.
+    Everything but the noise is folded in except whitening, which the
+    caller applies. A single trial is the batch of one.
     """
     if d is not None:
         k = d.k
     if k is None:
         raise ValueError("need a design or an explicit symbol count")
-    b = g0.shape[0]
     ds = _pairing_cols(k)                               # (t1, k)
     scale = params.scale
     p, pi1, pi2, pi3 = params.p, params.pi1, params.pi2, params.pi3
@@ -320,6 +293,8 @@ def effective_matrix(d: Design | None, params: ProtocolParams,
     top = scale * c_top * g0[:, None, None] * ds[None, :, :]   # (b, t1, k)
     if params.variant == "direct":
         return top
+    if d is None:
+        raise ValueError("a design is required for relay variants")
     bottom = scale * np.einsum("ktr,br->btk", d.weights, h_cols)
     if params.variant == "gnaf1":
         c_a0 = np.sqrt(pi2 * (pi1 * p + 1.0) / (pi3 * pi1 * p))
@@ -350,7 +325,12 @@ def omega_diagonals(params: ProtocolParams, rs: RelayMatrixSet,
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per-SNR error statistics. ``trials`` counts symbol decisions."""
+    """Per-SNR error statistics. ``trials`` counts symbol decisions.
+
+    ``fallbacks`` counts grouped-ML draws re-decided by joint ML;
+    ``erasures`` counts draws the ZF receiver erased (every group of such
+    a draw is also scored as an error).
+    """
 
     snr_db: float
     trials: int
@@ -359,6 +339,7 @@ class SimResult:
     seed: int
     design: str
     fallbacks: int = 0
+    erasures: int = 0
 
     @property
     def ser(self) -> float:
@@ -417,7 +398,10 @@ def _params_for(cfg: SimConfig, p: float, rs: RelayMatrixSet | None) -> Protocol
 
 
 def _run_batch(cfg: SimConfig, snr_idx: int, batch_idx: int, n: int):
-    """Simulate one batch of trials; returns (symbol errors, decisions, fallbacks)."""
+    """Simulate one batch of trials.
+
+    Returns (symbol errors, decisions, fallbacks, erasures).
+    """
     p = 10.0 ** (cfg.snr_db[snr_idx] / 10.0)
     d = cfg.design
     rs = relay_matrix_set(d) if d is not None else None
@@ -427,16 +411,11 @@ def _run_batch(cfg: SimConfig, snr_idx: int, batch_idx: int, n: int):
 
     # channels
     if cfg.variant == "direct":
-        g0 = crandn(rng, n)
-        h_cols = np.zeros((n, 0), dtype=np.complex128)
-        g = np.zeros((n, 0), dtype=np.complex128)
+        g0, h_cols = crandn(rng, n), None
     else:
         z = crandn(rng, n, 2 * params.r + 1)
         g0, f, g = z[:, 0], z[:, 1:params.r + 1], z[:, params.r + 1:]
-        h_cols = np.zeros((n, d.r), dtype=np.complex128)
-        for i, (cj, col) in enumerate(zip(rs.conj, rs.columns)):
-            fi = np.conj(f[:, i]) if cj else f[:, i]
-            h_cols[:, col] = g[:, i] * fi
+        h_cols = column_gains(rs, f, g)
 
     # symbols
     tx = np.zeros((n, book.n_groups), dtype=np.intp)
@@ -446,13 +425,9 @@ def _run_batch(cfg: SimConfig, snr_idx: int, batch_idx: int, n: int):
 
     # clean model and whitening
     m = effective_matrix(d, params, g0, h_cols, k=book.k)
+    if cfg.variant != "direct":
+        m = m * (1.0 / np.sqrt(omega_diagonals(params, rs, g)))[:, :, None]
     rows = m.shape[1]
-    if cfg.variant == "direct":
-        diag = np.ones((n, rows))
-    else:
-        diag = omega_diagonals(params, rs, g)
-    wfac = 1.0 / np.sqrt(diag)
-    m = m * wfac[:, :, None]
 
     # received vector: whitened clean signal + unit white noise
     y = np.einsum("brk,bk->br", m, x) + crandn(rng, n, rows)
@@ -479,7 +454,8 @@ def _run_batch(cfg: SimConfig, snr_idx: int, batch_idx: int, n: int):
         raise ValueError(f"unknown receiver {receiver!r}; known: {_RECEIVERS}")
 
     errors = int(np.sum(dec != tx))
-    return errors, n * book.n_groups, fallbacks
+    erasures = int(np.sum(np.any(dec < 0, axis=1)))
+    return errors, n * book.n_groups, fallbacks, erasures
 
 
 def _batch_task(args):
@@ -492,9 +468,24 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     Deterministic given (seed, config): batches are keyed by (seed, snr
     index, batch index) and reduced by integer sums, so the result is
     independent of worker count and execution order.
+
+    Raises ValueError before any batch runs for a design the batched model
+    would get wrong: odd K (the source pairs real symbols into complex
+    ones), or a failed CLRO check, under which the noise covariance is not
+    diagonal and whitening by its diagonal would be wrong.
     """
+    from . import verifier  # deferred: verifier depends on this module
     if cfg.receiver not in _RECEIVERS:
         raise ValueError(f"unknown receiver {cfg.receiver!r}; known: {_RECEIVERS}")
+    if cfg.design is not None:
+        if cfg.design.k % 2:
+            raise ValueError(f"design has odd K={cfg.design.k}: the source "
+                             "has no complex pairing of its real symbols")
+        rep = verifier.check_clro(cfg.design)
+        if not rep.passed:
+            raise ValueError(f"design fails clro (witness {rep.witness}, margin "
+                             f"{rep.margin:.3e}); the simulator whitens with the "
+                             "noise covariance's diagonal only")
     if cfg.receiver == "grouped-ml":
         if cfg.design is None or len(cfg.design.partition) < 2:
             raise ValueError("grouped-ml needs a design with a nontrivial "
@@ -502,7 +493,6 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
         if tuple(map(tuple, cfg.codebook.groups)) != tuple(map(tuple, cfg.design.partition)):
             raise ValueError("grouped-ml codebook groups must match the "
                              "design partition")
-        from . import verifier  # deferred: verifier depends on this module
         rep = verifier.check_group_decodable(cfg.design.weights, cfg.design.partition)
         if not rep.passed:
             raise ValueError(f"design is not group decodable: {rep.witness}")
@@ -525,10 +515,11 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
         errors = sum(p[0] for p in parts)
         decisions = sum(p[1] for p in parts)
         fallbacks = sum(p[2] for p in parts)
+        erasures = sum(p[3] for p in parts)
         results.append(SimResult(cfg.snr_db[si], decisions, errors,
                                  cfg.receiver, cfg.seed,
                                  cfg.design_tag or (cfg.design.family if cfg.design else "direct"),
-                                 fallbacks))
+                                 fallbacks, erasures))
     return results
 
 
@@ -539,9 +530,11 @@ def results_to_csv(results: list[SimResult], meta: dict | None = None) -> str:
         for key in sorted(meta):
             buf.write(f"# {key}: {meta[key]}\n")
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["snr_db", "trials", "errors", "ser", "ci_low", "ci_high"])
+    w.writerow(["snr_db", "trials", "errors", "ser", "ci_low", "ci_high",
+                "fallbacks", "erasures"])
     for r in results:
         lo, hi = r.ci95
         w.writerow([f"{r.snr_db:g}", r.trials, r.errors,
-                    f"{r.ser:.10g}", f"{lo:.10g}", f"{hi:.10g}"])
+                    f"{r.ser:.10g}", f"{lo:.10g}", f"{hi:.10g}",
+                    r.fallbacks, r.erasures])
     return buf.getvalue()

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import matkernel
 from .designs import Design, RelayMatrixSet, relay_matrix_set
-from .gnaf_sim import ProtocolParams, make_rng, sample_channel
+from .gnaf_sim import (ProtocolParams, make_rng, relay_noise_cov,
+                       sample_channel)
 from .receivers import (PAIR_GUARD, Codebook, ResourceGuardError,
                         qam_codebook)
 
@@ -156,11 +157,7 @@ def compute_gamma(rs: RelayMatrixSet, gains, params: ProtocolParams) -> GammaMat
         raise ValueError(f"need {rs.n_relays} relay gains, got {gains.shape}")
     if not np.all(np.isfinite(gains)):
         raise ValueError("non-finite relay gain")
-    acc = np.zeros((rs.t2, rs.t2), dtype=np.complex128)
-    for gi, m in zip(gains, rs.matrices):
-        acc += (abs(gi) ** 2) * (m @ matkernel.herm(m))
-    pref = params.amplify
-    return GammaMatrix(pref * acc, pref)
+    return GammaMatrix(relay_noise_cov(params, rs, gains), params.amplify)
 
 
 def whitened_weights(d: Design, gamma: GammaMatrix) -> np.ndarray:

@@ -14,7 +14,8 @@ from dstc.designs import (build_ciod4, build_pciod, build_pciod_rect,
                           build_toeplitz, golden_cda, relay_matrix_set,
                           unit_energy_relays)
 from dstc.dmg import crossover, d_code, d_lower, d_naf, d_star
-from dstc.gnaf_sim import (SimConfig, crandn, draw_noise, effective_matrix,
+from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, SimConfig,
+                           column_gains, crandn, draw_noise, effective_matrix,
                            make_rng, noise_cov, omega_diagonals,
                            protocol_params, run_monte_carlo, sample_channel,
                            simulate_trial)
@@ -45,12 +46,14 @@ FAMILIES = {
 
 def test_c01_model_equivalence():
     t0 = time.perf_counter()
-    worst = 0.0
+    worst = worst_batch = worst_diag = 0.0
+    n = 100
     for vi, variant in enumerate(("gnaf1", "gnaf2", "gnaf3", "jh")):
         for fi, (tag, d) in enumerate(FAMILIES.items()):
+            rs = relay_matrix_set(d)
             params = protocol_params(d, 6.0, variant)
             rng = make_rng(101, vi, fi)
-            for _ in range(100):
+            for _ in range(n):
                 ch = sample_channel(d.r, rng)
                 x = rng.standard_normal(d.k)
                 s = d.source_vector(x)
@@ -58,10 +61,27 @@ def test_c01_model_equivalence():
                 y1 = simulate_trial(d, params, ch, s, mode="compact", noise=noise)
                 y2 = simulate_trial(d, params, ch, s, mode="two_phase", noise=noise)
                 worst = max(worst, float(np.max(np.abs(y1 - y2))))
+            # the batched path the Monte Carlo runs: n channels at once
+            z = crandn(rng, n, 2 * d.r + 1)
+            g0, f, g = z[:, 0], z[:, 1:d.r + 1], z[:, d.r + 1:]
+            m = effective_matrix(d, params, g0, column_gains(rs, f, g))
+            diag = omega_diagonals(params, rs, g)
+            x = rng.standard_normal((n, d.k))
+            silent = NoiseDraw(np.zeros(params.t1), np.zeros(params.t2),
+                               np.zeros((params.r, params.t1)))
+            for b in range(n):
+                ch = ChannelRealization(complex(g0[b]), f[b], g[b])
+                clean = simulate_trial(d, params, ch, d.source_vector(x[b]),
+                                       mode="two_phase", noise=silent, rs=rs)
+                worst_batch = max(worst_batch, float(np.max(np.abs(m[b] @ x[b] - clean))))
+                exact = np.diag(noise_cov(params, ch, rs)).real
+                worst_diag = max(worst_diag, float(np.max(np.abs(diag[b] - exact))))
     elapsed = time.perf_counter() - t0
-    verdict(1, "eq4-model-equivalence", worst < 1e-10,
-            f"max compact/two-phase deviation {worst:.2e} over "
-            f"4 variants x 4 families x 100 trials", elapsed, 10.0)
+    verdict(1, "eq4-model-equivalence",
+            max(worst, worst_batch, worst_diag) < 1e-10,
+            f"max compact/two-phase deviation {worst:.2e} per trial, "
+            f"{worst_batch:.2e} batched, diagonal whitening {worst_diag:.2e}, "
+            f"over 4 variants x 4 families x {n} trials", elapsed, 10.0)
 
 
 def test_c02_pciod_four_group_decodability():
@@ -88,10 +108,7 @@ def _whitened_models(d, p, n, seed):
     rng = make_rng(seed, 7)
     z = crandn(rng, n, 2 * d.r + 1)
     g0, f, g = z[:, 0], z[:, 1:d.r + 1], z[:, d.r + 1:]
-    h_cols = np.zeros((n, d.r), dtype=np.complex128)
-    for i, (cj, col) in enumerate(zip(rs.conj, rs.columns)):
-        h_cols[:, col] = g[:, i] * (np.conj(f[:, i]) if cj else f[:, i])
-    m = effective_matrix(d, params, g0, h_cols)
+    m = effective_matrix(d, params, g0, column_gains(rs, f, g))
     m = m / np.sqrt(omega_diagonals(params, rs, g))[:, :, None]
     return m, rng
 

@@ -1,7 +1,11 @@
 import json
 
+import numpy as np
+import pytest
+
 from dstc.cli import main
-from dstc.designs import build_toeplitz, design_to_dict, load_design
+from dstc.designs import (Design, build_toeplitz, design_to_dict, load_design,
+                          save_design)
 
 
 def run(argv):
@@ -85,7 +89,8 @@ class TestSimulateAndPipeline:
         assert run(["simulate", "--config", cfg, "--out", out]) == 0
         lines = out.read_text().splitlines()
         header = [ln for ln in lines if not ln.startswith("#")][0]
-        assert header == "snr_db,trials,errors,ser,ci_low,ci_high"
+        assert header == ("snr_db,trials,errors,ser,ci_low,ci_high,"
+                          "fallbacks,erasures")
         assert any(ln.startswith("# config:") for ln in lines)
 
     def test_pipeline_bundle_and_determinism(self, tmp_path):
@@ -131,6 +136,21 @@ class TestSimulateAndPipeline:
     def test_bad_config_exit_three(self, tmp_path):
         cfg = self.write_cfg(tmp_path, variant="nope")
         assert run(["simulate", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("weights", [
+        # relay matrix [[1, 0], [1, 1]]: rows not orthogonal, fails clro
+        np.array([[1, 1], [1j, 1j], [0, 1], [0, 1j]]).reshape(4, 2, 1),
+        # K = 3: no complex pairing of the source symbols
+        np.array([1, 1j, 1]).reshape(3, 1, 1),
+    ], ids=["non-clro", "odd-k"])
+    def test_refused_design_exit_three(self, tmp_path, capsys, weights):
+        k, t, r = weights.shape
+        path = tmp_path / "d.json"
+        save_design(Design("custom", t, r, k, weights), path)
+        cfg = self.write_cfg(tmp_path, design=str(path), receiver="joint-ml",
+                             constellation={"type": "pam", "points": 2})
+        assert run(["simulate", "--config", cfg]) == 3
+        assert "error: design" in capsys.readouterr().err
 
     def test_direct_variant(self, tmp_path):
         cfg = self.write_cfg(tmp_path, design={"family": "direct", "t1": 2},

@@ -5,12 +5,12 @@ from dstc import matkernel as mk
 from dstc.designs import (Design, build_pciod, build_toeplitz, golden_cda,
                           relay_matrix_set)
 from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
-                           SimConfig, SimResult, build_effective, draw_noise,
-                           make_rng, noise_cov, protocol_params,
-                           results_to_csv, run_monte_carlo, sample_channel,
-                           simulate_trial, whiten)
+                           SimConfig, SimResult, column_gains, draw_noise,
+                           effective_matrix, make_rng, noise_cov,
+                           protocol_params, results_to_csv, run_monte_carlo,
+                           sample_channel, simulate_trial)
 from dstc.precoding import default_lattice
-from dstc.receivers import lattice_codebook
+from dstc.receivers import lattice_codebook, pam_codebook, qam_codebook
 from dstc.verifier import compute_gamma
 
 
@@ -18,6 +18,12 @@ def zero_noise(params):
     return NoiseDraw(np.zeros(params.t1, complex),
                      np.zeros(params.t2, complex),
                      np.zeros((params.r, params.t1), complex))
+
+
+def single_model(d, params, ch):
+    """The compact model M of one trial: effective_matrix's batch of one."""
+    h = column_gains(relay_matrix_set(d), ch.f, ch.g)[None]
+    return effective_matrix(d, params, np.array([ch.g0]), h)[0]
 
 
 class TestChannel:
@@ -47,6 +53,8 @@ class TestChannel:
 
 
 class TestBuildEffective:
+    """Hand-computed entries of the compact model M (effective_matrix)."""
+
     def unit_relay_design(self):
         # single relay forwarding the received symbol unchanged
         w = np.zeros((2, 1, 1), dtype=complex)
@@ -58,36 +66,35 @@ class TestBuildEffective:
         d = self.unit_relay_design()
         params = protocol_params(d, 4.0, "gnaf2")
         ch = ChannelRealization(0.5 + 0.5j, np.array([2.0 + 0j]), np.array([1j]))
-        s = np.array([1.0 + 0j])
-        smat, h, scale = build_effective(d, params, ch, s)
-        c_top = np.sqrt((4.0 + 1.0) / 4.0)
-        assert np.allclose(smat, [[c_top], [0], [0], [1.0]][:2] if False else
-                           np.array([[c_top * 1.0, 0.0], [0.0, 1.0]]), atol=1e-15)
-        assert np.allclose(h, [0.5 + 0.5j, 1j * 2.0], atol=1e-15)
-        assert scale == pytest.approx(np.sqrt(16.0 / 5.0))
+        assert np.array_equal(column_gains(relay_matrix_set(d), ch.f, ch.g), [2j])
+        # scale * c_top = sqrt(16/5) * sqrt(5/4) = 2 on the direct row
+        want = np.array([[2.0 * (0.5 + 0.5j) * 1.0, 2.0 * (0.5 + 0.5j) * 1j],
+                         [np.sqrt(16.0 / 5.0) * 2j, np.sqrt(16.0 / 5.0) * 2j * 1j]])
+        assert np.allclose(single_model(d, params, ch), want, atol=1e-15)
 
     def test_zero_symbols_zero_matrix(self):
         d = build_pciod(2)
         params = protocol_params(d, 2.0, "gnaf1")
         ch = sample_channel(2, make_rng(0, 0))
-        smat, _, _ = build_effective(d, params, ch, np.zeros(2, complex))
-        assert np.all(smat == 0)
+        y = simulate_trial(d, params, ch, np.zeros(2, complex), mode="compact",
+                           noise=zero_noise(params))
+        assert np.all(y == 0)
 
     def test_source_block_power_ratio(self):
-        # bottom/top source prefactor ratio is sqrt(pi2/pi1)
+        # bottom/top source prefactor ratio is sqrt(pi2/pi1); a silent relay
+        # (g = 0) leaves only the source in the bottom row
         d = self.unit_relay_design()
         params = ProtocolParams(p=3.0, pi1=0.5, pi2=2.0, pi3=1.0,
                                 t1=1, t2=1, r=1, q=1, variant="gnaf1")
-        ch = ChannelRealization(1.0, np.array([1.0 + 0j]), np.array([1.0 + 0j]))
-        s = np.array([1.0 + 0j])
-        smat, _, _ = build_effective(d, params, ch, s)
-        ratio = abs(smat[1, 0]) / abs(smat[0, 0])
+        ch = ChannelRealization(1.0, np.array([1.0 + 0j]), np.array([0j]))
+        m = single_model(d, params, ch)
+        ratio = abs(m[1, 0]) / abs(m[0, 0])
         assert ratio == pytest.approx(np.sqrt(params.pi2 / params.pi1))
 
     @pytest.mark.parametrize("variant", ["gnaf1", "gnaf2", "jh", "direct"])
     def test_effective_matrix_matches_stacked_model(self, variant):
-        # the receiver model M must satisfy M @ X = scale * S(X) @ H
-        from dstc.gnaf_sim import effective_matrix
+        # the receiver model M must satisfy M @ X = the noiseless two-phase
+        # reception of the source vector s(X)
         d = None if variant == "direct" else build_pciod(4)
         rng = make_rng(31, 2)
         if variant == "direct":
@@ -95,31 +102,27 @@ class TestBuildEffective:
             ch = ChannelRealization(complex(0.3 - 1.1j), np.zeros(0), np.zeros(0))
             k = 4
             m = effective_matrix(None, params, np.array([ch.g0]),
-                                 np.zeros((1, 0), complex), k=k)
+                                 np.zeros((1, 0), complex), k=k)[0]
         else:
-            rs = relay_matrix_set(d)
             params = protocol_params(d, 3.0, variant)
             ch = sample_channel(d.r, rng)
             k = d.k
-            h_cols = np.zeros((1, d.r), dtype=complex)
-            for i, (cj, col) in enumerate(zip(rs.conj, rs.columns)):
-                fi = np.conj(ch.f[i]) if cj else ch.f[i]
-                h_cols[0, col] = ch.g[i] * fi
-            m = effective_matrix(d, params, np.array([ch.g0]), h_cols)
+            m = single_model(d, params, ch)
         for _ in range(10):
             x = rng.standard_normal(k)
             s = x[0::2] + 1j * x[1::2]
-            smat, h, scale = build_effective(d, params, ch, s)
-            assert np.allclose(m[0] @ x, scale * (smat @ h), atol=1e-12)
+            y = simulate_trial(d, params, ch, s, mode="two_phase",
+                               noise=zero_noise(params))
+            assert np.allclose(m @ x, y, atol=1e-12)
 
     def test_jh_drops_direct_link(self):
         d = build_pciod(2)
         params = protocol_params(d, 2.0, "jh")
         ch = sample_channel(2, make_rng(1, 0))
-        s = d.source_vector(np.ones(4))
-        smat, h, _ = build_effective(d, params, ch, s)
-        assert smat.shape == (2, 2)
-        assert h.shape == (2,)
+        m = single_model(d, params, ch)
+        assert m.shape == (2, 4)
+        silent = ChannelRealization(0j, ch.f, ch.g)
+        assert np.array_equal(single_model(d, params, silent), m)
 
 
 class TestNoiseCov:
@@ -162,9 +165,8 @@ class TestNoiseCov:
         ch = ChannelRealization(1.0, np.ones(1, complex), np.ones(1, complex))
         omega = noise_cov(params, ch, rs)
         assert abs(omega[3, 2]) > 0.1     # lower block starts at row t1
-        y = whiten(np.ones(4, complex), omega)
         w = mk.inv_sqrt_pd(omega)
-        assert np.allclose(y, w @ np.ones(4), atol=1e-14)
+        assert np.allclose(w @ omega @ w, np.eye(4), atol=1e-12)
 
 
 class TestSimulateTrial:
@@ -175,8 +177,7 @@ class TestSimulateTrial:
         x = np.array([1.0, -1.0, 1.0, 1.0])
         s = d.source_vector(x)
         y = simulate_trial(d, params, ch, s, mode="compact", noise=zero_noise(params))
-        smat, h, scale = build_effective(d, params, ch, s)
-        assert np.allclose(y, scale * (smat @ h), atol=1e-14)
+        assert np.allclose(y, single_model(d, params, ch) @ x, atol=1e-14)
 
     @pytest.mark.parametrize("variant", ["gnaf1", "gnaf2", "gnaf3", "jh"])
     @pytest.mark.parametrize("maker", [lambda: build_pciod(2),
@@ -208,11 +209,10 @@ class TestSimulateTrial:
         ch = ChannelRealization(0j, f, g)
         y = simulate_trial(d, params, ch, s, mode="two_phase",
                            noise=zero_noise(params))
-        _, h, scale = build_effective(d, params, ch, s)
         # effective gain of the conjugating relay is g*conj(f), not g*f
+        h = column_gains(relay_matrix_set(d), f, g)
         assert h[1] == g[1] * np.conj(f[1])
-        smat, _, _ = build_effective(d, params, ch, s)
-        assert np.allclose(y, scale * (smat @ h), atol=1e-12)
+        assert np.allclose(y, single_model(d, params, ch) @ x, atol=1e-12)
 
     def test_relay_energy_scales_with_pi3(self):
         d = build_pciod(2)
@@ -235,11 +235,11 @@ class TestSimulateTrial:
 class TestWhiten:
     def test_identity(self):
         y = np.array([1.0 + 2j, 3.0])
-        assert np.allclose(whiten(y, np.eye(2)), y, atol=1e-14)
+        assert np.allclose(mk.inv_sqrt_pd(np.eye(2)) @ y, y, atol=1e-14)
 
     def test_scaled_identity(self):
         y = np.array([2.0 + 2j, 4.0])
-        assert np.allclose(whiten(y, 4.0 * np.eye(2)), y / 2.0, atol=1e-14)
+        assert np.allclose(mk.inv_sqrt_pd(4.0 * np.eye(2)) @ y, y / 2.0, atol=1e-14)
 
     def test_whitened_noise_covariance(self):
         d = build_pciod(2)
@@ -302,6 +302,42 @@ class TestMonteCarlo:
         grouped = run_monte_carlo(self.config())
         assert [r.errors for r in grouped] == [r.errors for r in joint]
         assert all(r.fallbacks == 4000 for r in grouped)
+        rows = results_to_csv(grouped).splitlines()[1:]
+        assert all(row.endswith(",4000,0") for row in rows)
+
+    def test_zf_erasures_counted(self):
+        # jh observes 2 complex rows of an 8-real-symbol golden code: the
+        # model is rank deficient on every draw, so ZF erases every trial
+        cfg = SimConfig(design=golden_cda(), codebook=qam_codebook(4, 4),
+                        receiver="zf", snr_db=(0.0, 20.0), trials=50, seed=3,
+                        variant="jh")
+        res = run_monte_carlo(cfg)
+        assert [(r.erasures, r.errors) for r in res] == [(50, 200), (50, 200)]
+        rows = results_to_csv(res).splitlines()[1:]
+        assert all(row.endswith(",0,50") for row in rows)
+
+    def test_refuses_non_orthogonal_relay_rows(self):
+        # one plain relay with matrix [[1, 0], [1, 1]]: conjugate-linear, but
+        # its rows are not orthogonal, so the noise covariance is not diagonal
+        m = np.array([[1.0, 0.0], [1.0, 1.0]])
+        w = np.zeros((4, 2, 1), complex)
+        w[0::2, :, 0], w[1::2, :, 0] = m.T, 1j * m.T
+        cfg = SimConfig(design=Design("custom", 2, 1, 4, w),
+                        codebook=qam_codebook(2, 4), receiver="joint-ml",
+                        snr_db=(0.0, 10.0), trials=4000, seed=3)
+        with pytest.raises(ValueError,
+                           match=r"clro \(witness 0, margin 1\.000e\+00\)"):
+            run_monte_carlo(cfg)
+
+    def test_refuses_odd_k(self):
+        # K=3 real symbols have no complex pairing; the relay matrix read
+        # off the weights is 1x2 although t1 = K // 2 = 1
+        d = Design("custom", 1, 1, 3, np.array([1.0, 1j, 1.0]).reshape(3, 1, 1))
+        assert relay_matrix_set(d).matrices[0].shape == (1, 2)
+        cfg = SimConfig(design=d, codebook=pam_codebook(((0,), (1,), (2,)), 2),
+                        receiver="joint-ml", snr_db=(0.0,), trials=10, seed=3)
+        with pytest.raises(ValueError, match="odd K=3"):
+            run_monte_carlo(cfg)
 
     def test_worker_count_invariance(self):
         a = results_to_csv(run_monte_carlo(self.config(workers=1)))

@@ -13,16 +13,13 @@ from dstc.receivers import (Codebook, ResourceGuardError, group_crossterm,
 def pciod_model(d, p=10.0, seed=0, n=1):
     """Whitened model matrices for random channel draws of a grouped design."""
     from dstc.designs import relay_matrix_set
-    from dstc.gnaf_sim import crandn, effective_matrix
+    from dstc.gnaf_sim import column_gains, crandn, effective_matrix
     rs = relay_matrix_set(d)
     params = protocol_params(d, p, "gnaf2")
     rng = make_rng(seed, 100)
     z = crandn(rng, n, 2 * d.r + 1)
     g0, f, g = z[:, 0], z[:, 1:d.r + 1], z[:, d.r + 1:]
-    h_cols = np.zeros((n, d.r), dtype=np.complex128)
-    for i, (cj, col) in enumerate(zip(rs.conj, rs.columns)):
-        h_cols[:, col] = g[:, i] * (np.conj(f[:, i]) if cj else f[:, i])
-    m = effective_matrix(d, params, g0, h_cols)
+    m = effective_matrix(d, params, g0, column_gains(rs, f, g))
     diag = omega_diagonals(params, rs, g)
     return m / np.sqrt(diag)[:, :, None], rng
 
@@ -158,7 +155,7 @@ class TestMlGrouped:
         # the whitened receiver model stays group-decodable even with the
         # direct path and the phase-2 source column in play
         from dstc.designs import build_pciod_rect, relay_matrix_set
-        from dstc.gnaf_sim import crandn, effective_matrix
+        from dstc.gnaf_sim import column_gains, crandn, effective_matrix
         for variant in ("gnaf1", "gnaf2", "gnaf3", "jh"):
             for d in (build_pciod(4), build_pciod_rect(3)):
                 rs = relay_matrix_set(d)
@@ -166,10 +163,7 @@ class TestMlGrouped:
                 rng = make_rng(77, hash(variant) % 97)
                 z = crandn(rng, 50, 2 * d.r + 1)
                 g0, f, g = z[:, 0], z[:, 1:d.r + 1], z[:, d.r + 1:]
-                h = np.zeros((50, d.r), complex)
-                for i, (cj, col) in enumerate(zip(rs.conj, rs.columns)):
-                    h[:, col] = g[:, i] * (np.conj(f[:, i]) if cj else f[:, i])
-                m = effective_matrix(d, params, g0, h)
+                m = effective_matrix(d, params, g0, column_gains(rs, f, g))
                 m = m / np.sqrt(omega_diagonals(params, rs, g))[:, :, None]
                 worst = max(group_crossterm(m[b], d.partition) for b in range(50))
                 assert worst < 1e-12
@@ -189,14 +183,13 @@ class TestLinear:
         d = build_toeplitz(2, 2)
         book = qam_codebook(2, 4)
         from dstc.designs import relay_matrix_set
-        from dstc.gnaf_sim import crandn, effective_matrix
+        from dstc.gnaf_sim import column_gains, crandn, effective_matrix
         rs = relay_matrix_set(d)
         params = protocol_params(d, 100.0, "gnaf3")
         rng = make_rng(seed, 4)
         z = crandn(rng, n, 2 * d.r + 1)
         g0, f, g = z[:, 0], z[:, 1:d.r + 1], z[:, d.r + 1:]
-        h_cols = g * f
-        m = effective_matrix(d, params, g0, h_cols)
+        m = effective_matrix(d, params, g0, column_gains(rs, f, g))
         diag = omega_diagonals(params, rs, g)
         return book, m / np.sqrt(diag)[:, :, None], rng
 
