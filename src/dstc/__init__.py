@@ -21,8 +21,7 @@ from .gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
                        protocol_params, results_to_csv, run_monte_carlo,
                        sample_channel, simulate_trial)
 from .precoding import (RotatedLattice, decode_groups, default_lattice,
-                        encode_groups, min_product_distance, pam_alphabet,
-                        partition_mod4, rotation)
+                        encode_groups, pam_alphabet, partition_mod4, rotation)
 from .receivers import (Codebook, ResourceGuardError, lattice_codebook,
                         ml_grouped, ml_joint, mmse_detect, pam_codebook,
                         qam_codebook, zf_detect)
@@ -30,5 +29,5 @@ from .verifier import (GammaMatrix, NvdProbe, VerifierReport, check_clro,
                        check_condition1, check_condition2,
                        check_group_decodable,
                        check_whitened_group_decodable, compute_gamma,
-                       min_delta_det, min_delta_det_full, nvd_probe,
-                       whitened_weights)
+                       min_delta_det, min_delta_det_full,
+                       min_product_distance, nvd_probe, whitened_weights)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dmg, verifier
+from . import __version__, dmg, matkernel, verifier
 from .designs import (Design, build_family, load_design, relay_matrix_set,
                       save_design)
 from .gnaf_sim import (VARIANTS, SimConfig, protocol_params, results_to_csv,
@@ -52,10 +52,6 @@ def _resolve_design(spec) -> Design | None:
         raise ConfigError(str(exc)) from exc
 
 
-def _coordinate_groups(k: int):
-    return tuple((i,) for i in range(k))
-
-
 def _resolve_codebook(d: Design | None, spec, t1: int = 0) -> Codebook:
     spec = spec or {"type": "pam", "points": 2}
     kind = spec.get("type", "pam")
@@ -66,7 +62,7 @@ def _resolve_codebook(d: Design | None, spec, t1: int = 0) -> Codebook:
         return qam_codebook(t1, max(points, 4))
     if kind == "qam":
         return qam_codebook(d.n_complex, points)
-    partition = d.partition if len(d.partition) > 1 else _coordinate_groups(d.k)
+    partition = d.partition if len(d.partition) > 1 else tuple((i,) for i in range(d.k))
     if kind == "pam":
         return pam_codebook(partition, points)
     if kind == "lattice":
@@ -161,9 +157,10 @@ def run_checks(d: Design, checks, constellation: str, draws: int, seed: int,
         elif check == "fulldiv":
             book = _constellation_book(d, constellation)
             val, witness = verifier.min_delta_det_full(d, book)
+            diverse = bool(val > matkernel.ABS_FLOOR)
             reports.append(verifier.VerifierReport(
-                "full_diversity", bool(val > 1e-12), float(val),
-                None if val > 1e-12 else (witness.tolist() if witness is not None else None),
+                "full_diversity", diverse, float(val),
+                None if diverse or witness is None else witness.tolist(),
                 {"constellation": constellation}))
         elif check == "nvd":
             probe = verifier.nvd_probe(d, nvd_sizes)
@@ -177,17 +174,13 @@ def run_checks(d: Design, checks, constellation: str, draws: int, seed: int,
 
 
 def _constellation_book(d: Design, name: str) -> Codebook:
+    """The codebook named qamN, pamN or latticeN, built by _resolve_codebook."""
     name = name.lower()
-    if name.startswith("qam"):
-        return qam_codebook(d.n_complex, int(name[3:]))
-    if name.startswith("pam"):
-        partition = d.partition if len(d.partition) > 1 else _coordinate_groups(d.k)
-        return pam_codebook(partition, int(name[3:]))
-    if name.startswith("lattice"):
-        if len(d.partition) < 2:
-            raise ConfigError("lattice constellation needs a grouped design")
-        n = len(d.partition[0])
-        return lattice_codebook(d.partition, default_lattice(n, int(name[7:])))
+    for kind in ("qam", "pam", "lattice"):
+        if name.startswith(kind):
+            if kind == "lattice" and len(d.partition) < 2:
+                raise ConfigError("lattice constellation needs a grouped design")
+            return _resolve_codebook(d, {"type": kind, "points": int(name[len(kind):])})
     raise ConfigError(f"unknown constellation {name!r} (qamN, pamN or latticeN)")
 
 

@@ -34,6 +34,7 @@ from .precoding import partition_mod4
 
 PLAIN = "plain"
 CONJ = "conj"
+MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -332,35 +333,45 @@ def golden_cda() -> Design:
 # relay matrix extraction
 # ---------------------------------------------------------------------------
 
+def column_kinds(d: Design) -> tuple[list[str], float, list]:
+    """Classify every column as plain, conj or mixed, with the worst impurity.
+
+    Column c is P_c @ s + Q_c @ conj(s) (Design.column_forms): plain when
+    Q_c vanishes, conj when only P_c does, mixed otherwise, by the package
+    zero test. The impurity of a column is min(max|P_c|, max|Q_c|). The
+    (P_c, Q_c) pairs are returned too.
+    """
+    scale = float(np.max(np.abs(d.weights))) if d.weights.size else 0.0
+    thr = matkernel.zero_threshold(scale)
+    forms = [d.column_forms(c) for c in range(d.r)]
+    kinds = []
+    worst = 0.0
+    for p, q in forms:
+        pmax = float(np.max(np.abs(p))) if p.size else 0.0
+        qmax = float(np.max(np.abs(q))) if q.size else 0.0
+        worst = max(worst, min(pmax, qmax))
+        kinds.append(PLAIN if qmax <= thr else CONJ if pmax <= thr else MIXED)
+    return kinds, worst, forms
+
+
 def relay_matrix_set(d: Design) -> RelayMatrixSet:
     """Extract one matrix per relay from a design with conjugate-linear columns.
 
     Plain columns give the matrix applied to the source vector s, conjugated
     columns the matrix applied to conj(s). Relays are emitted plain-first;
-    ``columns`` maps each relay back to its design column. Raises ValueError
-    (with the offending column) if some column mixes symbols and conjugates.
-    A part counts as zero by the package zero test, the one
-    verifier.check_condition1 classifies columns with.
+    ``columns`` maps each relay back to its design column. Columns are
+    classified by column_kinds; raises ValueError (with the offending
+    column) if some column mixes symbols and conjugates.
     """
-    scale = float(np.max(np.abs(d.weights))) if d.weights.size else 0.0
-    thr = matkernel.zero_threshold(scale)
-    plain_relays, conj_relays = [], []
-    for c in range(d.r):
-        p, q = d.column_forms(c)
-        p_zero = float(np.max(np.abs(p))) <= thr if p.size else True
-        q_zero = float(np.max(np.abs(q))) <= thr if q.size else True
-        if q_zero:
-            plain_relays.append((p, False, c))
-        elif p_zero:
-            conj_relays.append((q, True, c))
-        else:
-            raise ValueError(
-                f"column {c} mixes symbols and conjugates; "
-                "no single relay matrix exists for it")
-    ordered = plain_relays + conj_relays
-    return RelayMatrixSet(tuple(m for m, _, _ in ordered),
-                          tuple(cj for _, cj, _ in ordered),
-                          tuple(col for _, _, col in ordered))
+    kinds, _, forms = column_kinds(d)
+    if MIXED in kinds:
+        raise ValueError(
+            f"column {kinds.index(MIXED)} mixes symbols and conjugates; "
+            "no single relay matrix exists for it")
+    order = sorted(range(d.r), key=lambda c: kinds[c] == CONJ)
+    return RelayMatrixSet(tuple(forms[c][kinds[c] == CONJ] for c in order),
+                          tuple(kinds[c] == CONJ for c in order),
+                          tuple(order))
 
 
 def compose_precode(d: Design) -> Design:

@@ -441,8 +441,7 @@ def _run_batch(cfg: SimConfig, snr_idx: int, batch_idx: int, n: int):
         # grouped ML is exact only where the whitened model decomposes
         _, gram = sufficient_stats(y, m)
         worst = gram_crossterm(gram, book.groups)
-        thr = matkernel.REL_TOL * (1.0 + np.max(np.abs(gram), axis=(1, 2)))
-        coupled = worst > thr
+        coupled = worst > matkernel.zero_threshold(np.max(np.abs(gram), axis=(1, 2)))
         if np.any(coupled):
             dec[coupled] = ml_joint(y[coupled], m[coupled], book)
             fallbacks = int(np.sum(coupled))

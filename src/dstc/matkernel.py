@@ -27,9 +27,9 @@ def as_cmatrix(m) -> np.ndarray:
     return a
 
 
-def zero_threshold(scale: float) -> float:
-    """The package-wide zero test: |z| < REL_TOL * (1 + scale)."""
-    return REL_TOL * (1.0 + float(scale))
+def zero_threshold(scale):
+    """The package-wide zero test: |z| < REL_TOL * (1 + scale), per scale."""
+    return REL_TOL * (1.0 + scale)
 
 
 def herm(m: np.ndarray) -> np.ndarray:

@@ -19,13 +19,14 @@ Built-in rotations:
   matrices found once by short-vector enumeration and stored as literals.
   Minimum product distances: 1/7 and sqrt(2)/64.
 
-Larger dimensions load an orthogonal matrix from a plain text file.
+Larger dimensions load an orthogonal matrix from a plain text file. The
+minimum product distance of a rotation is scored by the determinant layer
+(verifier.min_product_distance, ResourceGuardError when oversized).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -111,30 +112,6 @@ def save_rotation(g: np.ndarray, path) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def min_product_distance(g: np.ndarray, alphabet, n: int | None = None) -> float:
-    """min over nonzero differences d of prod_i |(G d)_i|, by full enumeration.
-
-    ``alphabet`` is the per-coordinate value set; differences range over all
-    pairwise coordinate differences. Exhaustive, guarded against blowup.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if n is None:
-        n = g.shape[0]
-    alphabet = np.asarray(alphabet, dtype=np.float64)
-    if alphabet.size == 0:
-        raise ValueError("empty alphabet")
-    diffs = np.unique((alphabet[:, None] - alphabet[None, :]).ravel())
-    if len(diffs) ** n > 10 ** 7:
-        raise ValueError("difference enumeration too large")
-    best = np.inf
-    for d in product(diffs, repeat=n):
-        dv = np.array(d)
-        if not dv.any():
-            continue
-        best = min(best, float(np.abs(np.prod(g @ dv))))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # constellations
 # ---------------------------------------------------------------------------
@@ -189,9 +166,10 @@ class RotatedLattice:
         return a @ self.g.T
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
-        """Per-coordinate nearest-level inversion: rotate back, then slice."""
-        a = self.g.T @ np.asarray(x, dtype=np.float64)
-        return np.argmin(np.abs(a[:, None] - self.base[None, :]), axis=1)
+        """Per-coordinate nearest-level indices of points x (..., n): rotate
+        back, then slice each coordinate (clipping to the alphabet range)."""
+        a = np.asarray(x, dtype=np.float64) @ self.g
+        return np.argmin(np.abs(a[..., None] - self.base), axis=-1)
 
 
 def default_lattice(n: int, points_per_coord: int = 2) -> RotatedLattice:
@@ -223,7 +201,5 @@ def encode_groups(symbol_indices, lattice: RotatedLattice, partition) -> np.ndar
 def decode_groups(x: np.ndarray, lattice: RotatedLattice, partition) -> np.ndarray:
     """Invert encode_groups by per-group nearest-point slicing (noiseless exact)."""
     x = np.asarray(x, dtype=np.float64)
-    out = []
-    for grp in partition:
-        out.append(lattice.nearest(x[list(grp)]))
-    return np.concatenate(out)
+    return np.concatenate([lattice.nearest(x[..., list(grp)]) for grp in partition],
+                          axis=-1)

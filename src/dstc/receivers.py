@@ -343,21 +343,16 @@ def group_metric(y: np.ndarray, model: np.ndarray, codebook: Codebook,
 def _slice_groups(xhat: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Nearest constellation point per group.
 
-    Lattice groups invert the rotation and round per coordinate (clipping to
-    the alphabet range); explicit groups take the nearest value-table row.
+    Lattice groups slice per coordinate (RotatedLattice.nearest), flattened
+    in the order of points(); explicit groups take the nearest table row.
     """
-    b = xhat.shape[0]
-    out = np.zeros((b, codebook.n_groups), dtype=np.intp)
+    out = np.zeros((xhat.shape[0], codebook.n_groups), dtype=np.intp)
     lat = codebook.lattice
     for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
         seg = xhat[:, list(grp)]
         if lat is not None and lat.n == len(grp):
-            a = seg @ lat.g                      # rotate back: G^T x per row
-            coord = np.argmin(np.abs(a[..., None] - lat.base[None, None, :]), axis=-1)
-            flat = np.zeros(b, dtype=np.intp)
-            for c in range(lat.n):
-                flat = flat * len(lat.base) + coord[:, c]
-            out[:, g] = flat
+            coord = lat.nearest(seg)
+            out[:, g] = np.ravel_multi_index(tuple(coord.T), (len(lat.base),) * lat.n)
         else:
             d2 = np.sum((seg[:, None, :] - vals[None, :, :]) ** 2, axis=-1)
             out[:, g] = np.argmin(d2, axis=-1)

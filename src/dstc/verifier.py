@@ -9,9 +9,10 @@ Checks, each returning a report with a concrete witness on failure:
 * the weight-matrix anticommutation condition for group-by-group ML
   decoding, on raw weights and on channel-whitened weights over random
   draws;
-* exhaustive minimum codeword-difference determinants (full diversity) and
+* exhaustive minimum codeword-difference determinants (full diversity),
   the determinant probe across constellation sizes (non-vanishing
-  determinant evidence).
+  determinant evidence), and the minimum product distance of a lattice
+  rotation, scored as a determinant minimum of a diagonal design.
 
 The determinant minima never build the array of difference vectors. dS is
 linear in the symbol difference, so for a product codebook dS of a
@@ -21,7 +22,8 @@ leading x trailing combinations are scored in cache-sized blocks. Explicit
 codeword lists are projected once and scored pair by pair on differences
 of projections. Square designs are scored as |det dS|^2, others by the
 determinant of the R x R Gram matrix; small determinants are expanded in
-closed form over the whole block.
+closed form over the whole block. Oversized requests raise
+ResourceGuardError before anything is scored.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from . import matkernel
-from .designs import Design, RelayMatrixSet, relay_matrix_set
+from .designs import MIXED, Design, RelayMatrixSet, column_kinds, relay_matrix_set
 from .gnaf_sim import (ProtocolParams, make_rng, relay_noise_cov,
                        sample_channel)
 from .receivers import (PAIR_GUARD, Codebook, ResourceGuardError,
@@ -68,29 +70,12 @@ class GammaMatrix:
 def check_condition1(d: Design) -> VerifierReport:
     """Every column must be purely plain or purely conjugated.
 
-    Classification is exact: column c is P_c @ s + Q_c @ conj(s) with the
-    coefficient matrices read straight off the weights, so a column is
-    plain iff Q_c vanishes and conjugated iff P_c vanishes.
+    Columns are classified by designs.column_kinds, the rule
+    relay_matrix_set extracts relays with; the margin is the worst
+    impurity and the witness the first mixed column.
     """
-    scale = float(np.max(np.abs(d.weights))) if d.weights.size else 0.0
-    thr = matkernel.zero_threshold(scale)
-    kinds = []
-    worst = 0.0
-    bad = None
-    for c in range(d.r):
-        p, q = d.column_forms(c)
-        pmax = float(np.max(np.abs(p))) if p.size else 0.0
-        qmax = float(np.max(np.abs(q))) if q.size else 0.0
-        impurity = min(pmax, qmax)
-        worst = max(worst, impurity)
-        if impurity > thr:
-            kinds.append("mixed")
-            if bad is None:
-                bad = c
-        elif qmax <= thr:
-            kinds.append("plain")
-        else:
-            kinds.append("conj")
+    kinds, worst, _ = column_kinds(d)
+    bad = kinds.index(MIXED) if MIXED in kinds else None
     return VerifierReport("condition1", bad is None, worst, bad,
                           {"columns": kinds})
 
@@ -370,6 +355,25 @@ def min_delta_det(d: Design, codebook) -> float:
     return min_delta_det_full(d, codebook)[0]
 
 
+def min_product_distance(g: np.ndarray, alphabet, n: int | None = None) -> float:
+    """min over nonzero differences d of prod_i |(G d)_i|, exhaustively.
+
+    ``alphabet`` is the per-coordinate value set. The product distance of d
+    is |det diag(G d)|: the square root of the determinant minimum of the
+    design A_k = diag(G[:, k]) over one alphabet per coordinate. Oversized
+    requests raise ResourceGuardError.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    if n is None:
+        n = g.shape[0]
+    alphabet = np.asarray(alphabet, dtype=np.float64)
+    if alphabet.size == 0:
+        raise ValueError("empty alphabet")
+    d = Design("product-distance", n, n, n, g.T[:, :, None] * np.eye(n))
+    book = Codebook(tuple((i,) for i in range(n)), (alphabet[:, None],) * n)
+    return float(np.sqrt(min_delta_det_full(d, book)[0]))
+
+
 @dataclass(frozen=True)
 class NvdProbe:
     """Determinant-floor evidence across constellation sizes."""
@@ -389,9 +393,6 @@ def nvd_probe(d: Design, qam_sizes) -> NvdProbe:
     sizes = sorted(int(s) for s in qam_sizes)
     entries = []
     for m in sizes:
-        side = int(round(np.sqrt(m)))
-        if side * side != m or m < 4:
-            raise ValueError(f"QAM size must be a perfect square >= 4, got {m}")
         book = qam_codebook(d.n_complex, m, normalize=False)
         val, _ = min_delta_det_full(d, book)
         entries.append((m, float(val)))

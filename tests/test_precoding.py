@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dstc.precoding import (RotatedLattice, decode_groups, default_lattice,
-                            encode_groups, load_rotation, min_product_distance,
-                            pam_alphabet, partition_mod4, rotation,
-                            save_rotation)
+                            encode_groups, load_rotation, pam_alphabet,
+                            partition_mod4, rotation, save_rotation)
+from dstc.receivers import ResourceGuardError
+from dstc.verifier import min_product_distance
 
 
 def brute_force_mpd(g, alphabet, n):
@@ -96,6 +97,21 @@ class TestMinProductDistance:
         with pytest.raises(ValueError):
             min_product_distance(np.eye(2), [], 2)
 
+    def test_six_levels_by_oracle(self):
+        g = rotation(4)
+        alphabet = pam_alphabet(6, normalize=False)
+        got = min_product_distance(g, alphabet, 4)
+        assert got == pytest.approx(brute_force_mpd(g, alphabet, 4), rel=1e-12)
+
+    def test_oversized_refused_before_scoring(self, monkeypatch):
+        # 40 levels give 79 differences per coordinate, 79^4 ~ 3.9e7 in all
+        def scored(*args):
+            raise AssertionError("differences were scored")
+
+        monkeypatch.setattr("dstc.verifier._abs_dets", scored)
+        with pytest.raises(ResourceGuardError):
+            min_product_distance(rotation(4), pam_alphabet(40, normalize=False), 4)
+
 
 class TestAlphabet:
     def test_two_point(self):
@@ -160,3 +176,15 @@ def test_lattice_points_enumeration_order():
     # index-lexicographic: row i corresponds to indices (i // 2, i % 2)
     for i in range(4):
         assert np.allclose(pts[i], lat.point([i // 2, i % 2]), atol=1e-15)
+
+
+def test_lattice_nearest_batches():
+    # one point at a time: rotate back, then the nearest level per coordinate
+    lat = default_lattice(3, 4)
+    x = np.random.default_rng(6).standard_normal((5, 7, 3))
+    got = lat.nearest(x)
+    assert got.shape == (5, 7, 3)
+    for i, j in itertools.product(range(5), range(7)):
+        a = lat.g.T @ x[i, j]
+        want = np.argmin(np.abs(a[:, None] - lat.base[None, :]), axis=1)
+        assert np.array_equal(got[i, j], want)

@@ -45,6 +45,33 @@ class TestCondition1:
         assert not rep.passed and rep.witness == 1
 
 
+def _mixed_column_design():
+    w = np.zeros((2, 2, 2), dtype=complex)
+    w[0, 0, 0] = 1.0
+    w[1, 0, 0] = 1j        # column 0 = s_0: plain
+    w[0, 1, 1] = 1.0       # column 1 = Re(s_0): mixed
+    return Design("custom", 2, 2, 2, w)
+
+
+@pytest.mark.parametrize(
+    "d", ALL_FAMILIES + [compose_precode(build_ciod4()[0]), _mixed_column_design()],
+    ids=lambda d: f"{d.family}-r{d.r}")
+def test_column_classifier_shared(d):
+    # relay extraction and condition1 read one classifier: extraction
+    # refuses exactly the designs condition1 fails, and the relay flags in
+    # column order are the report's column kinds
+    rep = check_condition1(d)
+    if not rep.passed:
+        with pytest.raises(ValueError, match=f"column {rep.witness} "):
+            relay_matrix_set(d)
+        return
+    rs = relay_matrix_set(d)
+    kinds = [None] * d.r
+    for conj, col in zip(rs.conj, rs.columns):
+        kinds[col] = "conj" if conj else "plain"
+    assert kinds == rep.details["columns"]
+
+
 class TestCondition2:
     def test_pciod_and_toeplitz_pass(self):
         for d in (build_pciod(4), build_toeplitz(2, 3), golden_cda()):
