@@ -59,10 +59,19 @@ def _resolve_codebook(d: Design | None, spec, t1: int = 0) -> Codebook:
     if d is None:
         if t1 < 1:
             raise ConfigError("direct transmission needs t1 >= 1")
-        return qam_codebook(t1, max(points, 4))
+        if kind == "lattice":
+            raise ConfigError("direct transmission takes a qam or pam "
+                              "constellation, not a lattice")
+        n_complex = t1
+        partition = tuple((2 * i, 2 * i + 1) for i in range(t1))
+    else:
+        n_complex = d.n_complex
+        partition = d.partition if len(d.partition) > 1 else tuple((i,) for i in range(d.k))
     if kind == "qam":
-        return qam_codebook(d.n_complex, points)
-    partition = d.partition if len(d.partition) > 1 else tuple((i,) for i in range(d.k))
+        try:
+            return qam_codebook(n_complex, points)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if kind == "pam":
         return pam_codebook(partition, points)
     if kind == "lattice":

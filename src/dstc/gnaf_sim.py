@@ -36,6 +36,12 @@ metadata.
 Reproducibility: randomness is counter-based (Philox) keyed by
 (master seed, stream labels), so any batch of trials can be regenerated
 independently of worker count or execution order.
+
+Execution: ``run_monte_carlo`` cuts the sweep into (SNR point, batch)
+tasks. With more than one worker it runs them all under one spawn pool,
+no larger than the usable cores or the task count; each worker receives
+the config and the relay set once, at start-up, and each task carries
+only its indices. The pool is reaped before the call returns.
 """
 
 from __future__ import annotations
@@ -397,14 +403,14 @@ def _params_for(cfg: SimConfig, p: float, rs: RelayMatrixSet | None) -> Protocol
     return protocol_params(cfg.design, p, cfg.variant, cfg.pi, rs=rs)
 
 
-def _run_batch(cfg: SimConfig, snr_idx: int, batch_idx: int, n: int):
-    """Simulate one batch of trials.
+def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
+               batch_idx: int, n: int):
+    """Simulate one batch of trials; ``rs`` is the design's relay set.
 
     Returns (symbol errors, decisions, fallbacks, erasures).
     """
     p = 10.0 ** (cfg.snr_db[snr_idx] / 10.0)
     d = cfg.design
-    rs = relay_matrix_set(d) if d is not None else None
     params = _params_for(cfg, p, rs)
     book = cfg.codebook
     rng = make_rng(cfg.seed, snr_idx, batch_idx)
@@ -457,16 +463,32 @@ def _run_batch(cfg: SimConfig, snr_idx: int, batch_idx: int, n: int):
     return errors, n * book.n_groups, fallbacks, erasures
 
 
-def _batch_task(args):
-    return _run_batch(*args)
+# A pool worker's (config, relay set), set once by _init_worker. Only spawned
+# workers assign it; the calling process never does.
+_worker_args = None
+
+
+def _init_worker(cfg: SimConfig, rs: RelayMatrixSet | None) -> None:
+    global _worker_args
+    _worker_args = (cfg, rs)
+
+
+def _pool_task(task: tuple[int, int, int]):
+    return _run_batch(*_worker_args, *task)
 
 
 def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     """Symbol error rates over the SNR grid.
 
     Deterministic given (seed, config): batches are keyed by (seed, snr
-    index, batch index) and reduced by integer sums, so the result is
-    independent of worker count and execution order.
+    index, batch index) and reduced by integer sums per SNR point, so the
+    result is independent of worker count and execution order.
+
+    The relay set is built once, by the clro check. With
+    ``cfg.resolved_workers()`` above one, every batch of every SNR point
+    runs under a single spawn pool of at most min(workers, usable cores,
+    batches) processes, started and reaped within this call; a pool that
+    would hold one process is not started and the batches run here.
 
     Raises ValueError before any batch runs for a design the batched model
     would get wrong: odd K (the source pairs real symbols into complex
@@ -476,11 +498,12 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     from . import verifier  # deferred: verifier depends on this module
     if cfg.receiver not in _RECEIVERS:
         raise ValueError(f"unknown receiver {cfg.receiver!r}; known: {_RECEIVERS}")
+    rs = None
     if cfg.design is not None:
         if cfg.design.k % 2:
             raise ValueError(f"design has odd K={cfg.design.k}: the source "
                              "has no complex pairing of its real symbols")
-        rep = verifier.check_clro(cfg.design)
+        rep, rs = verifier.clro_relay_set(cfg.design)
         if not rep.passed:
             raise ValueError(f"design fails clro (witness {rep.witness}, margin "
                              f"{rep.margin:.3e}); the simulator whitens with the "
@@ -499,26 +522,25 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     if cfg.trials <= 0:
         return []
     n_batches = -(-cfg.trials // cfg.batch_size)
-    sizes = [min(cfg.batch_size, cfg.trials - i * cfg.batch_size)
-             for i in range(n_batches)]
+    tasks = [(si, bi, min(cfg.batch_size, cfg.trials - bi * cfg.batch_size))
+             for si in range(len(cfg.snr_db)) for bi in range(n_batches)]
+    processes = min(cfg.resolved_workers(), len(os.sched_getaffinity(0)), len(tasks))
+    if processes > 1:
+        import multiprocessing as mp
+        with mp.get_context("spawn").Pool(processes, _init_worker, (cfg, rs)) as pool:
+            parts = pool.map(_pool_task, tasks, chunksize=1)
+            pool.close()
+            pool.join()
+    else:
+        parts = [_run_batch(cfg, rs, *t) for t in tasks]
+
     results = []
-    workers = cfg.resolved_workers()
+    tag = cfg.design_tag or (cfg.design.family if cfg.design else "direct")
     for si in range(len(cfg.snr_db)):
-        tasks = [(cfg, si, bi, sizes[bi]) for bi in range(n_batches)]
-        if workers > 1 and len(tasks) > 1:
-            import multiprocessing as mp
-            with mp.get_context("spawn").Pool(workers) as pool:
-                parts = pool.map(_batch_task, tasks)
-        else:
-            parts = [_batch_task(t) for t in tasks]
-        errors = sum(p[0] for p in parts)
-        decisions = sum(p[1] for p in parts)
-        fallbacks = sum(p[2] for p in parts)
-        erasures = sum(p[3] for p in parts)
-        results.append(SimResult(cfg.snr_db[si], decisions, errors,
-                                 cfg.receiver, cfg.seed,
-                                 cfg.design_tag or (cfg.design.family if cfg.design else "direct"),
-                                 fallbacks, erasures))
+        point = parts[si * n_batches:(si + 1) * n_batches]
+        errors, decisions, fallbacks, erasures = (sum(col) for col in zip(*point))
+        results.append(SimResult(cfg.snr_db[si], decisions, errors, cfg.receiver,
+                                 cfg.seed, tag, fallbacks, erasures))
     return results
 
 

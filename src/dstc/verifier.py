@@ -98,12 +98,22 @@ def check_condition2(rs: RelayMatrixSet) -> VerifierReport:
 
 def check_clro(d: Design) -> VerifierReport:
     """Both conditions at once (columns conjugate-linear, relay rows orthogonal)."""
+    return clro_relay_set(d)[0]
+
+
+def clro_relay_set(d: Design) -> tuple[VerifierReport, RelayMatrixSet | None]:
+    """The clro report and the relay set it examined.
+
+    The relay set is None when a column mixes symbols and conjugates, since
+    no relay matrix exists for such a column.
+    """
     r1 = check_condition1(d)
     if not r1.passed:
-        return VerifierReport("clro", False, r1.margin, r1.witness, r1.details)
-    r2 = check_condition2(relay_matrix_set(d))
-    return VerifierReport("clro", r2.passed, max(r1.margin, r2.margin),
-                          r2.witness, {**r1.details})
+        return VerifierReport("clro", False, r1.margin, r1.witness, r1.details), None
+    rs = relay_matrix_set(d)
+    r2 = check_condition2(rs)
+    return (VerifierReport("clro", r2.passed, max(r1.margin, r2.margin),
+                           r2.witness, {**r1.details}), rs)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +401,8 @@ def nvd_probe(d: Design, qam_sizes) -> NvdProbe:
     guard.
     """
     sizes = sorted(int(s) for s in qam_sizes)
+    if not sizes:
+        raise ValueError("nvd_probe needs at least one QAM size")
     entries = []
     for m in sizes:
         book = qam_codebook(d.n_complex, m, normalize=False)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from dstc.cli import main
+from dstc.cli import ConfigError, _sim_config, main
 from dstc.designs import (Design, build_toeplitz, design_to_dict, load_design,
                           save_design)
+from dstc.precoding import pam_alphabet
+from dstc.receivers import qam_codebook
 
 
 def run(argv):
@@ -174,6 +176,63 @@ class TestSimulateAndPipeline:
         data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         data2 = [ln for ln in out2.read_text().splitlines() if not ln.startswith("#")]
         assert data == data2                  # identity rotation == builtin n=1
+
+
+class TestDirectConstellation:
+    """Direct transmission builds the constellation its config names."""
+
+    def resolve(self, constellation=None):
+        cfg = {"design": {"family": "direct", "t1": 2}, "variant": "direct"}
+        if constellation is not None:
+            cfg["constellation"] = constellation
+        return _sim_config(cfg)[0].codebook
+
+    def test_qam_size_honoured(self):
+        book = self.resolve({"type": "qam", "points": 16})
+        want = qam_codebook(2, 16)
+        assert book.groups == want.groups
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(book.group_values, want.group_values))
+
+    @pytest.mark.parametrize("points", [2, 8])
+    def test_bad_qam_size_config_error(self, points):
+        with pytest.raises(ConfigError, match="QAM size"):
+            self.resolve({"type": "qam", "points": points})
+
+    def test_pam_per_coordinate(self):
+        book = self.resolve({"type": "pam", "points": 4})
+        assert book.groups == ((0, 1), (2, 3))
+        assert book.group_sizes == (16, 16)
+        levels = pam_alphabet(4)
+        for vals in book.group_values:
+            assert {tuple(v) for v in vals} == {(a, b) for a in levels for b in levels}
+
+    def test_lattice_refused(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="lattice"):
+            self.resolve({"type": "lattice", "points": 2})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "design": {"family": "direct", "t1": 2}, "variant": "direct",
+            "constellation": {"type": "lattice", "points": 2}}))
+        assert run(["simulate", "--config", cfg]) == 3
+
+    def test_default_is_qam4_and_csv_unchanged(self, tmp_path):
+        book, want = self.resolve(), qam_codebook(2, 4)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(book.group_values, want.group_values))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "design": {"family": "direct", "t1": 2}, "variant": "direct",
+            "snr_db": "0:5:10", "trials": 3000, "receiver": "joint-ml",
+            "seed": 7}))
+        out = tmp_path / "res.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        # the rows the default direct run has always written (4-QAM)
+        assert rows[1:] == [
+            "0,6000,1518,0.253,0.2421602181,0.2641558713,0,0",
+            "5,6000,680,0.1133333333,0.1055582931,0.1216031963,0,0",
+            "10,6000,293,0.04883333333,0.04366272765,0.0545813033,0,0"]
 
 
 def test_reference_config_budget(tmp_path):

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from dstc import gnaf_sim, verifier
 from dstc import matkernel as mk
 from dstc.designs import (Design, build_pciod, build_toeplitz, golden_cda,
                           relay_matrix_set)
@@ -364,3 +367,63 @@ class TestMonteCarlo:
         assert cfg.resolved_workers() == 2
         monkeypatch.delenv("DSTC_MAX_WORKERS")
         assert cfg.resolved_workers() == 8
+
+
+class TestSweepTaskLoop:
+    """One pool per sweep, no larger than the cores or the tasks, fed once."""
+
+    def config(self, workers=None, trials=2500, snr_db=(0.0, 10.0, 20.0)):
+        return SimConfig(design=build_toeplitz(2, 2), codebook=qam_codebook(2, 4),
+                         receiver="zf", snr_db=snr_db, trials=trials, seed=11,
+                         batch_size=1000, workers=workers)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Record the size of every Pool started through multiprocessing.get_context."""
+        import multiprocessing
+        get_context = multiprocessing.get_context
+        sizes = []
+
+        class Counting:
+            def __init__(self, ctx):
+                self._ctx = ctx
+
+            def Pool(self, processes=None, *args, **kwargs):
+                sizes.append(processes)
+                return self._ctx.Pool(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: Counting(get_context(method)))
+        return sizes
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="a pool needs at least two usable cores")
+    def test_one_pool_per_sweep(self, pool_sizes):
+        res = run_monte_carlo(self.config(workers=8))   # 3 points x 3 batches
+        assert len(res) == 3
+        assert len(pool_sizes) == 1
+        assert 2 <= pool_sizes[0] <= min(len(os.sched_getaffinity(0)), 9)
+
+    def test_pool_capped_by_tasks(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        run_monte_carlo(self.config(workers=8, trials=1000, snr_db=(0.0, 10.0)))
+        assert pool_sizes == [2]                        # 2 points x 1 batch
+
+    def test_serial_builds_relay_set_once(self, monkeypatch):
+        # the clro check builds the set the batches run on; nothing rebuilds it
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return relay_matrix_set(d)
+
+        for module in (gnaf_sim, verifier):
+            monkeypatch.setattr(module, "relay_matrix_set", counted)
+        run_monte_carlo(self.config())
+        assert len(calls) == 1
+
+    def test_pooled_equals_serial_partial_batch(self):
+        pooled = run_monte_carlo(self.config(workers=2))
+        serial = run_monte_carlo(self.config())
+        assert results_to_csv(pooled) == results_to_csv(serial)
+        assert all(r.trials == 2500 * 2 for r in serial)   # 2 groups per trial

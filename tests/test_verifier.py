@@ -263,3 +263,7 @@ class TestNvdProbe:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             nvd_probe(golden_cda(), [8])
+
+    def test_rejects_no_sizes(self):
+        with pytest.raises(ValueError, match="at least one QAM size"):
+            nvd_probe(golden_cda(), ())
