@@ -38,16 +38,20 @@ Reproducibility: randomness is counter-based (Philox) keyed by
 independently of worker count or execution order.
 
 Execution: ``run_monte_carlo`` cuts the sweep into (SNR point, batch)
-tasks. With more than one worker it runs them all under one spawn pool,
-no larger than the usable cores or the task count; each worker receives
-the config and the relay set once, at start-up, and each task carries
-only its indices. The pool is reaped before the call returns.
+tasks. The calling process is one of the workers. With more than one, no
+more than the usable cores or the task count, it starts one spawn pool of
+helpers that receive the config, the relay set, the task list and a
+shared task counter once, at start-up. The caller and every helper claim
+tasks from the counter until none is left, so the caller works while the
+helpers are still importing. Helpers left without a task are stopped,
+not awaited; every helper is reaped before the call returns.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -383,13 +387,31 @@ class SimConfig:
     workers: int | None = None
     design_tag: str = ""
 
+    def __post_init__(self):
+        _check_count("trials", self.trials, 0)
+        _check_count("batch_size", self.batch_size, 1)
+        if self.workers is not None:
+            _check_count("workers", self.workers, 1)
+
     def resolved_workers(self) -> int:
         """Requested worker count, capped by the DSTC_MAX_WORKERS env var."""
         requested = self.workers if self.workers is not None else 1
         env = os.environ.get("DSTC_MAX_WORKERS")
         if env:
-            requested = min(requested, int(env))
+            try:
+                cap = int(env)
+            except ValueError:
+                raise ValueError(f"DSTC_MAX_WORKERS must be an integer, "
+                                 f"got {env!r}") from None
+            requested = min(requested, cap)
         return max(1, requested)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
 
 
 _RECEIVERS = ("joint-ml", "grouped-ml", "zf", "mmse")
@@ -463,18 +485,34 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
     return errors, n * book.n_groups, fallbacks, erasures
 
 
-# A pool worker's (config, relay set), set once by _init_worker. Only spawned
-# workers assign it; the calling process never does.
+def _drain(cfg: SimConfig, rs: RelayMatrixSet | None,
+           tasks: list[tuple[int, int, int]], counter) -> list:
+    """Claim tasks from the shared counter and run them until none is left.
+
+    Returns the (task index, batch result) pairs this process ran.
+    """
+    done = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(tasks):
+            return done
+        done.append((index, _run_batch(cfg, rs, *tasks[index])))
+
+
+# A helper's (config, relay set, tasks, counter), set once by _init_worker.
+# Only spawned helpers assign it; the calling process never does.
 _worker_args = None
 
 
-def _init_worker(cfg: SimConfig, rs: RelayMatrixSet | None) -> None:
+def _init_worker(*args) -> None:
     global _worker_args
-    _worker_args = (cfg, rs)
+    _worker_args = args
 
 
-def _pool_task(task: tuple[int, int, int]):
-    return _run_batch(*_worker_args, *task)
+def _helper_drain() -> list:
+    return _drain(*_worker_args)
 
 
 def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
@@ -484,11 +522,14 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     index, batch index) and reduced by integer sums per SNR point, so the
     result is independent of worker count and execution order.
 
-    The relay set is built once, by the clro check. With
-    ``cfg.resolved_workers()`` above one, every batch of every SNR point
-    runs under a single spawn pool of at most min(workers, usable cores,
-    batches) processes, started and reaped within this call; a pool that
-    would hold one process is not started and the batches run here.
+    The relay set is built once, by the clro check. The caller counts as
+    one of min(``cfg.resolved_workers()``, usable cores, batches) workers;
+    with one, the batches run here in order. With more, one spawn pool of
+    the other workers is started, and the caller and the helpers claim
+    batches from a shared counter. If the caller ran every batch, the
+    helpers, some of them maybe still starting, are stopped; otherwise
+    their parts are collected. Either way every helper is reaped within
+    this call.
 
     Raises ValueError before any batch runs for a design the batched model
     would get wrong: odd K (the source pairs real symbols into complex
@@ -527,10 +568,19 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     processes = min(cfg.resolved_workers(), len(os.sched_getaffinity(0)), len(tasks))
     if processes > 1:
         import multiprocessing as mp
-        with mp.get_context("spawn").Pool(processes, _init_worker, (cfg, rs)) as pool:
-            parts = pool.map(_pool_task, tasks, chunksize=1)
-            pool.close()
-            pool.join()
+        ctx = mp.get_context("spawn")
+        counter = ctx.Value("q", 0)
+        with ctx.Pool(processes - 1, _init_worker, (cfg, rs, tasks, counter)) as pool:
+            jobs = [pool.apply_async(_helper_drain) for _ in range(processes - 1)]
+            done = _drain(cfg, rs, tasks, counter)
+            # if the caller ran every task no helper holds one, and leaving
+            # the block stops them all, those still starting included
+            if len(done) < len(tasks):
+                for job in jobs:
+                    done += job.get()
+                pool.close()
+                pool.join()
+        parts = [part for _, part in sorted(done)]
     else:
         parts = [_run_batch(cfg, rs, *t) for t in tasks]
 

@@ -154,6 +154,21 @@ class TestSimulateAndPipeline:
         assert run(["simulate", "--config", cfg]) == 3
         assert "error: design" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("workers", "2"), ("workers", 2.5), ("workers", 0),
+        ("batch_size", 0), ("batch_size", -5), ("trials", -1),
+        ("DSTC_MAX_WORKERS", "abc"),
+    ])
+    def test_bad_count_exit_three(self, tmp_path, capsys, monkeypatch,
+                                  field, value):
+        if field == "DSTC_MAX_WORKERS":
+            monkeypatch.setenv(field, value)
+            cfg = self.write_cfg(tmp_path)
+        else:
+            cfg = self.write_cfg(tmp_path, **{field: value})
+        assert run(["simulate", "--config", cfg]) == 3
+        assert f"error: {field} must be an integer" in capsys.readouterr().err
+
     def test_direct_variant(self, tmp_path):
         cfg = self.write_cfg(tmp_path, design={"family": "direct", "t1": 2},
                              variant="direct", receiver="joint-ml",

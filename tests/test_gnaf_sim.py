@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
                            protocol_params, results_to_csv, run_monte_carlo,
                            sample_channel, simulate_trial)
 from dstc.precoding import default_lattice
-from dstc.receivers import lattice_codebook, pam_codebook, qam_codebook
+from dstc.receivers import (ResourceGuardError, lattice_codebook, pam_codebook,
+                            qam_codebook)
 from dstc.verifier import compute_gamma
 
 
@@ -380,7 +383,6 @@ class TestSweepTaskLoop:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         """Record the size of every Pool started through multiprocessing.get_context."""
-        import multiprocessing
         get_context = multiprocessing.get_context
         sizes = []
 
@@ -392,6 +394,9 @@ class TestSweepTaskLoop:
                 sizes.append(processes)
                 return self._ctx.Pool(processes, *args, **kwargs)
 
+            def __getattr__(self, name):
+                return getattr(self._ctx, name)
+
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: Counting(get_context(method)))
         return sizes
@@ -402,12 +407,13 @@ class TestSweepTaskLoop:
         res = run_monte_carlo(self.config(workers=8))   # 3 points x 3 batches
         assert len(res) == 3
         assert len(pool_sizes) == 1
-        assert 2 <= pool_sizes[0] <= min(len(os.sched_getaffinity(0)), 9)
+        # the caller is one of the workers; the pool holds only the helpers
+        assert 1 <= pool_sizes[0] <= min(len(os.sched_getaffinity(0)), 9) - 1
 
     def test_pool_capped_by_tasks(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         run_monte_carlo(self.config(workers=8, trials=1000, snr_db=(0.0, 10.0)))
-        assert pool_sizes == [2]                        # 2 points x 1 batch
+        assert pool_sizes == [1]            # 2 points x 1 batch: caller + 1 helper
 
     def test_serial_builds_relay_set_once(self, monkeypatch):
         # the clro check builds the set the batches run on; nothing rebuilds it
@@ -427,3 +433,46 @@ class TestSweepTaskLoop:
         serial = run_monte_carlo(self.config())
         assert results_to_csv(pooled) == results_to_csv(serial)
         assert all(r.trials == 2500 * 2 for r in serial)   # 2 groups per trial
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="a pool needs at least two usable cores")
+class TestPoolLifecycle:
+    """The caller works in its own pool, and no helper outlives the sweep."""
+
+    def config(self, trials, batch_size, snr_db=(0.0, 10.0, 20.0), **kw):
+        fields = dict(design=build_toeplitz(2, 2), codebook=qam_codebook(2, 4),
+                      receiver="zf", snr_db=snr_db, trials=trials, seed=11,
+                      batch_size=batch_size, workers=2)
+        return SimConfig(**{**fields, **kw})
+
+    def test_caller_and_helper_share_tasks(self, monkeypatch):
+        cfg = self.config(trials=100, batch_size=10)        # 3 points x 10 batches
+        serial = results_to_csv(run_monte_carlo(SimConfig(**{**cfg.__dict__,
+                                                            "workers": None})))
+        run_batch = gnaf_sim._run_batch
+        calls = []
+
+        def slow(*args):
+            # only the caller is patched: spawned helpers import dstc afresh
+            calls.append(args)
+            time.sleep(0.1)
+            return run_batch(*args)
+
+        monkeypatch.setattr(gnaf_sim, "_run_batch", slow)
+        assert results_to_csv(run_monte_carlo(cfg)) == serial
+        assert 0 < len(calls) < 30
+
+    def test_tiny_sweep_leaves_no_child(self):
+        cfg = self.config(trials=10, batch_size=10, snr_db=(0.0, 10.0))
+        pooled = results_to_csv(run_monte_carlo(cfg))
+        assert multiprocessing.active_children() == []
+        serial = run_monte_carlo(SimConfig(**{**cfg.__dict__, "workers": None}))
+        assert pooled == results_to_csv(serial)
+
+    def test_failing_batches_leave_no_child(self):
+        cfg = self.config(trials=10, batch_size=10, design=build_pciod(4),
+                          codebook=qam_codebook(4, 64), receiver="joint-ml")
+        with pytest.raises(ResourceGuardError):
+            run_monte_carlo(cfg)
+        assert multiprocessing.active_children() == []
