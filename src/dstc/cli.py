@@ -56,6 +56,8 @@ def _resolve_codebook(d: Design | None, spec, t1: int = 0) -> Codebook:
     spec = spec or {"type": "pam", "points": 2}
     kind = spec.get("type", "pam")
     points = int(spec.get("points", 2))
+    if points < 2:
+        raise ConfigError(f"a constellation needs at least 2 points, got {points}")
     if d is None:
         if t1 < 1:
             raise ConfigError("direct transmission needs t1 >= 1")

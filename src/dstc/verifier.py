@@ -18,12 +18,17 @@ The determinant minima never build the array of difference vectors. dS is
 linear in the symbol difference, so for a product codebook dS of a
 difference is a sum of one projected piece per group: the pieces of the
 leading and of the trailing half of the groups are summed once each, and
-leading x trailing combinations are scored in cache-sized blocks. Explicit
-codeword lists are projected once and scored pair by pair on differences
-of projections. Square designs are scored as |det dS|^2, others by the
-determinant of the R x R Gram matrix; small determinants are expanded in
-closed form over the whole block. Oversized requests raise
-ResourceGuardError before anything is scored.
+leading x trailing combinations are scored in cache-sized blocks. Since
+det dS(-d) = det dS(d), only the differences before the zero difference in
+group-0-major order are scored: every per-group table is closed under
+negation, the zero sits at the middle of the order, and the negated half
+is never built. Explicit codeword lists are projected once; a block of
+consecutive rows i is scored against the contiguous run of codewords
+j > i, with the few pairs j <= i inside the block masked. Square designs
+are scored as |det dS|^2, others by the determinant of the R x R Gram
+matrix; small determinants are expanded in closed form over the whole
+block. Oversized requests raise ResourceGuardError before anything is
+scored.
 """
 
 from __future__ import annotations
@@ -258,11 +263,23 @@ def _min_det_product(d: Design, book: Codebook) -> tuple[float, np.ndarray]:
     trailing half of the groups are summed once per half; blocks of
     leading x trailing sums are then scored without building the
     difference array.
+
+    Only the flat indices below the zero difference's are scored. Every
+    table is sorted and closed under negation (tab == -tab[::-1]), so
+    negation maps flat index f to N-1-f and the zero sits at (N-1)/2. The
+    upper half of each piece is written as the negated lower half, which
+    makes dS(-delta) exactly -dS(delta) and its score bit-identical; the
+    first minimum therefore always lies in the lower half.
     """
     tables = book.group_differences()
     t, r = d.t, d.r
-    pieces = [(tab @ d.weights[list(grp)].reshape(len(grp), t * r)).T
-              for grp, tab in zip(book.groups, tables)]
+    pieces = []
+    for grp, tab in zip(book.groups, tables):
+        assert np.array_equal(tab, -tab[::-1]), "difference table not closed under negation"
+        piece = (tab @ d.weights[list(grp)].reshape(len(grp), t * r)).T
+        z = len(tab) // 2                           # the zero row
+        piece[:, z + 1:] = -piece[:, :z][:, ::-1]
+        pieces.append(piece)
     half = len(pieces) // 2
 
     def sums(part):
@@ -273,26 +290,28 @@ def _min_det_product(d: Design, book: Codebook) -> tuple[float, np.ndarray]:
 
     lead, trail = sums(pieces[:half]), sums(pieces[half:])
     n_trail = trail.shape[1]
-    sizes = tuple(len(tab) for tab in tables)
-    zero = int(np.ravel_multi_index(
-        [int(np.flatnonzero(~np.any(tab, axis=1))[0]) for tab in tables], sizes))
-    za, zb = divmod(zero, n_trail)
+    zero = lead.shape[1] * n_trail // 2             # flat index of the zero difference
+    if zero == 0:                                   # every codeword is the same
+        return np.inf, None
     rows = max(1, _DET_CHUNK // n_trail)
     cols = min(n_trail, _DET_CHUNK)
     best, best_flat = np.inf, -1
-    for a0 in range(0, lead.shape[1], rows):
-        a1 = min(a0 + rows, lead.shape[1])
+    # a block is whole trailing rows or part of one row, so its flat
+    # indices run contiguously from its start
+    for a0 in range(0, zero // n_trail + 1, rows):
+        a1 = min(a0 + rows, zero // n_trail + 1)
         for b0 in range(0, n_trail, cols):
+            start = a0 * n_trail + b0
+            if start >= zero:
+                break
             b1 = min(b0 + cols, n_trail)
-            ds = lead[:, a0:a1, None] + trail[:, None, b0:b1]
-            dets = _abs_dets(ds.reshape(t, r, -1))
-            if a0 <= za < a1 and b0 <= zb < b1:
-                dets[(za - a0) * (b1 - b0) + zb - b0] = np.inf
+            ds = (lead[:, a0:a1, None] + trail[:, None, b0:b1]).reshape(t, r, -1)
+            dets = _abs_dets(ds[:, :, :zero - start])
             j = int(np.argmin(dets))
             if dets[j] < best:
-                a, b = divmod(j, b1 - b0)
-                best, best_flat = float(dets[j]), (a0 + a) * n_trail + b0 + b
+                best, best_flat = float(dets[j]), start + j
     witness = np.zeros(book.k)
+    sizes = tuple(len(tab) for tab in tables)
     for grp, tab, i in zip(book.groups, tables, np.unravel_index(best_flat, sizes)):
         witness[list(grp)] = tab[i]
     return best, witness
@@ -301,23 +320,27 @@ def _min_det_product(d: Design, book: Codebook) -> tuple[float, np.ndarray]:
 def _min_det_pairs(d: Design, x: np.ndarray) -> tuple[float, np.ndarray]:
     """First minimum over the pairs (i, j > i) of explicit codewords, row-major.
 
-    Each codeword is projected once, S = x W, and a pair is scored on
-    S[j] - S[i], in blocks of consecutive pairs.
+    Each codeword is projected once, S = x W. A block of consecutive rows
+    i0 <= i < i1 is scored against the contiguous slice of codewords
+    i0 + 1 .. N-1, about _DET_CHUNK pairs at a time, with the few pairs
+    j <= i inside the block masked out.
     """
     n = len(x)
     t, r = d.t, d.r
     proj = (x @ d.weights.reshape(d.k, t * r)).T
-    row = np.arange(n)
-    start = row * n - row * (row + 1) // 2      # flat index of pair (i, i + 1)
     best, best_pair = np.inf, (0, 1)
-    for p0 in range(0, n * (n - 1) // 2, _DET_CHUNK):
-        p = np.arange(p0, min(p0 + _DET_CHUNK, n * (n - 1) // 2))
-        i = np.searchsorted(start, p, side="right") - 1
-        j = p - start[i] + i + 1
-        dets = _abs_dets((proj[:, j] - proj[:, i]).reshape(t, r, -1))
+    i0 = 0
+    while i0 < n - 1:
+        cols = n - 1 - i0
+        i1 = min(i0 + max(1, _DET_CHUNK // cols), n - 1)
+        ds = proj[:, None, i0 + 1:] - proj[:, i0:i1, None]
+        dets = _abs_dets(ds.reshape(t, r, -1)).reshape(i1 - i0, cols)
+        dets[np.tri(i1 - i0, cols, -1, dtype=bool)] = np.inf
         k = int(np.argmin(dets))
-        if dets[k] < best:
-            best, best_pair = float(dets[k]), (int(i[k]), int(j[k]))
+        if dets.flat[k] < best:
+            a, c = divmod(k, cols)
+            best, best_pair = float(dets.flat[k]), (i0 + a, i0 + 1 + c)
+        i0 = i1
     return best, x[best_pair[1]] - x[best_pair[0]]
 
 
@@ -329,22 +352,26 @@ def min_delta_det_full(d: Design, codebook) -> tuple[float, np.ndarray | None]:
 
     * Explicit codewords: every pair (i, j > i) is scored, guarded at
       N^2 <= 1e7. Each codeword is projected once and a pair's dS is the
-      difference of two projections.
+      difference of two projections; consecutive rows i are scored as one
+      block against the contiguous slice of codewords after the first.
     * Product codebook: the search runs over the exact difference set,
       much smaller than the pairs, without building it. The difference set
       is the product of the per-group tables (Codebook.group_differences,
       guarded like difference_vectors), so dS of a difference is a sum of
       one projected piece per group; the sums over the leading and the
       trailing half of the groups are formed once and scored in blocks.
+      Only the half of the set before the zero difference is scored: each
+      table is an exact negation mirror, so -d sits at the mirrored
+      position and scores bit for bit the same as d.
 
     The witness is the first minimizing difference, in row-major pair
     order or in the group-0-major order of difference_vectors, as a fresh
-    array. Square designs are scored as |det dS|^2. A one-codeword book
-    returns (+inf, None).
+    array. Scoring half the difference set keeps both: the first minimum
+    always lies before the zero, because its mirror comes after it.
+    Square designs are scored as |det dS|^2. A book whose codewords all
+    coincide returns (+inf, None).
     """
     if isinstance(codebook, Codebook):
-        if codebook.size < 2:
-            return np.inf, None
         return _min_det_product(d, codebook)
 
     x = np.asarray(codebook, dtype=np.float64)

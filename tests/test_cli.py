@@ -63,6 +63,17 @@ class TestVerify:
                   "--constellation", "lattice2"])
         assert rc == 0
 
+    @pytest.mark.parametrize("constellation", ["pam1", "lattice1"])
+    def test_one_point_constellation_exit_three(self, tmp_path, capsys, constellation):
+        out = tmp_path / "d.json"
+        run(["construct", "--family", "pciod", "--relays", 4, "--out", out])
+        rep = tmp_path / "rep.json"
+        rc = run(["verify", "--design", out, "--checks", "fulldiv",
+                  "--constellation", constellation, "--out", rep])
+        assert rc == 3
+        assert "at least 2 points" in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_guard_exit_four(self, tmp_path):
         out = tmp_path / "d.json"
         run(["construct", "--family", "cda", "--out", out])
@@ -169,6 +180,15 @@ class TestSimulateAndPipeline:
         assert run(["simulate", "--config", cfg]) == 3
         assert f"error: {field} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["pam", "lattice"])
+    def test_one_point_constellation_exit_three(self, tmp_path, capsys, kind):
+        with pytest.raises(ConfigError, match="at least 2 points"):
+            _sim_config({"design": {"family": "pciod", "relays": 2},
+                         "constellation": {"type": kind, "points": 1}})
+        cfg = self.write_cfg(tmp_path, constellation={"type": kind, "points": 1})
+        assert run(["simulate", "--config", cfg]) == 3
+        assert "at least 2 points" in capsys.readouterr().err
+
     def test_direct_variant(self, tmp_path):
         cfg = self.write_cfg(tmp_path, design={"family": "direct", "t1": 2},
                              variant="direct", receiver="joint-ml",
@@ -262,6 +282,14 @@ def test_reference_config_budget(tmp_path):
     t0 = time.perf_counter()
     assert run(["pipeline", "--config", cfg, "--out-dir", tmp_path / "ref"]) == 0
     assert time.perf_counter() - t0 < 300.0
+
+
+@pytest.mark.parametrize("relays", [0, -1])
+def test_tradeoff_without_relays_exit_three(tmp_path, capsys, relays):
+    out = tmp_path / "curves.csv"
+    assert run(["tradeoff", "--relays", relays, "--out", out]) == 3
+    assert "at least one relay" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tradeoff_csv(tmp_path):

@@ -51,6 +51,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             d_star(-0.1, 2)
 
+    @pytest.mark.parametrize("n_relays", [0, -1])
+    @pytest.mark.parametrize("fn", [d_naf, d_star, d_code, d_lower, lower_branch])
+    def test_relay_count_checked(self, fn, n_relays):
+        with pytest.raises(ValueError, match="at least one relay"):
+            fn(0.25, n_relays)
+
 
 class TestOrderings:
     @pytest.mark.parametrize("r_relays", [1, 2, 4, 9])
@@ -97,3 +103,10 @@ class TestEmitCurves:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             emit_curves(2, 1)
+
+    @pytest.mark.parametrize("n_relays", [0, -1])
+    def test_relay_count_checked(self, n_relays):
+        with pytest.raises(ValueError, match="at least one relay"):
+            emit_curves(n_relays, 3)
+        with pytest.raises(ValueError, match="at least one relay"):
+            crossover(n_relays)

@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dstc import matkernel
+from dstc.designs import Design, build_family
 from dstc.receivers import (group_crossterm, ml_grouped, ml_joint,
                             pam_codebook, sufficient_stats, zf_detect)
+from dstc.verifier import check_group_decodable
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -85,6 +87,49 @@ def test_ml_grouped_equals_joint_when_decomposable(case, seed):
     grouped, _ = detect(ml_grouped, y, m, book, squeeze)
     joint, _ = detect(ml_joint, y, m, book, squeeze)
     assert np.array_equal(grouped, joint)
+
+
+def unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+@st.composite
+def decodable_designs(draw):
+    """Built-in group-decodable designs, disguised so the check must pass.
+
+    A_k -> U (sum_l c_kl A_l) V mixes the rows by a unitary U, the columns
+    by a unitary V and each weight with the others of its group by a real
+    matrix c. A_i^H A_j + A_j^H A_i becomes a real combination of V^H
+    (A_l^H A_m + A_m^H A_l) V over the groups of i and j, so it still
+    vanishes across groups.
+    """
+    family, r = draw(st.sampled_from([("pciod", 2), ("pciod", 4),
+                                      ("pciod-rect", 3), ("ciod4", 0)]))
+    d = build_family(family, r)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mix = np.zeros((d.k, d.k))
+    for grp in d.partition:
+        mix[np.ix_(grp, grp)] = rng.standard_normal((len(grp), len(grp)))
+    w = np.einsum("kl,ltr->ktr", mix, d.weights)
+    w = unitary(rng, d.t) @ w @ unitary(rng, d.r)
+    return Design("mixed-" + family, d.t, d.r, d.k, w, partition=d.partition)
+
+
+@SETTINGS
+@given(decodable_designs(), st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_ml_grouped_equals_joint_on_decodable_designs(d, points, seed):
+    assert check_group_decodable(d.weights, d.partition).passed
+    book = pam_codebook(d.partition, points)
+    rng = np.random.default_rng(seed)
+    batch = 4
+    # y = S(x) h + noise: column k of the model is A_k h for the channel h
+    h = rng.standard_normal((batch, d.r)) + 1j * rng.standard_normal((batch, d.r))
+    m = np.einsum("ktr,br->btk", d.weights, h)
+    x = book.assemble(rng.integers(0, book.group_sizes, size=(batch, book.n_groups)))
+    noise = rng.standard_normal((batch, d.t)) + 1j * rng.standard_normal((batch, d.t))
+    y = np.einsum("btk,bk->bt", m, x) + noise
+    assert np.array_equal(ml_grouped(y, m, book), ml_joint(y, m, book))
 
 
 @SETTINGS
