@@ -5,7 +5,9 @@ The story, in check order:
 1. every column must be a linear form in the source symbols only or their
    conjugates only (one matrix per relay);
 2. every relay matrix must have orthogonal rows, which keeps the
-   relay-amplified noise covariance diagonal (cheap whitening);
+   relay-amplified noise covariance diagonal (cheap whitening); the check
+   reads the relay set's Gram stack M_i M_i^H, the same stack the relay
+   Gram Gamma and the simulator's noise covariance are built from;
 3. cross-group weight matrices must anticommute (A_i^H A_j + A_j^H A_i = 0),
    splitting the ML search into per-group searches;
 4. the same condition must survive the channel-dependent whitening, checked
@@ -15,8 +17,8 @@ import numpy as np
 
 from dstc import (build_ciod4, build_pciod, check_clro, check_condition1,
                   check_group_decodable, check_whitened_group_decodable,
-                  compose_precode, compute_gamma, golden_cda, make_rng,
-                  protocol_params, relay_matrix_set, sample_channel,
+                  compose_precode, golden_cda, make_rng, protocol_params,
+                  relay_matrix_set, relay_noise_cov, sample_channel,
                   unit_energy_relays)
 from dstc.precoding import partition_mod4
 
@@ -42,9 +44,9 @@ def main():
     rs = unit_energy_relays(relay_matrix_set(ciod)).by_column()
     params = protocol_params(ciod, 10.0)
     ch = sample_channel(4, make_rng(2, 0))
-    gamma = compute_gamma(rs, ch.g, params)
+    gamma = relay_noise_cov(params, rs, ch.g)
     print("\nGamma for a random channel draw (block scalar):")
-    print(gamma.matrix.real)
+    print(gamma.real)
 
     # a high-rate design is CLRO but not 4-group decodable
     gd = golden_cda()

@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__, dmg, matkernel, verifier
 from .designs import (Design, build_family, load_design, relay_matrix_set,
                       save_design)
-from .gnaf_sim import (VARIANTS, SimConfig, protocol_params, results_to_csv,
-                       run_monte_carlo)
+from .gnaf_sim import (VARIANTS, SimConfig, check_count, protocol_params,
+                       results_to_csv, run_monte_carlo)
 from .precoding import (RotatedLattice, default_lattice, load_rotation,
                         pam_alphabet)
 from .receivers import (Codebook, ResourceGuardError, lattice_codebook,
@@ -43,11 +43,13 @@ def _resolve_design(spec) -> Design | None:
         spec = {"path": spec}
     if "path" in spec:
         return load_design(spec["path"])
+    for key in ("relays", "t1"):
+        check_count(key, spec.get(key, 0), 0)
     family = spec.get("family")
     if family == "direct":
         return None
     try:
-        return build_family(family, int(spec.get("relays", 0)), int(spec.get("t1", 0)))
+        return build_family(family, spec.get("relays", 0), spec.get("t1", 0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -55,9 +57,10 @@ def _resolve_design(spec) -> Design | None:
 def _resolve_codebook(d: Design | None, spec, t1: int = 0) -> Codebook:
     spec = spec or {"type": "pam", "points": 2}
     kind = spec.get("type", "pam")
-    points = int(spec.get("points", 2))
-    if points < 2:
+    points = spec.get("points", 2)
+    if isinstance(points, (int, float)) and points < 2:
         raise ConfigError(f"a constellation needs at least 2 points, got {points}")
+    check_count("points", points, 2)
     if d is None:
         if t1 < 1:
             raise ConfigError("direct transmission needs t1 >= 1")
@@ -112,20 +115,19 @@ def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; known: {VARIANTS}")
     dspec = cfg.get("design")
-    t1 = int(dspec.get("t1", 0)) if isinstance(dspec, dict) else 0
+    t1 = dspec.get("t1", 0) if isinstance(dspec, dict) else 0
     book = _resolve_codebook(d, cfg.get("constellation"), t1=t1)
     sim = SimConfig(
         design=d,
         codebook=book,
         receiver=cfg.get("receiver", "joint-ml"),
         snr_db=_parse_snr(cfg.get("snr_db", "0:5:20")),
-        trials=int(cfg.get("trials", 10000)),
-        seed=int(cfg.get("seed", 0)),
+        trials=cfg.get("trials", 10000),
+        seed=cfg.get("seed", 0),
         variant=variant,
         pi=tuple(float(v) for v in cfg.get("pi", (1.0, 1.0, 1.0))),
-        batch_size=int(cfg.get("batch_size", 4096)),
+        batch_size=cfg.get("batch_size", 4096),
         workers=cfg.get("workers"),
-        design_tag=(d.family if d else "direct"),
     )
     resolved = {
         "version": __version__,
@@ -279,9 +281,11 @@ def cmd_pipeline(args) -> int:
     checks = cfg.get("checks", ["clro", "group"])
     reports = []
     if sim.design is not None and checks:
+        draws = cfg.get("draws", 20)
+        check_count("draws", draws, 1)
         reports = run_checks(sim.design, checks,
                              cfg.get("verify_constellation", "qam4"),
-                             int(cfg.get("draws", 20)), sim.seed)
+                             draws, sim.seed)
     report_doc = {"config": resolved, **_report_json(reports)}
     (outdir / "report.json").write_text(json.dumps(report_doc, indent=1))
     failed = [r for r in reports if not r.passed]

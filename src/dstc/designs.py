@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,11 @@ class RelayMatrixSet:
     @property
     def t1(self) -> int:
         return self.matrices[0].shape[1]
+
+    @cached_property
+    def grams(self) -> np.ndarray:
+        """The (R, T2, T2) stack M_i M_i^H that every noise quantity reads."""
+        return np.array([m @ matkernel.herm(m) for m in self.matrices])
 
     def reassemble(self, s: np.ndarray) -> np.ndarray:
         """Rebuild the T x R codeword from the source vector."""

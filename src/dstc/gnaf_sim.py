@@ -21,12 +21,12 @@ Variants: ``gnaf1`` (source also transmits in phase 2 through A0), ``gnaf2``
 and ``gnaf3`` (source silent in phase 2), ``jh`` (no direct link: the
 destination only observes phase 2), ``direct`` (no relays at all, baseline).
 
-The relay-amplified noise makes the stacked noise covariance Omega a
-non-identity block diagonal matrix, whose relay term is formed once
-(``relay_noise_cov``). ``noise_cov`` returns Omega dense, exact for any
-relay set. The Monte Carlo whitens with its diagonal only
-(``omega_diagonals``), which is exact for conjugate-linear row-orthogonal
-(CLRO) designs, so it refuses any design that fails the CLRO check.
+The stacked noise covariance Omega is the identity plus, on the
+cooperation rows, the relay Gram Gamma (``relay_noise_cov``). Gamma, Omega
+(``noise_cov``, dense, exact for any relay set) and Omega's diagonal
+(``omega_diagonals``) all read the relay set's Gram stack M_i M_i^H. The
+Monte Carlo whitens with the diagonal only, which is exact for
+conjugate-linear row-orthogonal (CLRO) designs, so it refuses the others.
 
 SNR convention: SNR == P (linear total power), reported as 10*log10(P);
 all noises have unit variance per complex dimension. The power fractions
@@ -166,32 +166,34 @@ def draw_noise(params: ProtocolParams, rng: np.random.Generator) -> NoiseDraw:
 
 def relay_noise_cov(params: ProtocolParams, rs: RelayMatrixSet,
                     g: np.ndarray) -> np.ndarray:
-    """Covariance of the relay-amplified noise, amplify * sum_i |g_i|^2 M_i M_i^H.
+    """Relay noise covariance Gamma = amplify * sum_i |g_i|^2 M_i M_i^H.
 
-    ``g`` holds the relay-to-destination gains on its last axis, (..., R).
-    This is the channel-dependent relay Gram matrix Gamma of the verifier.
+    ``g`` holds the relay-to-destination gains on its last axis, (..., R);
+    a wrong count or a non-finite gain raises ValueError.
     """
-    grams = np.stack([m @ matkernel.herm(m) for m in rs.matrices])
-    return params.amplify * np.einsum("...i,ist->...st", np.abs(g) ** 2, grams)
+    if np.shape(g)[-1:] != (rs.n_relays,):
+        raise ValueError(f"need {rs.n_relays} relay gains on the last axis, "
+                         f"got shape {np.shape(g)}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite relay gain")
+    return params.amplify * np.einsum("...i,ist->...st", np.abs(g) ** 2, rs.grams)
 
 
 def noise_cov(params: ProtocolParams, ch: ChannelRealization,
               rs: RelayMatrixSet | None) -> np.ndarray:
     """Covariance of the stacked noise W, dense, for one trial.
 
-    Block diagonal: identity on the broadcast rows, and on the cooperation
-    rows I + relay_noise_cov. Row-orthogonal relay matrices make it
-    diagonal; for any other relay set the lower block is dense, and this
-    function still returns it exactly. The Monte Carlo uses only the
-    diagonal (omega_diagonals) and refuses designs that fail CLRO.
+    The identity, plus relay_noise_cov on the trailing T2 (cooperation)
+    rows. Row-orthogonal relay matrices make it diagonal; for any other
+    relay set the lower block is dense, and this function still returns it
+    exactly. The Monte Carlo uses only the diagonal (omega_diagonals) and
+    refuses designs that fail CLRO.
     """
-    if params.variant == "direct":
-        return np.eye(params.t1, dtype=np.complex128)
-    lower = np.eye(params.t2) + relay_noise_cov(params, rs, ch.g)
-    if params.variant == "jh":
-        return lower
-    omega = np.eye(params.t1 + params.t2, dtype=np.complex128)
-    omega[params.t1:, params.t1:] = lower
+    rows = {"direct": params.t1, "jh": params.t2}.get(params.variant,
+                                                     params.t1 + params.t2)
+    omega = np.eye(rows, dtype=np.complex128)
+    if params.variant != "direct":
+        omega[-params.t2:, -params.t2:] += relay_noise_cov(params, rs, ch.g)
     return omega
 
 
@@ -322,7 +324,7 @@ def omega_diagonals(params: ProtocolParams, rs: RelayMatrixSet,
     Valid for row-orthogonal relay sets, where the covariance is diagonal.
     """
     b = g.shape[0]
-    row_energy = np.stack([np.sum(np.abs(m) ** 2, axis=1) for m in rs.matrices])
+    row_energy = np.einsum("itt->it", rs.grams).real
     lower = 1.0 + params.amplify * (np.abs(g) ** 2) @ row_energy   # (b, t2)
     if params.variant == "jh":
         return lower
@@ -385,13 +387,13 @@ class SimConfig:
     pi: tuple[float, float, float] = (1.0, 1.0, 1.0)
     batch_size: int = 4096
     workers: int | None = None
-    design_tag: str = ""
 
     def __post_init__(self):
-        _check_count("trials", self.trials, 0)
-        _check_count("batch_size", self.batch_size, 1)
+        check_count("trials", self.trials, 0)
+        check_count("seed", self.seed, 0)
+        check_count("batch_size", self.batch_size, 1)
         if self.workers is not None:
-            _check_count("workers", self.workers, 1)
+            check_count("workers", self.workers, 1)
 
     def resolved_workers(self) -> int:
         """Requested worker count, capped by the DSTC_MAX_WORKERS env var."""
@@ -407,7 +409,8 @@ class SimConfig:
         return max(1, requested)
 
 
-def _check_count(name: str, value, least: int) -> None:
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
             or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, "
@@ -532,13 +535,17 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     this call.
 
     Raises ValueError before any batch runs for a design the batched model
-    would get wrong: odd K (the source pairs real symbols into complex
-    ones), or a failed CLRO check, under which the noise covariance is not
-    diagonal and whitening by its diagonal would be wrong.
+    would get wrong: a design (or none) that does not match the variant,
+    odd K (the source pairs real symbols into complex ones), or a failed
+    CLRO check, under which whitening by the diagonal would be wrong.
     """
     from . import verifier  # deferred: verifier depends on this module
     if cfg.receiver not in _RECEIVERS:
         raise ValueError(f"unknown receiver {cfg.receiver!r}; known: {_RECEIVERS}")
+    tag = cfg.design.family if cfg.design else "direct"
+    if (cfg.design is None) != (cfg.variant == "direct"):
+        raise ValueError(f"design {tag!r} with variant {cfg.variant!r}: only "
+                         "the direct design runs the no-relay baseline")
     rs = None
     if cfg.design is not None:
         if cfg.design.k % 2:
@@ -585,7 +592,6 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
         parts = [_run_batch(cfg, rs, *t) for t in tasks]
 
     results = []
-    tag = cfg.design_tag or (cfg.design.family if cfg.design else "direct")
     for si in range(len(cfg.snr_db)):
         point = parts[si * n_batches:(si + 1) * n_batches]
         errors, decisions, fallbacks, erasures = (sum(col) for col in zip(*point))

@@ -5,9 +5,10 @@ Checks, each returning a report with a concrete witness on failure:
 * conjugate-linearity of columns (each design column uses only the source
   symbols or only their conjugates) and row-orthogonality of the extracted
   relay matrices — together these make the relay-amplified noise covariance
-  diagonal and let each relay operate with a single matrix;
+  diagonal and let each relay operate with a single matrix; both this
+  check and the relay Gram Gamma read the relay set's Gram stack;
 * the weight-matrix anticommutation condition for group-by-group ML
-  decoding, on raw weights and on channel-whitened weights over random
+  decoding, on raw weights and on Gamma-whitened weights over random
   draws;
 * exhaustive minimum codeword-difference determinants (full diversity),
   the determinant probe across constellation sizes (non-vanishing
@@ -60,14 +61,6 @@ class VerifierReport:
         return f"[{tag}] {self.check}: margin {self.margin:.3e}{extra}"
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
-    """Channel-dependent relay Gram matrix with its scalar prefactor."""
-
-    matrix: np.ndarray            # T2 x T2 Hermitian PSD
-    prefactor: float              # pi3 P / (pi1 P + 1)
-
-
 # ---------------------------------------------------------------------------
 # conjugate-linearity / row orthogonality
 # ---------------------------------------------------------------------------
@@ -87,16 +80,11 @@ def check_condition1(d: Design) -> VerifierReport:
 
 def check_condition2(rs: RelayMatrixSet) -> VerifierReport:
     """All rows of every relay matrix must be mutually orthogonal."""
-    worst = 0.0
-    bad = None
-    for i, m in enumerate(rs.matrices):
-        gram = m @ matkernel.herm(m)
-        off = gram - np.diag(np.diag(gram))
-        val = float(np.max(np.abs(off))) if off.size else 0.0
-        if val > worst:
-            worst = val
-        thr = matkernel.zero_threshold(float(np.max(np.abs(gram))) if gram.size else 0.0)
-        if val > thr and bad is None:
+    worst, bad = 0.0, None
+    for i, gram in enumerate(rs.grams):
+        val = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+        worst = max(worst, val)
+        if bad is None and val > matkernel.zero_threshold(float(np.max(np.abs(gram)))):
             bad = i
     return VerifierReport("condition2", bad is None, worst, bad)
 
@@ -150,19 +138,12 @@ def check_group_decodable(weights: np.ndarray, partition) -> VerifierReport:
                           {"groups": len(partition)})
 
 
-def compute_gamma(rs: RelayMatrixSet, gains, params: ProtocolParams) -> GammaMatrix:
-    """Gamma = [pi3 P/(pi1 P+1)] * sum_i |g_i|^2 M_i M_i^H (Hermitian PSD)."""
-    gains = np.asarray(gains, dtype=np.complex128)
-    if gains.shape != (rs.n_relays,):
-        raise ValueError(f"need {rs.n_relays} relay gains, got {gains.shape}")
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("non-finite relay gain")
-    return GammaMatrix(relay_noise_cov(params, rs, gains), params.amplify)
+def whitened_weights(d: Design, gamma: np.ndarray) -> np.ndarray:
+    """Weight matrices of Gamma^{-1/2} S(X) (rows conditioned per draw).
 
-
-def whitened_weights(d: Design, gamma: GammaMatrix) -> np.ndarray:
-    """Weight matrices of Gamma^{-1/2} S(X) (rows conditioned per draw)."""
-    w = matkernel.inv_sqrt_pd(gamma.matrix)
+    Raises numpy.linalg.LinAlgError if ``gamma`` is not positive definite.
+    """
+    w = matkernel.inv_sqrt_pd(gamma)
     return np.einsum("ts,ksr->ktr", w, d.weights)
 
 
@@ -171,9 +152,9 @@ def check_whitened_group_decodable(d: Design, partition, params: ProtocolParams,
     """Anticommutation of the whitened relay-part weights over random draws.
 
     Each draw conditions the design by the inverse square root of the relay
-    Gram matrix for freshly sampled link gains; near-singular draws (all
-    gains tiny) are resampled and counted. The report records the seed so a
-    failing draw is replayable.
+    Gram matrix for freshly sampled link gains; draws where it is not
+    positive definite (all gains tiny) are resampled and counted. The
+    report records the seed so a failing draw is replayable.
     """
     if n_draws < 1:
         raise ValueError("need at least one draw")
@@ -185,16 +166,16 @@ def check_whitened_group_decodable(d: Design, partition, params: ProtocolParams,
     draws = 0
     while draws < n_draws:
         ch = sample_channel(d.r, rng)
-        gamma = compute_gamma(rs, ch.g, params)
-        evals = np.linalg.eigvalsh(gamma.matrix)
-        if evals[0] <= matkernel.zero_threshold(float(evals[-1])):
+        try:
+            weights = whitened_weights(d, relay_noise_cov(params, rs, ch.g))
+        except np.linalg.LinAlgError:
             resamples += 1
             if resamples > 100 * n_draws:
                 raise RuntimeError("relay Gram matrix singular on every draw; "
-                                   "the relay set cannot be whitened")
+                                   "the relay set cannot be whitened") from None
             continue
         draws += 1
-        rep = check_group_decodable(whitened_weights(d, gamma), partition)
+        rep = check_group_decodable(weights, partition)
         worst = max(worst, rep.margin)
         if not rep.passed and witness is None:
             witness = {"draw": draws - 1, "pair": rep.witness,

@@ -17,14 +17,14 @@ from dstc.dmg import crossover, d_code, d_lower, d_naf, d_star
 from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, SimConfig,
                            column_gains, crandn, draw_noise, effective_matrix,
                            make_rng, noise_cov, omega_diagonals,
-                           protocol_params, run_monte_carlo, sample_channel,
-                           simulate_trial)
+                           protocol_params, relay_noise_cov, run_monte_carlo,
+                           sample_channel, simulate_trial)
 from dstc.precoding import default_lattice
 from dstc.receivers import (lattice_codebook, ml_grouped, ml_joint,
                             ml_joint_metrics, pam_codebook, qam_codebook)
 from dstc.verifier import (check_group_decodable,
-                           check_whitened_group_decodable, compute_gamma,
-                           min_delta_det_full, nvd_probe)
+                           check_whitened_group_decodable, min_delta_det_full,
+                           nvd_probe)
 
 
 def verdict(num, name, passed, detail, elapsed=None, budget=None):
@@ -180,11 +180,11 @@ def test_c05_gamma_closed_form():
     worst = 0.0
     for _ in range(100):
         g = crandn(rng, 4)
-        gm = compute_gamma(rs, g, params)
+        gm = relay_noise_cov(params, rs, g)
         a = abs(g[0]) ** 2 + abs(g[1]) ** 2
         b = abs(g[2]) ** 2 + abs(g[3]) ** 2
         want = pref * np.diag([a, a, b, b])
-        worst = max(worst, float(np.max(np.abs(gm.matrix - want))))
+        worst = max(worst, float(np.max(np.abs(gm - want))))
     verdict(5, "gamma-closed-form", worst < 1e-12,
             f"max deviation from block formula {worst:.2e} over 100 draws")
 

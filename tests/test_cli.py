@@ -169,12 +169,20 @@ class TestSimulateAndPipeline:
         ("workers", "2"), ("workers", 2.5), ("workers", 0),
         ("batch_size", 0), ("batch_size", -5), ("trials", -1),
         ("DSTC_MAX_WORKERS", "abc"),
+        # non-integer counts are refused, not truncated
+        ("trials", 2000.7), ("batch_size", 100.9), ("seed", 1.5),
+        ("points", 2.9), ("relays", 2.7),
     ])
     def test_bad_count_exit_three(self, tmp_path, capsys, monkeypatch,
                                   field, value):
+        nested = {"points": ("constellation", {"type": "lattice"}),
+                  "relays": ("design", {"family": "pciod"})}
         if field == "DSTC_MAX_WORKERS":
             monkeypatch.setenv(field, value)
             cfg = self.write_cfg(tmp_path)
+        elif field in nested:
+            key, spec = nested[field]
+            cfg = self.write_cfg(tmp_path, **{key: {**spec, field: value}})
         else:
             cfg = self.write_cfg(tmp_path, **{field: value})
         assert run(["simulate", "--config", cfg]) == 3
@@ -195,6 +203,25 @@ class TestSimulateAndPipeline:
                              constellation={"type": "qam", "points": 4})
         out = tmp_path / "res.csv"
         assert run(["simulate", "--config", cfg, "--out", out]) == 0
+
+    @pytest.mark.parametrize("design, variant", [
+        ({"family": "direct", "t1": 2}, "gnaf2"),
+        ({"family": "pciod", "relays": 2}, "direct"),
+    ], ids=["direct-design-relay-variant", "relay-design-direct-variant"])
+    def test_direct_mismatch_exit_three(self, tmp_path, capsys, design, variant):
+        cfg = self.write_cfg(tmp_path, design=design, variant=variant,
+                             receiver="joint-ml",
+                             constellation={"type": "qam", "points": 4})
+        out = tmp_path / "res.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 3
+        assert "no-relay baseline" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pipeline_bad_draws_exit_three(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, checks=["whitened"], draws=2.5)
+        assert run(["pipeline", "--config", cfg,
+                    "--out-dir", tmp_path / "out"]) == 3
+        assert "error: draws must be an integer" in capsys.readouterr().err
 
     def test_rotation_from_file(self, tmp_path):
         # a user-supplied rotation file replaces the built-in table

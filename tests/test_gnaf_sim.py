@@ -12,12 +12,11 @@ from dstc.designs import (Design, build_pciod, build_toeplitz, golden_cda,
 from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
                            SimConfig, SimResult, column_gains, draw_noise,
                            effective_matrix, make_rng, noise_cov,
-                           protocol_params, results_to_csv, run_monte_carlo,
-                           sample_channel, simulate_trial)
+                           protocol_params, relay_noise_cov, results_to_csv,
+                           run_monte_carlo, sample_channel, simulate_trial)
 from dstc.precoding import default_lattice
 from dstc.receivers import (ResourceGuardError, lattice_codebook, pam_codebook,
                             qam_codebook)
-from dstc.verifier import compute_gamma
 
 
 def zero_noise(params):
@@ -159,8 +158,8 @@ class TestNoiseCov:
         params = protocol_params(d, 2.5)
         ch = sample_channel(4, make_rng(6, 1))
         omega = noise_cov(params, ch, rs)
-        gamma = compute_gamma(rs, ch.g, params)
-        assert np.allclose(omega[4:, 4:], np.eye(4) + gamma.matrix, atol=1e-12)
+        gamma = relay_noise_cov(params, rs, ch.g)
+        assert np.allclose(omega[4:, 4:], np.eye(4) + gamma, atol=1e-12)
 
     def test_non_clro_dense_path(self):
         # a relay matrix with non-orthogonal rows gives a dense lower block

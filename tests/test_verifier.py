@@ -4,14 +4,14 @@ import pytest
 from dstc.designs import (Design, RelayMatrixSet, build_ciod4, build_pciod,
                           build_pciod_rect, build_toeplitz, compose_precode,
                           golden_cda, relay_matrix_set)
-from dstc.gnaf_sim import make_rng, protocol_params, sample_channel
+from dstc.gnaf_sim import (make_rng, protocol_params, relay_noise_cov,
+                           sample_channel)
 from dstc.precoding import default_lattice, partition_mod4
 from dstc.receivers import ResourceGuardError, lattice_codebook, pam_codebook
-from dstc.verifier import (GammaMatrix, check_condition1, check_condition2,
+from dstc.verifier import (check_condition1, check_condition2,
                            check_group_decodable,
-                           check_whitened_group_decodable, compute_gamma,
-                           min_delta_det, min_delta_det_full, nvd_probe,
-                           whitened_weights)
+                           check_whitened_group_decodable, min_delta_det,
+                           min_delta_det_full, nvd_probe, whitened_weights)
 
 ALL_FAMILIES = [build_pciod(2), build_pciod(4), build_pciod(6),
                 build_pciod_rect(1), build_pciod_rect(3),
@@ -115,9 +115,9 @@ class TestGamma:
         eye = np.eye(3, dtype=complex)
         rs = RelayMatrixSet((eye, eye, eye, eye), (False,) * 4, (0, 1, 2, 3))
         params = protocol_params(build_pciod(2), 5.0)
-        gm = compute_gamma(rs, np.ones(4), params)
+        gm = relay_noise_cov(params, rs, np.ones(4))
         pref = 5.0 / 6.0
-        assert np.allclose(gm.matrix, 4 * pref * eye, atol=1e-12)
+        assert np.allclose(gm, 4 * pref * eye, atol=1e-12)
 
     def test_term_by_term_oracle(self):
         d = build_pciod(4)
@@ -126,12 +126,12 @@ class TestGamma:
         rng = make_rng(17, 0)
         for _ in range(20):
             ch = sample_channel(4, rng)
-            gm = compute_gamma(rs, ch.g, params)
+            gm = relay_noise_cov(params, rs, ch.g)
             want = np.zeros((4, 4), dtype=complex)
             for gi, m in zip(ch.g, rs.matrices):
                 want += (abs(gi) ** 2) * (m @ m.conj().T)
             want *= 3.0 / 4.0
-            assert np.max(np.abs(gm.matrix - want)) < 1e-12
+            assert np.max(np.abs(gm - want)) < 1e-12
 
     def test_always_psd_hermitian(self):
         d = golden_cda()
@@ -140,14 +140,24 @@ class TestGamma:
         rng = make_rng(23, 1)
         for _ in range(50):
             ch = sample_channel(d.r, rng)
-            gm = compute_gamma(rs, ch.g, params)
-            assert np.allclose(gm.matrix, gm.matrix.conj().T, atol=1e-12)
-            assert np.linalg.eigvalsh(gm.matrix)[0] >= -1e-12
+            gm = relay_noise_cov(params, rs, ch.g)
+            assert np.allclose(gm, gm.conj().T, atol=1e-12)
+            assert np.linalg.eigvalsh(gm)[0] >= -1e-12
 
     def test_gain_count_checked(self):
         rs = relay_matrix_set(build_pciod(2))
+        params = protocol_params(build_pciod(2), 1.0)
         with pytest.raises(ValueError):
-            compute_gamma(rs, np.ones(3), protocol_params(build_pciod(2), 1.0))
+            relay_noise_cov(params, rs, np.ones(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            relay_noise_cov(params, rs, np.array([1.0, np.nan]))
+        # batched (B, R) gains give the per-draw matrices, stacked
+        rng = make_rng(29, 0)
+        g = np.stack([sample_channel(2, rng).g for _ in range(5)])
+        batched = relay_noise_cov(params, rs, g)
+        assert batched.shape == (5, 2, 2)
+        for b in range(5):
+            assert np.array_equal(batched[b], relay_noise_cov(params, rs, g[b]))
 
 
 class TestWhitened:
@@ -161,11 +171,20 @@ class TestWhitened:
 
     def test_identity_gamma_reduces_to_unwhitened(self):
         d = build_pciod(4)
-        gamma = GammaMatrix(np.eye(4, dtype=complex), 1.0)
-        w = whitened_weights(d, gamma)
+        w = whitened_weights(d, np.eye(4, dtype=complex))
         rep_w = check_group_decodable(w, d.partition)
         rep_u = check_group_decodable(d.weights, d.partition)
         assert rep_w.passed == rep_u.passed
+
+    def test_singular_gamma_on_every_draw_raises(self):
+        # the second row of the only relay matrix is zero, so Gamma is
+        # singular whatever the gains
+        w = np.zeros((2, 2, 1), dtype=complex)
+        w[0, 0, 0], w[1, 0, 0] = 1.0, 1j
+        d = Design("custom", 2, 1, 2, w)
+        params = protocol_params(d, 10.0)
+        with pytest.raises(RuntimeError, match="singular on every draw"):
+            check_whitened_group_decodable(d, ((0, 1),), params, n_draws=2)
 
     def test_rect_designs_pass_for_any_relay_count(self):
         # the drop-a-column construction keeps 4-group decodability
