@@ -32,7 +32,7 @@ def main():
 
     for n in (2, 3, 4):
         g = rotation(n)
-        mpd = min_product_distance(g, [-1.0, 0.0, 1.0], n)
+        mpd = min_product_distance(g, [-1.0, 0.0, 1.0])
         print(f"rotation n={n}: orthogonality error "
               f"{np.max(np.abs(g.T @ g - np.eye(n))):.1e}, "
               f"min product distance {mpd:.5f}")

@@ -20,14 +20,13 @@ from .gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
                        effective_matrix, make_rng, noise_cov,
                        protocol_params, relay_noise_cov, results_to_csv,
                        run_monte_carlo, sample_channel, simulate_trial)
-from .precoding import (RotatedLattice, decode_groups, default_lattice,
-                        encode_groups, pam_alphabet, partition_mod4, rotation)
+from .precoding import (RotatedLattice, default_lattice, pam_alphabet,
+                        partition_mod4, rotation)
 from .receivers import (Codebook, ResourceGuardError, lattice_codebook,
                         ml_grouped, ml_joint, mmse_detect, pam_codebook,
                         qam_codebook, zf_detect)
 from .verifier import (NvdProbe, VerifierReport, check_clro,
                        check_condition1, check_condition2,
                        check_group_decodable,
-                       check_whitened_group_decodable, min_delta_det,
-                       min_delta_det_full, min_product_distance, nvd_probe,
-                       whitened_weights)
+                       check_whitened_group_decodable, min_delta_det_full,
+                       min_product_distance, nvd_probe, whitened_weights)

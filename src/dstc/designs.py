@@ -25,7 +25,7 @@ Families:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -158,14 +158,6 @@ class RelayMatrixSet:
     def grams(self) -> np.ndarray:
         """The (R, T2, T2) stack M_i M_i^H that every noise quantity reads."""
         return np.array([m @ matkernel.herm(m) for m in self.matrices])
-
-    def reassemble(self, s: np.ndarray) -> np.ndarray:
-        """Rebuild the T x R codeword from the source vector."""
-        s = np.asarray(s, dtype=np.complex128)
-        out = np.zeros((self.t2, len(self.matrices)), dtype=np.complex128)
-        for i, (m, cj, col) in enumerate(zip(self.matrices, self.conj, self.columns)):
-            out[:, col] = m @ (np.conj(s) if cj else s)
-        return out
 
     def scaled(self, factors) -> "RelayMatrixSet":
         factors = np.broadcast_to(np.asarray(factors, dtype=np.float64), (self.n_relays,))

@@ -62,11 +62,6 @@ def d_lower(r: float, n_relays: int) -> float:
     return max(1.0 - _check_r(r), d_code(r, n_relays))
 
 
-def lower_branch(r: float, n_relays: int) -> str:
-    """Which branch of the composite bound is active ('code' or 'no_coop')."""
-    return "code" if d_code(r, n_relays) >= 1.0 - _check_r(r) else "no_coop"
-
-
 def crossover(n_relays: int) -> float:
     """Multiplexing gain where no-cooperation overtakes the coded bound."""
     n_relays = _check_relays(n_relays)

@@ -90,18 +90,12 @@ class ProtocolParams:
     r: int = 1                    # relay count
     q: int = 1                    # plain (non-conjugating) relay count
     variant: str = "gnaf2"
-    a0: np.ndarray | None = None  # source cooperation-phase matrix (gnaf1)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; known: {VARIANTS}")
         if not (self.p > 0 and self.pi1 > 0 and self.pi2 > 0 and self.pi3 > 0):
             raise ValueError("powers must be positive")
-        if self.a0 is not None:
-            a0 = np.asarray(self.a0, dtype=np.complex128)
-            if a0.shape != (self.t2, self.t1):
-                raise ValueError(f"a0 must be {self.t2}x{self.t1}")
-            object.__setattr__(self, "a0", a0)
 
     @property
     def amplify(self) -> float:
@@ -114,21 +108,19 @@ class ProtocolParams:
         return float(np.sqrt(self.pi3 * self.pi1 * self.p ** 2 / (self.pi1 * self.p + 1.0)))
 
     def source_matrix(self) -> np.ndarray:
-        """A0 (defaults to the T2 x T1 truncated/padded identity)."""
-        if self.a0 is not None:
-            return self.a0
+        """A0, the source's cooperation-phase matrix (gnaf1): the T2 x T1
+        truncated/padded identity."""
         return np.eye(self.t2, self.t1, dtype=np.complex128)
 
 
 def protocol_params(d: Design, p: float, variant: str = "gnaf2",
                     pi: tuple[float, float, float] = (1.0, 1.0, 1.0),
-                    a0: np.ndarray | None = None,
                     rs: RelayMatrixSet | None = None) -> ProtocolParams:
     """Fill phase geometry from a design: T1 = K/2 complex symbols, T2 = T."""
     rs = rs or relay_matrix_set(d)
     return ProtocolParams(p=p, pi1=pi[0], pi2=pi[1], pi3=pi[2],
                           t1=d.n_complex, t2=d.t, r=d.r, q=rs.q,
-                          variant=variant, a0=a0)
+                          variant=variant)
 
 
 @dataclass(frozen=True)
@@ -215,19 +207,13 @@ def _stack_noise(params: ProtocolParams, ch: ChannelRealization,
 
 def simulate_trial(d: Design | None, params: ProtocolParams,
                    ch: ChannelRealization, s: np.ndarray,
-                   rng: np.random.Generator | None = None,
-                   mode: str = "compact",
-                   noise: NoiseDraw | None = None,
+                   mode: str = "compact", *, noise: NoiseDraw,
                    rs: RelayMatrixSet | None = None) -> np.ndarray:
     """One received vector, via the compact model or the physical protocol.
 
-    Passing an explicit ``noise`` draw makes the two modes comparable on
-    identical randomness; otherwise the draw comes from ``rng``.
+    The explicit ``noise`` draw (see draw_noise) makes the two modes
+    comparable on identical randomness.
     """
-    if noise is None:
-        if rng is None:
-            raise ValueError("need either a noise draw or an rng")
-        noise = draw_noise(params, rng)
     s = np.asarray(s, dtype=np.complex128)
     if d is not None and rs is None:
         rs = relay_matrix_set(d)

@@ -37,12 +37,12 @@ def herm(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
-def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
+    """Square and equal to its conjugate transpose under the zero test."""
     a = as_cmatrix(m)
     if a.shape[0] != a.shape[1]:
         return False
-    if tol is None:
-        tol = zero_threshold(float(np.max(np.abs(a))) if a.size else 0.0)
+    tol = zero_threshold(float(np.max(np.abs(a))) if a.size else 0.0)
     return bool(np.max(np.abs(a - herm(a))) <= tol) if a.size else True
 
 

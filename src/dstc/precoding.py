@@ -92,24 +92,25 @@ def rotation(n: int) -> np.ndarray:
 
 
 def load_rotation(path) -> np.ndarray:
-    """Read a rotation from a text file: n, then n*n row-major doubles."""
+    """Read a rotation from a text file: n, then n*n row-major doubles.
+
+    Raises ValueError naming the file when the header is not a positive
+    integer, the value count is not n*n or the matrix is not finite and
+    orthogonal.
+    """
     with open(path) as fh:
         vals = fh.read().split()
-    n = int(vals[0])
+    n = int(vals[0]) if vals and vals[0].isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"rotation file {path}: the header must be a positive "
+                         f"integer n, followed by n*n row-major values")
     if len(vals) != 1 + n * n:
-        raise ValueError(f"rotation file holds {len(vals) - 1} values, need {n * n}")
+        raise ValueError(f"rotation file {path} holds {len(vals) - 1} values, "
+                         f"need {n * n}")
     g = np.array([float(v) for v in vals[1:]]).reshape(n, n)
-    if np.max(np.abs(g.T @ g - np.eye(n))) > 1e-9:
-        raise ValueError("rotation file matrix is not orthogonal")
+    if not (np.all(np.isfinite(g)) and np.max(np.abs(g.T @ g - np.eye(n))) <= 1e-9):
+        raise ValueError(f"rotation file {path}: matrix is not finite and orthogonal")
     return g
-
-
-def save_rotation(g: np.ndarray, path) -> None:
-    g = np.asarray(g, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write(f"{g.shape[0]}\n")
-        for row in g:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +143,10 @@ class RotatedLattice:
         g = np.asarray(self.g, dtype=np.float64)
         if g.shape != (self.n, self.n):
             raise ValueError(f"generator must be {self.n}x{self.n}")
-        if np.max(np.abs(g.T @ g - np.eye(self.n))) > 1e-9:
-            raise ValueError("generator is not orthogonal")
+        if not (np.all(np.isfinite(g)) and np.max(np.abs(g.T @ g - np.eye(self.n))) <= 1e-9):
+            raise ValueError("generator is not finite and orthogonal")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "base", np.asarray(self.base, dtype=np.float64))
-
-    @property
-    def size(self) -> int:
-        return len(self.base) ** self.n
-
-    def point(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.shape != (self.n,):
-            raise ValueError(f"need {self.n} indices")
-        if idx.min() < 0 or idx.max() >= len(self.base):
-            raise ValueError("alphabet index out of range")
-        return self.g @ self.base[idx]
 
     def points(self) -> np.ndarray:
         """All lattice points, shape (len(base)^n, n), index-lexicographic."""
@@ -174,32 +163,3 @@ class RotatedLattice:
 
 def default_lattice(n: int, points_per_coord: int = 2) -> RotatedLattice:
     return RotatedLattice(n, rotation(n), pam_alphabet(points_per_coord))
-
-
-def encode_groups(symbol_indices, lattice: RotatedLattice, partition) -> np.ndarray:
-    """Fill a real symbol vector group by group from alphabet indices.
-
-    ``symbol_indices`` holds one alphabet index per group element, in
-    partition order (group 0's coordinates first). Each group is encoded
-    independently as a rotated lattice point.
-    """
-    k = sum(len(g) for g in partition)
-    idx = np.asarray(symbol_indices, dtype=np.intp)
-    if idx.shape != (k,):
-        raise ValueError(f"need {k} indices, got {idx.shape}")
-    x = np.zeros(k)
-    pos = 0
-    for grp in partition:
-        n = len(grp)
-        if n != lattice.n:
-            raise ValueError(f"group size {n} != lattice dimension {lattice.n}")
-        x[list(grp)] = lattice.point(idx[pos:pos + n])
-        pos += n
-    return x
-
-
-def decode_groups(x: np.ndarray, lattice: RotatedLattice, partition) -> np.ndarray:
-    """Invert encode_groups by per-group nearest-point slicing (noiseless exact)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.concatenate([lattice.nearest(x[..., list(grp)]) for grp in partition],
-                          axis=-1)

@@ -260,13 +260,6 @@ def gram_crossterm(gram: np.ndarray, groups) -> np.ndarray:
     return np.max(np.abs(gram) * cross, axis=(-2, -1), initial=0.0)
 
 
-def group_crossterm(model: np.ndarray, groups) -> float:
-    """Largest |Re(M^H M)| entry across different groups of one model matrix."""
-    m = np.asarray(model, dtype=np.complex128)
-    _, gram = sufficient_stats(np.zeros(m.shape[0]), m)
-    return float(gram_crossterm(gram, groups))
-
-
 # ---------------------------------------------------------------------------
 # maximum likelihood
 # ---------------------------------------------------------------------------
@@ -282,18 +275,6 @@ def _ml_argmin(z: np.ndarray, gram: np.ndarray, x: np.ndarray) -> np.ndarray:
     cand = np.concatenate([(x[:, :, None] * x[:, None, :]).reshape(n, k * k),
                            -2.0 * x], axis=-1)
     return np.argmin(coef @ cand.T, axis=-1)
-
-
-def ml_joint_metrics(y: np.ndarray, model: np.ndarray, x_all: np.ndarray) -> np.ndarray:
-    """Squared-distance metric of every codeword: (batch, n_codewords).
-
-    The full-distance reference; the detectors use the equivalent
-    sufficient-statistic metric instead.
-    """
-    y, m, squeeze = _as_batch(y, model)
-    sig = np.einsum("brk,nk->bnr", m, x_all)
-    met = np.sum(np.abs(y[:, None, :] - sig) ** 2, axis=-1)
-    return met[0] if squeeze else met
 
 
 def ml_joint(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray:
@@ -321,19 +302,6 @@ def ml_grouped(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarr
         idx = list(grp)
         out[..., g] = _ml_argmin(z[..., idx], gram[..., idx, :][..., idx], vals)
     return out
-
-
-def group_metric(y: np.ndarray, model: np.ndarray, codebook: Codebook,
-                 indices: np.ndarray) -> np.ndarray:
-    """Sum over groups of the per-group metric at the given decision indices."""
-    y, m, squeeze = _as_batch(y, model)
-    idx = np.atleast_2d(np.asarray(indices, dtype=np.intp))
-    tot = np.zeros(y.shape[0])
-    for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
-        mg = m[:, :, list(grp)]
-        sig = np.einsum("brk,bk->br", mg, vals[idx[:, g]])
-        tot += np.sum(np.abs(y - sig) ** 2, axis=-1)
-    return tot[0] if squeeze else tot
 
 
 # ---------------------------------------------------------------------------

@@ -368,22 +368,19 @@ def min_delta_det_full(d: Design, codebook) -> tuple[float, np.ndarray | None]:
     return _min_det_pairs(d, x)
 
 
-def min_delta_det(d: Design, codebook) -> float:
-    """Minimum codeword-difference determinant (see min_delta_det_full)."""
-    return min_delta_det_full(d, codebook)[0]
-
-
-def min_product_distance(g: np.ndarray, alphabet, n: int | None = None) -> float:
+def min_product_distance(g: np.ndarray, alphabet) -> float:
     """min over nonzero differences d of prod_i |(G d)_i|, exhaustively.
 
-    ``alphabet`` is the per-coordinate value set. The product distance of d
-    is |det diag(G d)|: the square root of the determinant minimum of the
-    design A_k = diag(G[:, k]) over one alphabet per coordinate. Oversized
-    requests raise ResourceGuardError.
+    ``g`` is a square n x n generator and ``alphabet`` the per-coordinate
+    value set. The product distance of d is |det diag(G d)|: the square
+    root of the determinant minimum of the design A_k = diag(G[:, k]) over
+    one alphabet per coordinate. Oversized requests raise
+    ResourceGuardError.
     """
     g = np.asarray(g, dtype=np.float64)
-    if n is None:
-        n = g.shape[0]
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"generator must be a square matrix, got shape {g.shape}")
+    n = g.shape[0]
     alphabet = np.asarray(alphabet, dtype=np.float64)
     if alphabet.size == 0:
         raise ValueError("empty alphabet")

@@ -225,9 +225,8 @@ class TestSimulateAndPipeline:
 
     def test_rotation_from_file(self, tmp_path):
         # a user-supplied rotation file replaces the built-in table
-        from dstc.precoding import rotation, save_rotation
         rot = tmp_path / "rot1.txt"
-        save_rotation(rotation(1), rot)
+        rot.write_text("1\n1.0\n")
         cfg = self.write_cfg(tmp_path, constellation={
             "type": "lattice", "points": 2, "rotation_file": str(rot)})
         out = tmp_path / "res.csv"
@@ -238,6 +237,17 @@ class TestSimulateAndPipeline:
         data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         data2 = [ln for ln in out2.read_text().splitlines() if not ln.startswith("#")]
         assert data == data2                  # identity rotation == builtin n=1
+
+    @pytest.mark.parametrize("text", ["", "0\n"], ids=["empty", "zero"])
+    def test_malformed_rotation_file_exit_three(self, tmp_path, capsys, text):
+        rot = tmp_path / "rot.txt"
+        rot.write_text(text)
+        cfg = self.write_cfg(tmp_path, constellation={
+            "type": "lattice", "points": 2, "rotation_file": str(rot)})
+        out = tmp_path / "res.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 3
+        assert "header must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDirectConstellation:

@@ -248,7 +248,10 @@ class TestRelayMatrixSet:
             for _ in range(100):
                 x = rng.standard_normal(d.k)
                 s = d.source_vector(x)
-                assert np.allclose(rs.reassemble(s), d.codeword(x), atol=1e-12)
+                rebuilt = np.zeros((rs.t2, d.r), dtype=complex)
+                for m, cj, col in zip(rs.matrices, rs.conj, rs.columns):
+                    rebuilt[:, col] = m @ (np.conj(s) if cj else s)
+                assert np.allclose(rebuilt, d.codeword(x), atol=1e-12)
 
     def test_mixed_column_rejected(self):
         # column 0 depends on both s and conj(s): x0*[[1],[0]] + x1*[[0],[0]]

@@ -4,8 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from dstc.dmg import (crossover, d_code, d_lower, d_naf, d_star, emit_curves,
-                      lower_branch)
+from dstc.dmg import crossover, d_code, d_lower, d_naf, d_star, emit_curves
 
 
 class TestClosedForms:
@@ -27,7 +26,7 @@ class TestClosedForms:
 
     def test_lower(self):
         assert d_lower(0.0, 4) == 5.0
-        assert lower_branch(0.0, 4) == "code"
+        assert d_code(0.0, 4) >= 1.0          # the coded branch is active at r = 0
         assert d_lower(1.0, 4) == 0.0
 
     def test_crossover_values(self):
@@ -42,8 +41,8 @@ class TestClosedForms:
     def test_branch_switch_at_crossover(self):
         for r_relays in (1, 2, 5):
             rc = crossover(r_relays)
-            assert lower_branch(rc - 1e-9, r_relays) == "code"
-            assert lower_branch(rc + 1e-9, r_relays) == "no_coop"
+            assert d_code(rc - 1e-9, r_relays) >= 1.0 - (rc - 1e-9)
+            assert d_code(rc + 1e-9, r_relays) < 1.0 - (rc + 1e-9)
 
     def test_domain_checked(self):
         with pytest.raises(ValueError):
@@ -52,7 +51,7 @@ class TestClosedForms:
             d_star(-0.1, 2)
 
     @pytest.mark.parametrize("n_relays", [0, -1])
-    @pytest.mark.parametrize("fn", [d_naf, d_star, d_code, d_lower, lower_branch])
+    @pytest.mark.parametrize("fn", [d_naf, d_star, d_code, d_lower])
     def test_relay_count_checked(self, fn, n_relays):
         with pytest.raises(ValueError, match="at least one relay"):
             fn(0.25, n_relays)

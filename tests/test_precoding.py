@@ -1,12 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from dstc.precoding import (RotatedLattice, decode_groups, default_lattice,
-                            encode_groups, load_rotation, pam_alphabet,
-                            partition_mod4, rotation, save_rotation)
-from dstc.receivers import ResourceGuardError
+from dstc.precoding import (RotatedLattice, default_lattice, load_rotation,
+                            pam_alphabet, partition_mod4, rotation)
+from dstc.receivers import ResourceGuardError, lattice_codebook
 from dstc.verifier import min_product_distance
 
 
@@ -58,14 +58,14 @@ class TestRotation:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_diversity_by_oracle(self, n):
         g = rotation(n)
-        got = min_product_distance(g, [-1.0, 0.0, 1.0], n)
+        got = min_product_distance(g, [-1.0, 0.0, 1.0])
         want = brute_force_mpd(g, [-1.0, 0.0, 1.0], n)
         assert got == pytest.approx(want)
         assert got > 1e-3
 
     def test_n2_value(self):
         # the planar rotation's minimum product distance is 1/sqrt(5)
-        got = min_product_distance(rotation(2), [0.0, 1.0], 2)
+        got = min_product_distance(rotation(2), [0.0, 1.0])
         assert got == pytest.approx(1.0 / np.sqrt(5.0), rel=1e-12)
 
     def test_unsupported_n(self):
@@ -75,7 +75,8 @@ class TestRotation:
     def test_file_round_trip(self, tmp_path):
         g = rotation(3)
         path = tmp_path / "rot3.txt"
-        save_rotation(g, path)
+        path.write_text("3\n" + "".join(" ".join(repr(float(v)) for v in row) + "\n"
+                                         for row in g))
         back = load_rotation(path)
         assert np.array_equal(back, g)
 
@@ -85,22 +86,42 @@ class TestRotation:
         with pytest.raises(ValueError):
             load_rotation(path)
 
+    @pytest.mark.parametrize("text", ["1\nnan\n", "2\n1 0\n0 inf\n"])
+    def test_file_rejects_non_finite(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.txt: matrix is not finite and orthogonal"):
+            load_rotation(path)
+
+    @pytest.mark.parametrize("text", ["", "0\n", "-1\n1\n", "two\n1 0\n0 1\n"])
+    def test_file_rejects_malformed_header(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.txt: the header must be a "
+                                             "positive integer n"):
+            load_rotation(path)
+
 
 class TestMinProductDistance:
     def test_identity_not_diverse(self):
-        assert min_product_distance(np.eye(2), [0.0, 1.0], 2) == 0.0
+        assert min_product_distance(np.eye(2), [0.0, 1.0]) == 0.0
 
     def test_n1(self):
-        assert min_product_distance(np.array([[1.0]]), [0.0, 1.0, 2.0], 1) == 1.0
+        assert min_product_distance(np.array([[1.0]]), [0.0, 1.0, 2.0]) == 1.0
 
     def test_empty_alphabet(self):
         with pytest.raises(ValueError):
-            min_product_distance(np.eye(2), [], 2)
+            min_product_distance(np.eye(2), [])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4,), (2, 2, 2)])
+    def test_non_square_generator_refused(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
+            min_product_distance(np.ones(shape), [0.0, 1.0])
 
     def test_six_levels_by_oracle(self):
         g = rotation(4)
         alphabet = pam_alphabet(6, normalize=False)
-        got = min_product_distance(g, alphabet, 4)
+        got = min_product_distance(g, alphabet)
         assert got == pytest.approx(brute_force_mpd(g, alphabet, 4), rel=1e-12)
 
     def test_oversized_refused_before_scoring(self, monkeypatch):
@@ -110,7 +131,7 @@ class TestMinProductDistance:
 
         monkeypatch.setattr("dstc.verifier._abs_dets", scored)
         with pytest.raises(ResourceGuardError):
-            min_product_distance(rotation(4), pam_alphabet(40, normalize=False), 4)
+            min_product_distance(rotation(4), pam_alphabet(40, normalize=False))
 
 
 class TestAlphabet:
@@ -129,44 +150,40 @@ class TestAlphabet:
 
 
 class TestEncodeGroups:
+    """Rotated-lattice encoding through lattice_codebook, one group at a time."""
+
     def test_zero_point(self):
         lat = RotatedLattice(1, np.array([[1.0]]), pam_alphabet(3))
-        part = partition_mod4(4)
-        x = encode_groups([1, 1, 1, 1], lat, part)   # middle level is 0
+        book = lattice_codebook(partition_mod4(4), lat)
+        x = book.assemble(np.array([1, 1, 1, 1]))   # middle level is 0
         assert np.array_equal(x, np.zeros(4))
 
     def test_injective_full_enumeration(self):
-        lat = default_lattice(1, 2)
-        part = partition_mod4(4)
-        seen = set()
-        for idx in itertools.product(range(2), repeat=4):
-            x = encode_groups(list(idx), lat, part)
-            seen.add(tuple(np.round(x, 12)))
+        book = lattice_codebook(partition_mod4(4), default_lattice(1, 2))
+        seen = {tuple(np.round(x, 12)) for x in book.enumerate_x()}
         assert len(seen) == 16
 
     def test_decode_inverts(self):
+        # per-coordinate slicing recovers the alphabet indices of each group
         lat = default_lattice(2, 4)
-        part = partition_mod4(8)
+        book = lattice_codebook(partition_mod4(8), lat)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            idx = rng.integers(0, 4, size=8)
-            x = encode_groups(idx, lat, part)
-            assert np.array_equal(decode_groups(x, lat, part), idx)
-
-    def test_index_out_of_range(self):
-        lat = default_lattice(1, 2)
-        with pytest.raises(ValueError):
-            encode_groups([0, 2, 0, 0], lat, partition_mod4(4))
+            coords = rng.integers(0, 4, size=(4, 2))
+            x = book.assemble(np.ravel_multi_index(tuple(coords.T), (4, 4)))
+            for grp, want in zip(book.groups, coords):
+                assert np.array_equal(lat.nearest(x[list(grp)]), want)
 
     def test_group_size_mismatch(self):
-        lat = default_lattice(2, 2)
         with pytest.raises(ValueError):
-            encode_groups([0, 0, 0, 0], lat, partition_mod4(4))
+            lattice_codebook(partition_mod4(4), default_lattice(2, 2))
 
 
 def test_lattice_rejects_bad_generator():
     with pytest.raises(ValueError):
         RotatedLattice(2, np.array([[1.0, 1.0], [0.0, 1.0]]), pam_alphabet(2))
+    with pytest.raises(ValueError, match="not finite and orthogonal"):
+        RotatedLattice(2, np.array([[1.0, 0.0], [0.0, np.nan]]), pam_alphabet(2))
 
 
 def test_lattice_points_enumeration_order():
@@ -175,7 +192,7 @@ def test_lattice_points_enumeration_order():
     assert pts.shape == (4, 2)
     # index-lexicographic: row i corresponds to indices (i // 2, i % 2)
     for i in range(4):
-        assert np.allclose(pts[i], lat.point([i // 2, i % 2]), atol=1e-15)
+        assert np.allclose(pts[i], lat.g @ lat.base[[i // 2, i % 2]], atol=1e-15)
 
 
 def test_lattice_nearest_batches():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dstc import matkernel
 from dstc.designs import Design, build_family
-from dstc.receivers import (group_crossterm, ml_grouped, ml_joint,
+from dstc.receivers import (gram_crossterm, ml_grouped, ml_joint,
                             pam_codebook, sufficient_stats, zf_detect)
 from dstc.verifier import check_group_decodable
 
@@ -83,7 +83,7 @@ def test_ml_grouped_equals_joint_when_decomposable(case, seed):
     for b in range(len(m)):
         _, gram = sufficient_stats(y[b], m[b])
         scale = float(np.max(np.abs(gram)))
-        assume(group_crossterm(m[b], book.groups) < matkernel.zero_threshold(scale))
+        assume(gram_crossterm(gram, book.groups) < matkernel.zero_threshold(scale))
     grouped, _ = detect(ml_grouped, y, m, book, squeeze)
     joint, _ = detect(ml_joint, y, m, book, squeeze)
     assert np.array_equal(grouped, joint)

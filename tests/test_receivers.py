@@ -4,10 +4,10 @@ import pytest
 from dstc.designs import build_pciod, build_toeplitz
 from dstc.gnaf_sim import make_rng, omega_diagonals, protocol_params
 from dstc.precoding import default_lattice
-from dstc.receivers import (Codebook, ResourceGuardError, group_crossterm,
-                            group_metric, lattice_codebook, ml_grouped,
-                            ml_joint, ml_joint_metrics, mmse_detect,
-                            pam_codebook, qam_codebook, zf_detect)
+from dstc.receivers import (Codebook, ResourceGuardError, gram_crossterm,
+                            lattice_codebook, ml_grouped, ml_joint,
+                            mmse_detect, pam_codebook, qam_codebook,
+                            sufficient_stats, zf_detect)
 
 
 def pciod_model(d, p=10.0, seed=0, n=1):
@@ -135,22 +135,6 @@ class TestMlGrouped:
         assert sum(book.group_sizes) == 16
         assert book.size == 256
 
-    def test_metric_decomposition(self):
-        # joint metric = sum of group metrics + (1 - n_groups) * ||y||^2
-        d = build_pciod(4)
-        book = lattice_codebook(d.partition, default_lattice(2, 2))
-        m, rng = pciod_model(d, n=10, seed=11)
-        y = (rng.standard_normal((10, m.shape[1])) +
-             1j * rng.standard_normal((10, m.shape[1])))
-        x_all = book.enumerate_x()
-        joint = ml_joint_metrics(y, m, x_all)
-        const = (1 - book.n_groups) * np.sum(np.abs(y) ** 2, axis=1)
-        for flat in range(0, book.size, 17):
-            idx = book.flat_to_indices(np.full(10, flat))
-            grouped = group_metric(y, m, book, idx)
-            resid = joint[:, flat] - (grouped + const)
-            assert np.max(np.abs(resid)) < 1e-9
-
     def test_full_model_decomposes_for_every_variant(self):
         # the whitened receiver model stays group-decodable even with the
         # direct path and the phase-2 source column in play
@@ -165,17 +149,20 @@ class TestMlGrouped:
                 g0, f, g = z[:, 0], z[:, 1:d.r + 1], z[:, d.r + 1:]
                 m = effective_matrix(d, params, g0, column_gains(rs, f, g))
                 m = m / np.sqrt(omega_diagonals(params, rs, g))[:, :, None]
-                worst = max(group_crossterm(m[b], d.partition) for b in range(50))
+                _, gram = sufficient_stats(np.zeros(m.shape[:2]), m)
+                worst = float(np.max(gram_crossterm(gram, d.partition)))
                 assert worst < 1e-12
 
     def test_crossterm_detects_coupling(self):
         d = build_pciod(4)
         book = lattice_codebook(d.partition, default_lattice(2, 2))
         m, _ = pciod_model(d, n=1, seed=13)
-        assert group_crossterm(m[0], book.groups) < 1e-12
+        _, gram = sufficient_stats(np.zeros(m.shape[1]), m[0])
+        assert gram_crossterm(gram, book.groups) < 1e-12
         rng = make_rng(14, 0)
         m_bad = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert group_crossterm(m_bad, book.groups) > 0.1
+        _, gram = sufficient_stats(np.zeros(8), m_bad)
+        assert gram_crossterm(gram, book.groups) > 0.1
 
 
 class TestLinear:

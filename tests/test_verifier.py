@@ -10,7 +10,7 @@ from dstc.precoding import default_lattice, partition_mod4
 from dstc.receivers import ResourceGuardError, lattice_codebook, pam_codebook
 from dstc.verifier import (check_condition1, check_condition2,
                            check_group_decodable,
-                           check_whitened_group_decodable, min_delta_det,
+                           check_whitened_group_decodable,
                            min_delta_det_full, nvd_probe, whitened_weights)
 
 ALL_FAMILIES = [build_pciod(2), build_pciod(4), build_pciod(6),
@@ -232,20 +232,20 @@ class TestMinDeltaDet:
 
     def test_singleton_codebook_infinite(self):
         d = build_pciod(2)
-        assert min_delta_det(d, np.zeros((1, 4))) == np.inf
+        assert min_delta_det_full(d, np.zeros((1, 4)))[0] == np.inf
 
     def test_pair_guard_refusal(self):
         d = build_pciod(2)
         with pytest.raises(ResourceGuardError):
-            min_delta_det(d, np.zeros((4000, 4)))
+            min_delta_det_full(d, np.zeros((4000, 4)))
 
     def test_order_and_translation_invariance(self):
         d = build_pciod(2)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((12, 4))
-        v1 = min_delta_det(d, x)
-        v2 = min_delta_det(d, x[::-1])
-        v3 = min_delta_det(d, x + 7.25)
+        v1 = min_delta_det_full(d, x)[0]
+        v2 = min_delta_det_full(d, x[::-1])[0]
+        v3 = min_delta_det_full(d, x + 7.25)[0]
         assert v1 == pytest.approx(v2, rel=1e-12)
         assert v1 == pytest.approx(v3, rel=1e-9)
 
