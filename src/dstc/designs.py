@@ -89,6 +89,7 @@ class Design:
         if w.shape != (self.k, self.t, self.r):
             raise ValueError(
                 f"weights shape {w.shape} != (K,T,R)=({self.k},{self.t},{self.r})")
+        matkernel.require_finite(w, "design weights")
         object.__setattr__(self, "weights", w)
         if self.partition:
             covered = sorted(i for grp in self.partition for i in grp)

@@ -27,6 +27,14 @@ def as_cmatrix(m) -> np.ndarray:
     return a
 
 
+def require_finite(a: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first non-finite entry of ``a``, if any."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), a.shape)
+        raise ValueError(f"{name}[{', '.join(map(str, idx))}] is not finite: {a[idx]}")
+
+
 def zero_threshold(scale):
     """The package-wide zero test: |z| < REL_TOL * (1 + scale), per scale."""
     return REL_TOL * (1.0 + scale)

@@ -64,9 +64,10 @@ class Codebook:
         object.__setattr__(self, "group_values", vals)
         if len(vals) != len(self.groups):
             raise ValueError("one value table per group required")
-        for grp, v in zip(self.groups, vals):
+        for g, (grp, v) in enumerate(zip(self.groups, vals)):
             if v.ndim != 2 or v.shape[1] != len(grp):
                 raise ValueError(f"value table shape {v.shape} does not match group {grp}")
+            matkernel.require_finite(v, f"group_values[{g}]")
 
     @property
     def k(self) -> int:

@@ -74,6 +74,16 @@ class TestVerify:
         assert "at least 2 points" in capsys.readouterr().err
         assert not rep.exists()
 
+    def test_non_finite_design_exit_three(self, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        run(["construct", "--family", "cda", "--out", out])
+        doc = json.loads(out.read_text())
+        doc["weights"][0][0][0][0] = float("nan")
+        out.write_text(json.dumps(doc))
+        rc = run(["verify", "--design", out, "--checks", "clro,group,fulldiv,nvd"])
+        assert rc == 3
+        assert "error: design weights[0, 0, 0] is not finite" in capsys.readouterr().err
+
     def test_guard_exit_four(self, tmp_path):
         out = tmp_path / "d.json"
         run(["construct", "--family", "cda", "--out", out])

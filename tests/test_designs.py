@@ -331,6 +331,20 @@ class TestSerialization:
                 assert np.array_equal(back.precode.p_mat, d.precode.p_mat)
                 assert np.array_equal(back.precode.q_mat, d.precode.q_mat)
 
+    def test_non_finite_weight_refused(self, tmp_path):
+        d = golden_cda()
+        w = d.weights.copy()
+        w[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"design weights\[1, 0, 1\] is not finite"):
+            Design(d.family, d.t, d.r, d.k, w)
+        # JSON files may carry NaN (Python's json reads it); loading refuses
+        doc = design_to_dict(d)
+        doc["weights"][0][1][0][1] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"design weights\[0, 1, 0\] is not finite"):
+            load_design(path)
+
     def test_dict_round_trip_stable(self):
         d = golden_cda()
         blob = json.dumps(design_to_dict(d))

@@ -118,6 +118,18 @@ class TestMinProductDistance:
         with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
             min_product_distance(np.ones(shape), [0.0, 1.0])
 
+    def test_non_finite_alphabet_refused(self):
+        with pytest.raises(ValueError, match=r"alphabet\[1\] is not finite"):
+            min_product_distance(rotation(2), [1.0, np.nan])
+        g = rotation(2)
+        g[0, 1] = np.inf
+        with pytest.raises(ValueError, match=r"generator\[0, 1\] is not finite"):
+            min_product_distance(g, [0.0, 1.0])
+
+    def test_two_dimensional_alphabet_refused(self):
+        with pytest.raises(ValueError, match=re.escape("alphabet must be 1-D, got shape (2, 1)")):
+            min_product_distance(rotation(2), [[0.0], [1.0]])
+
     def test_six_levels_by_oracle(self):
         g = rotation(4)
         alphabet = pam_alphabet(6, normalize=False)

@@ -43,6 +43,12 @@ class TestCodebook:
         with pytest.raises(ResourceGuardError):
             book.enumerate_x()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_refused(self, bad):
+        values = np.array([[0.0, 1.0], [bad, 2.0]])
+        with pytest.raises(ValueError, match=r"group_values\[1\]\[1, 0\] is not finite"):
+            Codebook(((0,), (1, 2)), (np.array([[0.0], [1.0]]), values))
+
     def test_difference_vectors_count(self):
         book = pam_codebook(((0,), (1,)), 2)
         diffs = book.difference_vectors()

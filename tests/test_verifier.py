@@ -7,7 +7,8 @@ from dstc.designs import (Design, RelayMatrixSet, build_ciod4, build_pciod,
 from dstc.gnaf_sim import (make_rng, protocol_params, relay_noise_cov,
                            sample_channel)
 from dstc.precoding import default_lattice, partition_mod4
-from dstc.receivers import ResourceGuardError, lattice_codebook, pam_codebook
+from dstc.receivers import (ResourceGuardError, lattice_codebook, pam_codebook,
+                            qam_codebook)
 from dstc.verifier import (check_condition1, check_condition2,
                            check_group_decodable,
                            check_whitened_group_decodable,
@@ -251,11 +252,31 @@ class TestMinDeltaDet:
 
     def test_product_path_matches_explicit_pairs(self):
         d = golden_cda()
-        from dstc.receivers import qam_codebook
         book = qam_codebook(d.n_complex, 4, normalize=False)
         via_diffs, _ = min_delta_det_full(d, book)
         via_pairs, _ = min_delta_det_full(d, book.enumerate_x())
         assert via_diffs == pytest.approx(via_pairs, rel=1e-12)
+
+    def test_non_finite_codeword_refused(self):
+        x = np.zeros((3, 4))
+        x[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"codebook\[1, 2\] is not finite"):
+            min_delta_det_full(build_pciod(2), x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_raises_the_same_error_on_both_paths(self):
+        # weights of 1e80 put every score |det dS|^2 beyond float64: both
+        # paths raise the same ValueError, and numpy's overflow warning
+        # does not escape (the suite makes RuntimeWarning an error)
+        d = golden_cda()
+        big = Design(d.family, d.t, d.r, d.k, d.weights * 1e80)
+        book = qam_codebook(d.n_complex, 4, normalize=False)
+        messages = []
+        for codebook in (book, book.enumerate_x()):
+            with pytest.raises(ValueError, match="overflow float64") as err:
+                min_delta_det_full(big, codebook)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
     def test_witness_owns_its_data(self):
         # a view would keep the whole difference (or pair) array alive

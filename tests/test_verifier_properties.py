@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstc import verifier
-from dstc.designs import Design, build_pciod, golden_cda
-from dstc.precoding import RotatedLattice, pam_alphabet
+from dstc.designs import Design, build_pciod, build_toeplitz, golden_cda
+from dstc.precoding import RotatedLattice, pam_alphabet, rotation
 from dstc.receivers import Codebook, lattice_codebook, qam_codebook
 from dstc.verifier import min_delta_det_full
 
@@ -216,3 +216,44 @@ def test_product_path_scores_half_the_differences(monkeypatch, design, book, chu
     min_delta_det_full(design, book)
     n_diffs = math.prod(len(tab) for tab in book.group_differences()) - 1
     assert sum(scored) <= math.ceil(n_diffs / 2) + verifier._DET_CHUNK
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("case", ["product", "pairs", "product-distance"])
+def test_scored_blocks_are_c_contiguous(monkeypatch, case, chunk):
+    # projections are (T*R, N) in C order, so every block the minima score
+    # is contiguous, also where a block ends inside a row or at the zero
+    if chunk is not None:
+        monkeypatch.setattr(verifier, "_DET_CHUNK", chunk)
+    contiguous = []
+    abs_dets = verifier._abs_dets
+
+    def recording(ds):
+        contiguous.append(ds.flags.c_contiguous)
+        return abs_dets(ds)
+
+    monkeypatch.setattr(verifier, "_abs_dets", recording)
+    if case == "product":
+        min_delta_det_full(golden_cda(), qam_codebook(4, 4, normalize=False))
+    elif case == "pairs":
+        toeplitz = build_toeplitz(2, 2)
+        min_delta_det_full(toeplitz, qam_codebook(toeplitz.n_complex, 4,
+                                                  normalize=False).enumerate_x())
+    else:
+        verifier.min_product_distance(rotation(3), pam_alphabet(4, normalize=False))
+    assert contiguous and all(contiguous)
+
+
+@pytest.mark.parametrize("case", ["golden-qam16", "toeplitz-qam36-pairs"])
+def test_minima_independent_of_block_size(monkeypatch, case):
+    if case == "golden-qam16":
+        design, book = golden_cda(), qam_codebook(4, 16, normalize=False)
+    else:
+        design = build_toeplitz(2, 2)
+        book = qam_codebook(design.n_complex, 36, normalize=False).enumerate_x()
+        assert len(book) == 1296
+    want_value, want_witness = min_delta_det_full(design, book)
+    monkeypatch.setattr(verifier, "_DET_CHUNK", 1 << 12)
+    value, witness = min_delta_det_full(design, book)
+    assert value == want_value
+    assert np.array_equal(witness, want_witness)
