@@ -28,5 +28,6 @@ from .receivers import (Codebook, ResourceGuardError, lattice_codebook,
 from .verifier import (NvdProbe, VerifierReport, check_clro,
                        check_condition1, check_condition2,
                        check_group_decodable,
-                       check_whitened_group_decodable, min_delta_det_full,
-                       min_product_distance, nvd_probe, whitened_weights)
+                       check_whitened_group_decodable, det_zero_threshold,
+                       min_delta_det_full, min_product_distance, nvd_probe,
+                       whitened_weights)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dmg, matkernel, verifier
+from . import __version__, dmg, verifier
 from .designs import (Design, build_family, load_design, relay_matrix_set,
                       save_design)
 from .gnaf_sim import (VARIANTS, SimConfig, check_count, protocol_params,
@@ -170,17 +170,19 @@ def run_checks(d: Design, checks, constellation: str, draws: int, seed: int,
         elif check == "fulldiv":
             book = _constellation_book(d, constellation)
             val, witness = verifier.min_delta_det_full(d, book)
-            diverse = bool(val > matkernel.ABS_FLOOR)
+            zero = verifier.det_zero_threshold(d, book)
+            diverse = bool(val > zero)
             reports.append(verifier.VerifierReport(
                 "full_diversity", diverse, float(val),
                 None if diverse or witness is None else witness.tolist(),
-                {"constellation": constellation}))
+                {"constellation": constellation, "threshold": zero}))
         elif check == "nvd":
             probe = verifier.nvd_probe(d, nvd_sizes)
             worst = min(v for _, v in probe.entries)
             reports.append(verifier.VerifierReport(
                 "nvd_probe", probe.non_vanishing, worst, None,
-                {"entries": [list(e) for e in probe.entries]}))
+                {"entries": [list(e) for e in probe.entries],
+                 "threshold": probe.threshold}))
         else:
             raise ConfigError(f"unknown check {check!r}; known: {ALL_CHECKS}")
     return reports

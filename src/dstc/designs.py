@@ -50,6 +50,17 @@ class PrecodePair:
     p_mat: np.ndarray
     q_mat: np.ndarray
 
+    def __post_init__(self):
+        p = np.asarray(self.p_mat, dtype=np.complex128)
+        q = np.asarray(self.q_mat, dtype=np.complex128)
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or q.shape != p.shape:
+            raise ValueError("precode pair must be two square matrices of one "
+                             f"size, got shapes {p.shape} and {q.shape}")
+        matkernel.require_finite(p, "precode p")
+        matkernel.require_finite(q, "precode q")
+        object.__setattr__(self, "p_mat", p)
+        object.__setattr__(self, "q_mat", q)
+
     def apply(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=np.complex128)
         return self.p_mat @ s + self.q_mat @ np.conj(s)
@@ -95,6 +106,10 @@ class Design:
             covered = sorted(i for grp in self.partition for i in grp)
             if covered != list(range(self.k)):
                 raise ValueError("partition is not a disjoint cover of symbol indices")
+        if self.precode is not None and 2 * len(self.precode.p_mat) != self.k:
+            n = len(self.precode.p_mat)
+            raise ValueError(f"precode pair is {n}x{n}, but a design in K={self.k} "
+                             "real symbols needs K/2 x K/2")
 
     @property
     def n_complex(self) -> int:

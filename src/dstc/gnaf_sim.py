@@ -39,12 +39,18 @@ independently of worker count or execution order.
 
 Execution: ``run_monte_carlo`` cuts the sweep into (SNR point, batch)
 tasks. The calling process is one of the workers. With more than one, no
-more than the usable cores or the task count, it starts one spawn pool of
+more than the usable cores or the task count, it starts one pool of
 helpers that receive the config, the relay set, the task list and a
-shared task counter once, at start-up. The caller and every helper claim
-tasks from the counter until none is left, so the caller works while the
-helpers are still importing. Helpers left without a task are stopped,
-not awaited; every helper is reaped before the call returns.
+shared task counter once, at start-up. Helpers are forked from the
+standard library's forkserver, which the first pooled sweep of a process
+starts with numpy preloaded; later sweeps fork from the same warm server,
+so a helper only imports dstc before it takes a task. The server keeps
+the environment of its start (the BLAS thread variables among it); later
+changes to the caller's environment do not reach the helpers. The caller
+and every helper claim tasks from the counter until none is left, so the
+caller works while the helpers are still starting. Helpers left without
+a task are stopped, not awaited; every helper exits before the call
+returns, and the server reaps it.
 """
 
 from __future__ import annotations
@@ -491,7 +497,7 @@ def _drain(cfg: SimConfig, rs: RelayMatrixSet | None,
 
 
 # A helper's (config, relay set, tasks, counter), set once by _init_worker.
-# Only spawned helpers assign it; the calling process never does.
+# Only pool helpers assign it; the calling process never does.
 _worker_args = None
 
 
@@ -513,12 +519,12 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
 
     The relay set is built once, by the clro check. The caller counts as
     one of min(``cfg.resolved_workers()``, usable cores, batches) workers;
-    with one, the batches run here in order. With more, one spawn pool of
-    the other workers is started, and the caller and the helpers claim
-    batches from a shared counter. If the caller ran every batch, the
-    helpers, some of them maybe still starting, are stopped; otherwise
-    their parts are collected. Either way every helper is reaped within
-    this call.
+    with one, the batches run here in order. With more, one pool of the
+    other workers is forked from the forkserver (started on first use,
+    with numpy preloaded), and the caller and the helpers claim batches
+    from a shared counter. If the caller ran every batch, the helpers,
+    some of them maybe still starting, are stopped; otherwise their parts
+    are collected. Either way every helper exits within this call.
 
     Raises ValueError before any batch runs for a design the batched model
     would get wrong: a design (or none) that does not match the variant,
@@ -561,7 +567,14 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     processes = min(cfg.resolved_workers(), len(os.sched_getaffinity(0)), len(tasks))
     if processes > 1:
         import multiprocessing as mp
-        ctx = mp.get_context("spawn")
+        ctx = mp.get_context("forkserver")
+        # Preload numpy only, never dstc: on 3.11 the server ignores the
+        # caller's sys.path, so a dstc preload fails silently when dstc is on
+        # sys.path but not on PYTHONPATH (as under bench/run.py), and a server
+        # that did find a dstc could give the helpers another copy than the
+        # caller runs. Helpers import dstc through the caller's sys.path,
+        # which the standard library sends with each new child.
+        ctx.set_forkserver_preload(["numpy"])
         counter = ctx.Value("q", 0)
         with ctx.Pool(processes - 1, _init_worker, (cfg, rs, tasks, counter)) as pool:
             jobs = [pool.apply_async(_helper_drain) for _ in range(processes - 1)]

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Relative zero tolerance with an absolute floor, used package-wide.
+# Relative zero tolerance, used package-wide (see zero_threshold).
 REL_TOL = 1e-9
-ABS_FLOOR = 1e-12
 
 
 def as_cmatrix(m) -> np.ndarray:

@@ -411,6 +411,25 @@ def min_delta_det_full(d: Design, codebook) -> tuple[float, np.ndarray | None]:
         return search(d, codebook)
 
 
+def det_zero_threshold(d: Design, book: Codebook) -> float:
+    """The largest score rounding alone can give a singular difference.
+
+    Column j of any dS over ``book`` has norm at most b_j = sum_k span_k
+    ||A_k[:, j]||, with span_k the range of real symbol k, so by Hadamard's
+    inequality H = prod_j b_j^2 bounds every score. Rounding errs a dS entry
+    by about K eps and a Gram entry by about T eps relative to these bounds,
+    and a determinant's first-order sensitivity to each of the R^2 Gram
+    entries is at most H / (b_i b_j). So the computed score of an exactly
+    singular dS stays below (2K + T) R^2 eps H, which scales with the
+    weights and the constellation exactly as the scores do.
+    """
+    span = np.zeros(book.k)
+    for grp, vals in zip(book.groups, book.group_values):
+        span[list(grp)] = np.ptp(vals, axis=0)
+    b = span @ np.linalg.norm(d.weights, axis=1)
+    return float((2 * d.k + d.t) * d.r ** 2 * np.finfo(float).eps * np.prod(b * b))
+
+
 def min_product_distance(g: np.ndarray, alphabet) -> float:
     """min over nonzero differences d of prod_i |(G d)_i|, exhaustively.
 
@@ -442,27 +461,25 @@ class NvdProbe:
 
     entries: tuple[tuple[int, float], ...]   # (QAM size, min det)
     non_vanishing: bool
+    threshold: float                         # det_zero_threshold, smallest size
 
 
 def nvd_probe(d: Design, qam_sizes) -> NvdProbe:
     """Minimum difference determinant per unnormalized integer QAM size.
 
     The determinant floor of a non-vanishing-determinant design is identical
-    across sizes (finite evidence only, at the probed sizes). Uses exact
-    difference enumeration; refuses sizes whose difference set exceeds the
-    guard.
+    across sizes (finite evidence only, at the probed sizes). A floor at
+    the smallest size that rounding alone could give (det_zero_threshold)
+    is no floor. Uses exact difference enumeration; refuses sizes whose
+    difference set exceeds the guard.
     """
     sizes = sorted(int(s) for s in qam_sizes)
     if not sizes:
         raise ValueError("nvd_probe needs at least one QAM size")
-    entries = []
-    for m in sizes:
-        book = qam_codebook(d.n_complex, m, normalize=False)
-        val, _ = min_delta_det_full(d, book)
-        entries.append((m, float(val)))
+    books = [qam_codebook(d.n_complex, m, normalize=False) for m in sizes]
+    entries = tuple((m, float(min_delta_det_full(d, book)[0]))
+                    for m, book in zip(sizes, books))
+    zero = det_zero_threshold(d, books[0])
     base = entries[0][1]
-    if base <= matkernel.ABS_FLOOR:
-        nv = False
-    else:
-        nv = min(v for _, v in entries) / base >= 1.0 - 1e-6
-    return NvdProbe(tuple(entries), nv)
+    nv = base > zero and min(v for _, v in entries) / base >= 1.0 - 1e-6
+    return NvdProbe(entries, nv, zero)

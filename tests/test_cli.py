@@ -84,6 +84,23 @@ class TestVerify:
         assert rc == 3
         assert "error: design weights[0, 0, 0] is not finite" in capsys.readouterr().err
 
+    def test_small_scale_design_keeps_full_diversity(self, tmp_path):
+        # golden CDA scaled by 1e-4 has minimum 3.2e-16 with QAM4; it once
+        # failed against an absolute 1e-12 floor
+        out = tmp_path / "d.json"
+        run(["construct", "--family", "cda", "--out", out])
+        d = load_design(out)
+        save_design(Design(d.family, d.t, d.r, d.k, 1e-4 * d.weights,
+                           d.col_conj, d.partition), out)
+        rep = tmp_path / "rep.json"
+        rc = run(["verify", "--design", out, "--checks", "fulldiv,nvd",
+                  "--constellation", "qam4", "--nvd-sizes", "4", "--out", rep])
+        assert rc == 0
+        for check in json.loads(rep.read_text())["checks"]:
+            assert check["passed"]
+            assert check["margin"] < 1e-12
+            assert 0 < check["details"]["threshold"] < 1e-3 * check["margin"]
+
     def test_guard_exit_four(self, tmp_path):
         out = tmp_path / "d.json"
         run(["construct", "--family", "cda", "--out", out])

@@ -345,6 +345,36 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"design weights\[0, 1, 0\] is not finite"):
             load_design(path)
 
+    @pytest.mark.parametrize("side, index", [("p", (0, 0)), ("q", (2, 1))])
+    def test_non_finite_precode_refused(self, side, index):
+        doc = design_to_dict(build_ciod4()[0])
+        doc["precode"][side][index[0]][index[1]][1] = float("nan")
+        with pytest.raises(ValueError, match=rf"precode {side}\[{index[0]}, "
+                                             rf"{index[1]}\] is not finite"):
+            design_from_dict(doc)
+
+    @pytest.mark.parametrize("side, cut, shapes", [
+        # a row of three numbers is read as one (re, im) pair: a (1,) vector
+        ("p", lambda m: [[1, 2, 3]], r"\(1,\) and \(4, 4\)"),
+        ("p", lambda m: m[:3], r"\(3, 4\) and \(4, 4\)"),
+        ("q", lambda m: [row[:3] for row in m[:3]], r"\(4, 4\) and \(3, 3\)"),
+    ], ids=["not-a-matrix", "not-square", "mismatched"])
+    def test_precode_shapes_refused(self, side, cut, shapes):
+        doc = design_to_dict(build_ciod4()[0])
+        doc["precode"][side] = cut(doc["precode"][side])
+        with pytest.raises(ValueError, match=r"precode pair must be two square "
+                                             r"matrices of one size, got shapes " + shapes):
+            design_from_dict(doc)
+
+    def test_precode_of_wrong_size_refused(self):
+        # a 2x2 pair is square and finite, but ciod4 has K/2 = 4 complex symbols
+        doc = design_to_dict(build_ciod4()[0])
+        for side in ("p", "q"):
+            doc["precode"][side] = [row[:2] for row in doc["precode"][side][:2]]
+        with pytest.raises(ValueError, match=r"precode pair is 2x2, but a design "
+                                             r"in K=8 real symbols needs K/2 x K/2"):
+            design_from_dict(doc)
+
     def test_dict_round_trip_stable(self):
         d = golden_cda()
         blob = json.dumps(design_to_dict(d))

@@ -1,6 +1,10 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -380,39 +384,51 @@ class TestSweepTaskLoop:
                          batch_size=1000, workers=workers)
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Record the size of every Pool started through multiprocessing.get_context."""
+    def pools(self, monkeypatch):
+        """Record (start method, size) of every Pool started through
+        multiprocessing.get_context, and every forkserver preload list."""
         get_context = multiprocessing.get_context
-        sizes = []
+        pools = SimpleNamespace(starts=[], preloads=[])
 
         class Counting:
-            def __init__(self, ctx):
-                self._ctx = ctx
+            def __init__(self, method=None):
+                self._method, self._ctx = method, get_context(method)
 
             def Pool(self, processes=None, *args, **kwargs):
-                sizes.append(processes)
+                pools.starts.append((self._method, processes))
                 return self._ctx.Pool(processes, *args, **kwargs)
+
+            def set_forkserver_preload(self, modules):
+                pools.preloads.append(list(modules))
+                self._ctx.set_forkserver_preload(modules)
 
             def __getattr__(self, name):
                 return getattr(self._ctx, name)
 
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method=None: Counting(get_context(method)))
-        return sizes
+        monkeypatch.setattr(multiprocessing, "get_context", Counting)
+        return pools
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                         reason="a pool needs at least two usable cores")
-    def test_one_pool_per_sweep(self, pool_sizes):
+    def test_one_pool_per_sweep(self, pools):
         res = run_monte_carlo(self.config(workers=8))   # 3 points x 3 batches
         assert len(res) == 3
-        assert len(pool_sizes) == 1
+        assert len(pools.starts) == 1
         # the caller is one of the workers; the pool holds only the helpers
-        assert 1 <= pool_sizes[0] <= min(len(os.sched_getaffinity(0)), 9) - 1
+        assert 1 <= pools.starts[0][1] <= min(len(os.sched_getaffinity(0)), 9) - 1
 
-    def test_pool_capped_by_tasks(self, pool_sizes, monkeypatch):
+    def test_pool_capped_by_tasks(self, pools, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         run_monte_carlo(self.config(workers=8, trials=1000, snr_db=(0.0, 10.0)))
-        assert pool_sizes == [1]            # 2 points x 1 batch: caller + 1 helper
+        # 2 points x 1 batch: caller + 1 helper
+        assert [size for _, size in pools.starts] == [1]
+
+    def test_helpers_fork_from_numpy_forkserver(self, pools, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        run_monte_carlo(self.config(workers=2))
+        assert pools.starts == [("forkserver", 1)]
+        # numpy only: a dstc preload would not see the caller's sys.path
+        assert pools.preloads == [["numpy"]]
 
     def test_serial_builds_relay_set_once(self, monkeypatch):
         # the clro check builds the set the batches run on; nothing rebuilds it
@@ -453,7 +469,8 @@ class TestPoolLifecycle:
         calls = []
 
         def slow(*args):
-            # only the caller is patched: spawned helpers import dstc afresh
+            # only the caller is patched: helpers, forked from a server that
+            # holds numpy but not dstc, import dstc afresh
             calls.append(args)
             time.sleep(0.1)
             return run_batch(*args)
@@ -468,6 +485,57 @@ class TestPoolLifecycle:
         assert multiprocessing.active_children() == []
         serial = run_monte_carlo(SimConfig(**{**cfg.__dict__, "workers": None}))
         assert pooled == results_to_csv(serial)
+
+    def test_back_to_back_sweeps_reuse_the_server(self):
+        # the second sweep forks its helper from the server the first started
+        cfg = self.config(trials=100, batch_size=10)
+        serial = results_to_csv(run_monte_carlo(SimConfig(**{**cfg.__dict__,
+                                                            "workers": None})))
+        for _ in range(2):
+            assert results_to_csv(run_monte_carlo(cfg)) == serial
+            assert multiprocessing.active_children() == []
+
+    def test_pooled_sweep_with_src_on_sys_path_only(self, tmp_path):
+        # bench/run.py puts src on sys.path, not on PYTHONPATH; the forkserver
+        # does not see that path, so the helpers must get it from the caller.
+        # The caller's batches are slowed, so the helper has to run some.
+        src = str(Path(gnaf_sim.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        path = [e for e in env.pop("PYTHONPATH", "").split(os.pathsep)
+                if e and Path(e).resolve() != Path(src)]
+        if path:
+            env["PYTHONPATH"] = os.pathsep.join(path)
+        script = f"""
+import sys, time
+sys.path.insert(0, {src!r})
+import multiprocessing
+from dstc import gnaf_sim
+from dstc.designs import build_toeplitz
+from dstc.gnaf_sim import SimConfig, results_to_csv, run_monte_carlo
+from dstc.receivers import qam_codebook
+
+assert gnaf_sim.__file__.startswith({src!r}), gnaf_sim.__file__
+cfg = dict(design=build_toeplitz(2, 2), codebook=qam_codebook(2, 4),
+           receiver="zf", snr_db=(0.0, 10.0, 20.0), trials=100, seed=11,
+           batch_size=10)
+serial = results_to_csv(run_monte_carlo(SimConfig(**cfg)))
+run_batch, calls = gnaf_sim._run_batch, []
+
+def slow(*args):
+    calls.append(args)
+    time.sleep(0.1)
+    return run_batch(*args)
+
+gnaf_sim._run_batch = slow
+assert results_to_csv(run_monte_carlo(SimConfig(**cfg, workers=2))) == serial
+assert 0 < len(calls) < 30, len(calls)
+assert multiprocessing.active_children() == []
+print("ok")
+"""
+        out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
 
     def test_failing_batches_leave_no_child(self):
         cfg = self.config(trials=10, batch_size=10, design=build_pciod(4),

@@ -8,15 +8,19 @@ half of the difference set below the zero difference, which rests on every
 difference table being an exact negation mirror; both are checked here.
 """
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dstc import verifier
-from dstc.designs import Design, build_pciod, build_toeplitz, golden_cda
+from dstc import cli, verifier
+from dstc.designs import (Design, build_ciod4, build_family, build_pciod,
+                          build_pciod_rect, build_toeplitz, compose_precode,
+                          golden_cda)
 from dstc.precoding import RotatedLattice, pam_alphabet, rotation
 from dstc.receivers import Codebook, lattice_codebook, qam_codebook
 from dstc.verifier import min_delta_det_full
@@ -101,6 +105,25 @@ def test_product_path_matches_difference_vectors(data):
     scale = det_scale(d.weights, diffs)
     assert_close(value, float(np.min(plain_dets(d.weights, diffs))), scale)
     check_witness(d, value, witness, diffs, scale)
+
+
+@SETTINGS
+@given(st.data())
+def test_zero_threshold_bounds_every_score(data):
+    """No score exceeds the Hadamard bound H behind det_zero_threshold, and a
+    design with T < R, whose every dS^H dS is singular, scores below it."""
+    d = data.draw(designs())
+    book = data.draw(product_books(d.k))
+    diffs = book.difference_vectors()
+    if len(diffs) == 0:
+        return
+    ds = (diffs @ d.weights.reshape(d.k, d.t * d.r)).T.reshape(d.t, d.r, -1)
+    scores = verifier._abs_dets(np.ascontiguousarray(ds))
+    zero = verifier.det_zero_threshold(d, book)
+    hadamard = zero / ((2 * d.k + d.t) * d.r ** 2 * np.finfo(float).eps)
+    assert np.all(scores <= hadamard * (1 + REL_TOL))
+    if d.t < d.r:
+        assert np.all(scores <= zero)
 
 
 @st.composite
@@ -257,3 +280,47 @@ def test_minima_independent_of_block_size(monkeypatch, case):
     value, witness = min_delta_det_full(design, book)
     assert value == want_value
     assert np.array_equal(witness, want_witness)
+
+
+# Built-in families whose full-diversity verdict with QAM4 is known: the
+# pciod, pciod-rect and (raw) ciod4 designs FAIL with an exact zero, the
+# others pass.
+FAMILIES = {
+    "pciod2": build_pciod(2), "pciod4": build_pciod(4),
+    "pciod-rect3": build_pciod_rect(3), "ciod4": build_ciod4()[0],
+    "ciod4-raw": compose_precode(build_ciod4()[0]),
+    "toeplitz2x2": build_toeplitz(2, 2), "toeplitz3x2": build_family("toeplitz", 3, 2),
+    "golden": golden_cda(),
+}
+
+
+def fulldiv_and_nvd(d):
+    """(verdict, witness) of the fulldiv and nvd checks with QAM4."""
+    reports = cli.run_checks(d, ("fulldiv", "nvd"), "qam4", draws=1, seed=0,
+                             nvd_sizes=(4,))
+    return [(r.passed, r.witness) for r in reports]
+
+
+@functools.cache
+def unscaled_verdicts(name):
+    return fulldiv_and_nvd(FAMILIES[name])
+
+
+def test_unscaled_verdicts():
+    passed = {name: [v for v, _ in unscaled_verdicts(name)] for name in FAMILIES}
+    assert passed == {name: [ok, ok] for name, ok in (
+        ("pciod2", True), ("pciod4", False), ("pciod-rect3", False),
+        ("ciod4", False), ("ciod4-raw", False), ("toeplitz2x2", True),
+        ("toeplitz3x2", True), ("golden", True))}
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(FAMILIES)), power=st.integers(-6, 6))
+@example(name="golden", power=-4)
+@example(name="toeplitz2x2", power=-4)
+def test_verdicts_independent_of_weight_scale(name, power):
+    # scaling the weights by s scales every determinant, and the zero
+    # threshold, by s^(2R); an absolute floor failed both examples
+    d = FAMILIES[name]
+    scaled = replace(d, weights=d.weights * 10.0 ** power)
+    assert fulldiv_and_nvd(scaled) == unscaled_verdicts(name)
