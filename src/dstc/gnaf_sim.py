@@ -46,10 +46,11 @@ standard library's forkserver, which the first pooled sweep of a process
 starts with numpy preloaded; later sweeps fork from the same warm server,
 so a helper only imports dstc before it takes a task. The server keeps
 the environment of its start (the BLAS thread variables among it); later
-changes to the caller's environment do not reach the helpers. The caller
-and every helper claim tasks from the counter until none is left, so the
-caller works while the helpers are still starting. Helpers left without
-a task are stopped, not awaited; every helper exits before the call
+changes to the caller's environment do not reach the helpers. A thread
+starts the pool, so the caller runs batches while the server is started
+and forks the helpers. The caller and every helper claim tasks from the
+counter until none is left. Helpers left without a task are stopped, not
+awaited, once the pool is up; every helper exits before the call
 returns, and the server reaps it.
 """
 
@@ -510,6 +511,18 @@ def _helper_drain() -> list:
     return _drain(*_worker_args)
 
 
+def _start_helpers(ctx, helpers: int, args: tuple, started: list) -> None:
+    """Start a pool of ``helpers`` processes and hand each one drain job.
+
+    Appends (pool, jobs) to ``started``, or the exception raised instead.
+    """
+    try:
+        pool = ctx.Pool(helpers, _init_worker, args)
+        started.append((pool, [pool.apply_async(_helper_drain) for _ in range(helpers)]))
+    except BaseException as exc:
+        started.append(exc)
+
+
 def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     """Symbol error rates over the SNR grid.
 
@@ -519,12 +532,13 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
 
     The relay set is built once, by the clro check. The caller counts as
     one of min(``cfg.resolved_workers()``, usable cores, batches) workers;
-    with one, the batches run here in order. With more, one pool of the
-    other workers is forked from the forkserver (started on first use,
-    with numpy preloaded), and the caller and the helpers claim batches
-    from a shared counter. If the caller ran every batch, the helpers,
-    some of them maybe still starting, are stopped; otherwise their parts
-    are collected. Either way every helper exits within this call.
+    with one, the batches run here in order. With more, a thread forks a
+    pool of the other workers from the forkserver (started on first use,
+    with numpy preloaded) while the caller already claims batches from a
+    shared counter, which the helpers then claim from too. If the caller
+    ran every batch, it waits for the pool to be up and stops the
+    helpers, some of them maybe still starting; otherwise their parts are
+    collected. Either way every helper exits within this call.
 
     Raises ValueError before any batch runs for a design the batched model
     would get wrong: a design (or none) that does not match the variant,
@@ -567,6 +581,7 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     processes = min(cfg.resolved_workers(), len(os.sched_getaffinity(0)), len(tasks))
     if processes > 1:
         import multiprocessing as mp
+        import threading
         ctx = mp.get_context("forkserver")
         # Preload numpy only, never dstc: on 3.11 the server ignores the
         # caller's sys.path, so a dstc preload fails silently when dstc is on
@@ -576,9 +591,25 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
         # which the standard library sends with each new child.
         ctx.set_forkserver_preload(["numpy"])
         counter = ctx.Value("q", 0)
-        with ctx.Pool(processes - 1, _init_worker, (cfg, rs, tasks, counter)) as pool:
-            jobs = [pool.apply_async(_helper_drain) for _ in range(processes - 1)]
+        # Pool() returns once the server has forked every helper, which on
+        # a process's first sweep waits for the new server to import numpy:
+        # a thread starts the pool so that the caller works meanwhile.
+        started = []
+        starter = threading.Thread(target=_start_helpers, args=(
+            ctx, processes - 1, (cfg, rs, tasks, counter), started))
+        starter.start()
+        try:
             done = _drain(cfg, rs, tasks, counter)
+        except BaseException:
+            starter.join()
+            if isinstance(started[0], tuple):
+                started[0][0].terminate()
+            raise
+        starter.join()
+        if isinstance(started[0], BaseException):
+            raise started[0]
+        pool, jobs = started[0]
+        with pool:
             # if the caller ran every task no helper holds one, and leaving
             # the block stops them all, those still starting included
             if len(done) < len(tasks):

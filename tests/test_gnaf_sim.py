@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from multiprocessing import forkserver
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -491,9 +492,46 @@ class TestPoolLifecycle:
         cfg = self.config(trials=100, batch_size=10)
         serial = results_to_csv(run_monte_carlo(SimConfig(**{**cfg.__dict__,
                                                             "workers": None})))
+        servers = []
         for _ in range(2):
             assert results_to_csv(run_monte_carlo(cfg)) == serial
             assert multiprocessing.active_children() == []
+            servers.append(forkserver._forkserver._forkserver_pid)
+        assert servers[0] is not None
+        assert servers[0] == servers[1]
+
+    def test_caller_works_while_the_pool_starts(self, monkeypatch):
+        # Pool() returns only once the server has forked every helper; the
+        # caller runs its batches meanwhile, so a pool slow to start leaves
+        # every task to the caller, and the sweep still stops its helpers
+        cfg = self.config(trials=100, batch_size=10)        # 3 points x 10 batches
+        serial = results_to_csv(run_monte_carlo(SimConfig(**{**cfg.__dict__,
+                                                            "workers": None})))
+        get_context, run_batch = multiprocessing.get_context, gnaf_sim._run_batch
+        started, ran = [], []
+
+        class SlowStart:
+            def __init__(self, method=None):
+                self._ctx = get_context(method)
+
+            def Pool(self, *args, **kwargs):
+                time.sleep(0.5)
+                started.append(time.perf_counter())
+                return self._ctx.Pool(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._ctx, name)
+
+        def timed(*args):
+            ran.append(time.perf_counter())
+            return run_batch(*args)
+
+        monkeypatch.setattr(multiprocessing, "get_context", SlowStart)
+        monkeypatch.setattr(gnaf_sim, "_run_batch", timed)
+        assert results_to_csv(run_monte_carlo(cfg)) == serial
+        assert len(ran) == 30
+        assert max(ran) < started[0]
+        assert multiprocessing.active_children() == []
 
     def test_pooled_sweep_with_src_on_sys_path_only(self, tmp_path):
         # bench/run.py puts src on sys.path, not on PYTHONPATH; the forkserver
@@ -536,6 +574,25 @@ print("ok")
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "ok"
+
+    def test_failed_pool_start_is_raised(self, monkeypatch):
+        # the pool starts on a thread; its error reaches the caller
+        get_context = multiprocessing.get_context
+
+        class NoPool:
+            def __init__(self, method=None):
+                self._ctx = get_context(method)
+
+            def Pool(self, *args, **kwargs):
+                raise OSError("no pool")
+
+            def __getattr__(self, name):
+                return getattr(self._ctx, name)
+
+        monkeypatch.setattr(multiprocessing, "get_context", NoPool)
+        with pytest.raises(OSError, match="no pool"):
+            run_monte_carlo(self.config(trials=100, batch_size=10))
+        assert multiprocessing.active_children() == []
 
     def test_failing_batches_leave_no_child(self):
         cfg = self.config(trials=10, batch_size=10, design=build_pciod(4),
