@@ -38,7 +38,12 @@ Reproducibility: randomness is counter-based (Philox) keyed by
 independently of worker count or execution order.
 
 Execution: ``run_monte_carlo`` cuts the sweep into (SNR point, batch)
-tasks. The calling process is one of the workers. With more than one, no
+tasks. A batch draws all its randomness at once, then builds, whitens and
+decides its draws in equal blocks whose model matrices fit
+``_BLOCK_BYTES``, and joint ML scores the codebook in fixed chunks of
+candidates; so the memory of a task grows with its batch size only by the
+per-draw random inputs, and with the codebook not at all. The calling
+process is one of the workers. With more than one, no
 more than the usable cores or the task count, it starts one pool of
 helpers that receive the config, the relay set, the task list and a
 shared task counter once, at start-up. Helpers are forked from the
@@ -114,6 +119,12 @@ class ProtocolParams:
         """Front factor sqrt(pi3*pi1*P^2/(pi1*P+1)) of the compact model."""
         return float(np.sqrt(self.pi3 * self.pi1 * self.p ** 2 / (self.pi1 * self.p + 1.0)))
 
+    @property
+    def rows(self) -> int:
+        """Length of the destination's receive vector: T1 + T2, T2 without
+        the direct link (``jh``), T1 without relays (``direct``)."""
+        return {"direct": self.t1, "jh": self.t2}.get(self.variant, self.t1 + self.t2)
+
     def source_matrix(self) -> np.ndarray:
         """A0, the source's cooperation-phase matrix (gnaf1): the T2 x T1
         truncated/padded identity."""
@@ -188,9 +199,7 @@ def noise_cov(params: ProtocolParams, ch: ChannelRealization,
     exactly. The Monte Carlo uses only the diagonal (omega_diagonals) and
     refuses designs that fail CLRO.
     """
-    rows = {"direct": params.t1, "jh": params.t2}.get(params.variant,
-                                                     params.t1 + params.t2)
-    omega = np.eye(rows, dtype=np.complex128)
+    omega = np.eye(params.rows, dtype=np.complex128)
     if params.variant != "direct":
         omega[-params.t2:, -params.t2:] += relay_noise_cov(params, rs, ch.g)
     return omega
@@ -421,9 +430,26 @@ def _params_for(cfg: SimConfig, p: float, rs: RelayMatrixSet | None) -> Protocol
     return protocol_params(cfg.design, p, cfg.variant, cfg.pi, rs=rs)
 
 
+# Bytes of complex128 model matrices one block of draws may hold; it sets
+# the memory a batch needs apart from its per-draw random inputs. Set by
+# measurement on the three benchmark sweeps (2 cores, medians of three
+# 8-second runs per value): sweep-joint peaked at 42.9, 44.5, 47.0, 52.5
+# and 63.9 MiB RSS at 256 KiB, 512 KiB, 1 MiB, 2 MiB and 4 MiB (63.0 MiB
+# with whole batches), and its solve time was lowest at 512 KiB and 1 MiB;
+# on the other two sweeps 256 and 512 KiB ran as fast as whole batches.
+_BLOCK_BYTES = 1 << 19
+
+
 def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
                batch_idx: int, n: int):
     """Simulate one batch of trials; ``rs`` is the design's relay set.
+
+    The batch's randomness is drawn first, whole and in its keyed order:
+    channels, symbols, noise. The model, its whitening, the received
+    vectors and the decisions then run over equal blocks of draws, as few
+    as keep each block's model matrices within ``_BLOCK_BYTES``. So apart
+    from the per-draw random inputs and decisions, the memory of a batch
+    does not grow with its size.
 
     Returns (symbol errors, decisions, fallbacks, erasures).
     """
@@ -435,7 +461,7 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
 
     # channels
     if cfg.variant == "direct":
-        g0, h_cols = crandn(rng, n), None
+        g0, g, h_cols = crandn(rng, n), None, None
     else:
         z = crandn(rng, n, 2 * params.r + 1)
         g0, f, g = z[:, 0], z[:, 1:params.r + 1], z[:, params.r + 1:]
@@ -447,20 +473,35 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
         tx[:, gi] = rng.integers(0, sz, size=n)
     x = book.assemble(tx)
 
-    # clean model and whitening
-    m = effective_matrix(d, params, g0, h_cols, k=book.k)
-    if cfg.variant != "direct":
-        m = m * (1.0 / np.sqrt(omega_diagonals(params, rs, g)))[:, :, None]
-    rows = m.shape[1]
+    # unit white noise on the whitened receive vector
+    noise = crandn(rng, n, params.rows)
 
-    # received vector: whitened clean signal + unit white noise
-    y = np.einsum("brk,bk->br", m, x) + crandn(rng, n, rows)
-
-    receiver = cfg.receiver
+    per_block = max(1, _BLOCK_BYTES // (16 * params.rows * book.k))
+    blocks = -(-n // per_block)
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    dec = np.empty((n, book.n_groups), dtype=np.intp)
     fallbacks = 0
+    for blk in map(slice, edges, edges[1:]):
+        # clean model and whitening
+        m = effective_matrix(d, params, g0[blk], None if h_cols is None else h_cols[blk],
+                             k=book.k)
+        if cfg.variant != "direct":
+            m = m * (1.0 / np.sqrt(omega_diagonals(params, rs, g[blk])))[:, :, None]
+        y = np.einsum("brk,bk->br", m, x[blk]) + noise[blk]
+        dec[blk], block_fallbacks = _detect(cfg.receiver, y, m, book)
+        fallbacks += block_fallbacks
+
+    errors = int(np.sum(dec != tx))
+    erasures = int(np.sum(np.any(dec < 0, axis=1)))
+    return errors, n * book.n_groups, fallbacks, erasures
+
+
+def _detect(receiver: str, y: np.ndarray, m: np.ndarray,
+            book: Codebook) -> tuple[np.ndarray, int]:
+    """Decisions of ``receiver`` on a block of draws, and its fallback count."""
     if receiver == "joint-ml":
-        dec = ml_joint(y, m, book)
-    elif receiver == "grouped-ml":
+        return ml_joint(y, m, book), 0
+    if receiver == "grouped-ml":
         dec = ml_grouped(y, m, book)
         # grouped ML is exact only where the whitened model decomposes
         _, gram = sufficient_stats(y, m)
@@ -468,17 +509,12 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
         coupled = worst > matkernel.zero_threshold(np.max(np.abs(gram), axis=(1, 2)))
         if np.any(coupled):
             dec[coupled] = ml_joint(y[coupled], m[coupled], book)
-            fallbacks = int(np.sum(coupled))
-    elif receiver == "zf":
-        dec = zf_detect(y, m, book)
-    elif receiver == "mmse":
-        dec = mmse_detect(y, m, book, noise_var=0.5)
-    else:
-        raise ValueError(f"unknown receiver {receiver!r}; known: {_RECEIVERS}")
-
-    errors = int(np.sum(dec != tx))
-    erasures = int(np.sum(np.any(dec < 0, axis=1)))
-    return errors, n * book.n_groups, fallbacks, erasures
+        return dec, int(np.sum(coupled))
+    if receiver == "zf":
+        return zf_detect(y, m, book), 0
+    if receiver == "mmse":
+        return mmse_detect(y, m, book, noise_var=0.5), 0
+    raise ValueError(f"unknown receiver {receiver!r}; known: {_RECEIVERS}")
 
 
 def _drain(cfg: SimConfig, rs: RelayMatrixSet | None,
@@ -528,7 +564,10 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
 
     Deterministic given (seed, config): batches are keyed by (seed, snr
     index, batch index) and reduced by integer sums per SNR point, so the
-    result is independent of worker count and execution order.
+    result is independent of worker count and execution order. Each
+    batch decides its draws in blocks of bounded memory (_run_batch), so
+    ``cfg.batch_size`` sets how many draws a task holds, not how large its
+    model, statistics and score arrays get.
 
     The relay set is built once, by the clro check. The caller counts as
     one of min(``cfg.resolved_workers()``, usable cores, batches) workers;

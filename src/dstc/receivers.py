@@ -12,8 +12,10 @@ codeword index, making every detector a pure function of (y, M).
 
 Every detector reads the same two sufficient statistics (sufficient_stats):
 z = Re(M^H y) and G = Re(M^H M). Joint ML minimizes x^T G x - 2 z.x over the
-codebook, one GEMM per batch; grouped ML does the same per group with z_g
-and the diagonal block G_gg; ZF and MMSE solve linear systems in G and z.
+codebook, one GEMM per chunk of candidates built from their flat indices,
+with a running minimum across chunks, so its memory does not depend on the
+codebook size; grouped ML does the same per group with z_g and the
+diagonal block G_gg; ZF and MMSE solve linear systems in G and z.
 
 The grouped detector is only valid when the whitened model actually
 decomposes: G must vanish on cross-group entries (the decision-level
@@ -257,37 +259,62 @@ def gram_crossterm(gram: np.ndarray, groups) -> np.ndarray:
     label = np.empty(gram.shape[-1], dtype=np.intp)
     for g, grp in enumerate(groups):
         label[list(grp)] = g
-    cross = label[:, None] != label[None, :]
-    return np.max(np.abs(gram) * cross, axis=(-2, -1), initial=0.0)
+    rows, cols = np.nonzero(label[:, None] != label[None, :])
+    return np.max(np.abs(gram[..., rows, cols]), axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
 # maximum likelihood
 # ---------------------------------------------------------------------------
 
-def _ml_argmin(z: np.ndarray, gram: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Lowest-index argmin over the rows of x of x^T G x - 2 z.x.
+# Candidates scored per matrix product; a chunk's score matrix is (draws x
+# _ML_CHUNK). On OpenBLAS a product's last bits can depend on its width, so
+# a codebook of more than one chunk may break a near-tie differently from
+# one whole product. Keep it at 64 or more: some narrower widths changed
+# bits even on the benchmark's shapes (K = 8, 512 draws).
+_ML_CHUNK = 1024
 
-    One GEMM for the whole batch: [vec G, z] against each candidate's
-    [vec(x x^T), -2 x].
+
+def _ml_argmin(z: np.ndarray, gram: np.ndarray, size: int, candidates) -> np.ndarray:
+    """Lowest-index argmin of x^T G x - 2 z.x over ``size`` candidates.
+
+    ``candidates(flat)`` returns the rows x of the given flat indices. They
+    are scored ``_ML_CHUNK`` at a time, one GEMM per chunk: [vec G, z]
+    against each candidate's [vec(x x^T), -2 x]. A running minimum that
+    moves only on a strict < keeps the lowest index on ties across chunks,
+    and memory depends on the chunk, not on ``size``.
     """
-    n, k = x.shape
+    k = z.shape[-1]
     coef = np.concatenate([gram.reshape(gram.shape[:-2] + (k * k,)), z], axis=-1)
-    cand = np.concatenate([(x[:, :, None] * x[:, None, :]).reshape(n, k * k),
-                           -2.0 * x], axis=-1)
-    return np.argmin(coef @ cand.T, axis=-1)
+    best = best_idx = None
+    for start in range(0, size, _ML_CHUNK):
+        x = candidates(np.arange(start, min(start + _ML_CHUNK, size)))
+        cand = np.concatenate([(x[:, :, None] * x[:, None, :]).reshape(len(x), k * k),
+                               -2.0 * x], axis=-1)
+        scores = coef @ cand.T
+        idx = np.argmin(scores, axis=-1)
+        val = np.take_along_axis(scores, idx[..., None], axis=-1)[..., 0]
+        if best is None:
+            best, best_idx = val, idx
+        else:
+            better = val < best
+            best = np.where(better, val, best)
+            best_idx = np.where(better, idx + start, best_idx)
+    return best_idx
 
 
 def ml_joint(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Exhaustive ML decision, returned as per-group point indices.
 
     Guarded against oversized codebooks; ties resolve to the lowest flat
-    codeword index.
+    codeword index. Codewords are built chunk by chunk from their flat
+    indices, so no table of the whole codebook is formed.
     """
     if codebook.size > ML_SIZE_GUARD:
         raise ResourceGuardError(f"codebook size {codebook.size} exceeds ML guard")
     z, gram = sufficient_stats(y, model)
-    flat = _ml_argmin(z, gram, codebook.enumerate_x())
+    flat = _ml_argmin(z, gram, codebook.size,
+                      lambda flat: codebook.assemble(codebook.flat_to_indices(flat)))
     return codebook.flat_to_indices(flat)
 
 
@@ -301,7 +328,8 @@ def ml_grouped(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarr
     out = np.zeros(z.shape[:-1] + (codebook.n_groups,), dtype=np.intp)
     for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
         idx = list(grp)
-        out[..., g] = _ml_argmin(z[..., idx], gram[..., idx, :][..., idx], vals)
+        out[..., g] = _ml_argmin(z[..., idx], gram[..., idx, :][..., idx],
+                                 len(vals), lambda flat: vals[flat])
     return out
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from multiprocessing import forkserver
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dstc import gnaf_sim, verifier
+from dstc import cli, gnaf_sim, verifier
 from dstc import matkernel as mk
 from dstc.designs import (Design, build_pciod, build_toeplitz, golden_cda,
                           relay_matrix_set)
@@ -118,6 +119,7 @@ class TestBuildEffective:
             ch = sample_channel(d.r, rng)
             k = d.k
             m = single_model(d, params, ch)
+        assert m.shape[0] == params.rows
         for _ in range(10):
             x = rng.standard_normal(k)
             s = x[0::2] + 1j * x[1::2]
@@ -374,6 +376,90 @@ class TestMonteCarlo:
         assert cfg.resolved_workers() == 2
         monkeypatch.delenv("DSTC_MAX_WORKERS")
         assert cfg.resolved_workers() == 8
+
+
+_BLOCK_CASES = [(v, r) for v in gnaf_sim.VARIANTS for r in gnaf_sim._RECEIVERS
+                if (v, r) != ("direct", "grouped-ml")]
+
+
+class TestBlocks:
+    """A batch decided in blocks of draws equals the batch decided whole."""
+
+    @pytest.mark.parametrize("variant,receiver", _BLOCK_CASES)
+    def test_blocks_of_seven_draws_equal_one_block(self, variant, receiver,
+                                                   monkeypatch):
+        if variant == "direct":
+            d, rs, book = None, None, qam_codebook(2, 4)
+        else:
+            d = build_pciod(2)
+            rs = relay_matrix_set(d)
+            book = lattice_codebook(d.partition, default_lattice(1, 2))
+        cfg = SimConfig(design=d, codebook=book, receiver=receiver,
+                        snr_db=(4.0,), trials=100, seed=21, variant=variant)
+        if receiver == "grouped-ml":
+            # couple about half the draws by a per-draw rule, so that blocks
+            # mix grouped decisions with joint-ML fallbacks
+            monkeypatch.setattr(gnaf_sim, "gram_crossterm", lambda gram, groups: np.where(
+                np.floor(gram[:, 0, 0] * 64) % 2 == 1, np.inf, 0.0))
+        blocks, detect = [], gnaf_sim._detect
+
+        def recording(*args):
+            out = detect(*args)
+            blocks.append(out[0])
+            return out
+
+        monkeypatch.setattr(gnaf_sim, "_detect", recording)
+        per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
+        runs = {}
+        for draws in (100, 7):
+            monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", draws * per_draw)
+            blocks.clear()
+            counts = gnaf_sim._run_batch(cfg, rs, 0, 3, 100)
+            runs[draws] = counts, np.concatenate(blocks), [len(b) for b in blocks]
+        (whole, dec, sizes), (blocked, blocked_dec, blocked_sizes) = runs[100], runs[7]
+        assert sizes == [100] and sorted(set(blocked_sizes)) == [6, 7]
+        assert blocked == whole and np.array_equal(blocked_dec, dec)
+        assert whole[0] > 0
+        if receiver == "grouped-ml":
+            assert 0 < whole[2] < 100
+
+
+class TestBatchMemory:
+    """Peak traced memory of one batch, past the set-up a first batch does."""
+
+    @staticmethod
+    def peak(cfg, n):
+        rs = relay_matrix_set(cfg.design)
+        gnaf_sim._run_batch(cfg, rs, 0, 0, 2)
+        tracemalloc.start()
+        try:
+            gnaf_sim._run_batch(cfg, rs, 0, 0, n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def pciod4(constellation, points):
+        sim, _ = cli._sim_config({
+            "design": {"family": "pciod", "relays": 4}, "variant": "gnaf2",
+            "snr_db": "0:5:30", "receiver": "joint-ml", "seed": 1,
+            "constellation": {"type": constellation, "points": points}})
+        return sim
+
+    def test_joint_ml_peak_grows_only_by_the_draws(self):
+        # the benchmark's sweep-joint config: what a batch keeps per draw
+        # (channels, symbols, noise, decisions) is under 1 KiB; with a
+        # whole-batch model, statistics and scores it grew by 4.7 KiB a draw
+        cfg = self.pciod4("lattice", 2)
+        small, large = self.peak(cfg, 4096), self.peak(cfg, 16384)
+        assert large - small < (16384 - 4096) * 1024
+
+    def test_large_codebook_joint_ml_is_bounded(self):
+        # 25^4 = 390,625 codewords: a table of every candidate's
+        # [vec(x x^T), -2 x] alone would take 390,625 * 72 * 8 bytes = 225 MB
+        cfg = self.pciod4("pam", 5)
+        assert cfg.codebook.size == 390625
+        assert self.peak(cfg, 4) < 16 * 2 ** 20
 
 
 class TestSweepTaskLoop:

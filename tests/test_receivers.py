@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dstc import receivers
 from dstc.designs import build_pciod, build_toeplitz
 from dstc.gnaf_sim import make_rng, omega_diagonals, protocol_params
 from dstc.precoding import default_lattice
@@ -97,6 +98,46 @@ class TestMlJoint:
         dec = ml_joint(np.ones(2, dtype=complex), m, book)
         assert np.array_equal(dec, [0, 0])
 
+    def test_ties_across_candidate_chunks_go_to_lowest_index(self):
+        # integer codewords and models make every score exact, so duplicate
+        # codewords tie exactly; their copies sit on both sides of chunk
+        # boundaries, one group alone and as the leading group of a product
+        c = receivers._ML_CHUNK
+        n = 2 * c + 8
+        first = np.stack([np.arange(n) // 64, np.arange(n) % 64], axis=-1).astype(float)
+        first[c] = first[c + 2 * 64 + 1] = first[c - 1]
+        first[2 * c] = first[2 * c + 5] = first[c - 2]
+        tail = pam_codebook(((2,),), 3, normalize=False).group_values[0]
+        rng = make_rng(3, 1)
+        m = (rng.integers(-3, 4, size=(6, 3, 3))
+             + 1j * rng.integers(-3, 4, size=(6, 3, 3))).astype(complex)
+        m[:, :, 0] += 9.0                     # keep every model full rank
+        sent = np.array([[c - 1, 0], [c, 1], [c - 2, 2], [2 * c + 5, 0],
+                         [c + 2 * 64 + 1, 2], [7, 1]])
+        single = Codebook(((0, 1),), (first,))
+        product = Codebook(((0, 1), (2,)), (first, tail))
+        want = np.array([c - 1, c - 1, c - 2, c - 2, c - 1, 7])
+        assert product.size > single.size > 2 * c
+        y = np.einsum("brk,bk->br", m[:, :, :2], first[sent[:, 0]])
+        assert np.array_equal(ml_joint(y, m[:, :, :2], single)[:, 0], want)
+        y = np.einsum("brk,bk->br", m, product.assemble(sent))
+        assert np.array_equal(ml_joint(y, m, product),
+                              np.stack([want, sent[:, 1]], axis=-1))
+
+    def test_chunking_changes_no_decision(self, monkeypatch):
+        # 4096 codewords decided in chunks of 64 and in one chunk
+        book = qam_codebook(2, 64)
+        rng = make_rng(8, 2)
+        m = rng.standard_normal((40, 5, 4)) + 1j * rng.standard_normal((40, 5, 4))
+        tx = np.stack([rng.integers(0, s, size=40) for s in book.group_sizes], axis=1)
+        y = np.einsum("brk,bk->br", m, book.assemble(tx))
+        y += 0.3 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+        monkeypatch.setattr(receivers, "_ML_CHUNK", book.size)
+        whole = ml_joint(y, m, book)
+        monkeypatch.setattr(receivers, "_ML_CHUNK", 64)
+        assert np.array_equal(ml_joint(y, m, book), whole)
+        assert np.array_equal(ml_joint(y[3], m[3], book), whole[3])
+
     def test_size_guard(self):
         book = pam_codebook(tuple((i,) for i in range(21)), 2)
         with pytest.raises(ResourceGuardError):
@@ -169,6 +210,16 @@ class TestMlGrouped:
         m_bad = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         _, gram = sufficient_stats(np.zeros(8), m_bad)
         assert gram_crossterm(gram, book.groups) > 0.1
+
+    def test_crossterm_equals_masked_maximum(self):
+        rng = make_rng(15, 0)
+        gram = rng.standard_normal((30, 6, 6))
+        groups = ((0, 3), (1,), (2, 4, 5))
+        label = np.array([0, 1, 2, 0, 2, 2])
+        cross = label[:, None] != label[None, :]
+        want = np.max(np.abs(gram) * cross, axis=(-2, -1), initial=0.0)
+        assert np.array_equal(gram_crossterm(gram, groups), want)
+        assert np.array_equal(gram_crossterm(gram, ((0, 1, 2, 3, 4, 5),)), np.zeros(30))
 
 
 class TestLinear:
