@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from . import __version__, dmg, verifier
 from .designs import (Design, build_family, load_design, relay_matrix_set,
                       save_design)
 from .gnaf_sim import (VARIANTS, SimConfig, check_count, protocol_params,
-                       results_to_csv, run_monte_carlo)
+                       results_to_csv, run_monte_carlo, snr_power)
 from .precoding import (RotatedLattice, default_lattice, load_rotation,
                         pam_alphabet)
 from .receivers import (Codebook, ResourceGuardError, lattice_codebook,
@@ -93,20 +94,41 @@ def _resolve_codebook(d: Design | None, spec, t1: int = 0) -> Codebook:
 
 
 def _parse_snr(spec) -> tuple[float, ...]:
+    """The SNR grid in dB, from a list of points or "start:step:stop".
+
+    Raises ConfigError for a grid the simulator cannot run: a part that is
+    not finite, a point whose linear power is not finite and positive
+    (snr_power), or an empty grid.
+    """
     if isinstance(spec, (list, tuple)):
-        return tuple(float(v) for v in spec)
-    try:
-        start, step, stop = (float(v) for v in str(spec).split(":"))
-    except ValueError as exc:
-        raise ConfigError(f"bad SNR grid {spec!r}; use start:step:stop") from exc
-    if step <= 0:
-        raise ConfigError("SNR step must be positive")
-    grid = []
-    v = start
-    while v <= stop + 1e-9:
-        grid.append(round(v, 9))
-        v += step
+        grid = [float(v) for v in spec]
+    else:
+        try:
+            start, step, stop = (float(v) for v in str(spec).split(":"))
+        except ValueError as exc:
+            raise ConfigError(f"bad SNR grid {spec!r}; use start:step:stop") from exc
+        if not 0 < step < math.inf:
+            raise ConfigError("SNR step must be positive and finite")
+        # both ends first: stepping from an end beyond the range of powers
+        # might never reach the other one
+        _check_snr(spec, (start, stop))
+        grid = []
+        v = start
+        while v <= stop + 1e-9:
+            grid.append(round(v, 9))
+            v += step
+    if not grid:
+        raise ConfigError(f"SNR grid {spec!r} has no points")
+    _check_snr(spec, grid)
     return tuple(grid)
+
+
+def _check_snr(spec, points) -> None:
+    try:
+        for v in points:
+            snr_power(v)
+    except ValueError as exc:
+        raise ConfigError(f"SNR grid {spec!r}: {exc}") from exc
 
 
 def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:

@@ -15,7 +15,9 @@ z = Re(M^H y) and G = Re(M^H M). Joint ML minimizes x^T G x - 2 z.x over the
 codebook, one GEMM per chunk of candidates built from their flat indices,
 with a running minimum across chunks, so its memory does not depend on the
 codebook size; grouped ML does the same per group with z_g and the
-diagonal block G_gg; ZF and MMSE solve linear systems in G and z.
+diagonal block G_gg; ZF and MMSE solve G x = z (MMSE with G regularised)
+by one elimination over the whole block of draws, which also gives ZF the
+scale-free singularity ratio it erases by.
 
 The grouped detector is only valid when the whitened model actually
 decomposes: G must vanish on cross-group entries (the decision-level
@@ -356,24 +358,68 @@ def _slice_groups(xhat: np.ndarray, codebook: Codebook) -> np.ndarray:
     return out
 
 
+def _solve(gram: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve G x = z for a block of draws by one elimination of [G | z].
+
+    ``gram`` is (n, K, K) and positive semidefinite, ``z`` is (n, K). The
+    augmented matrices are held with the draws on the last axis, so every
+    step of the elimination is one numpy operation over the whole block.
+    A PSD matrix needs no pivoting: its pivots are the diagonal entries of
+    successive Schur complements, and pivot_j <= G_jj.
+
+    Returns x (n, K) and the Hadamard ratio det G / prod diag G, computed
+    as prod_j pivot_j / G_jj, so each factor lies in (0, 1] and the ratio
+    does not depend on the model's scale. A pivot that is not positive (a
+    singular or rank-deficient G) sets the draw's ratio to 0 and is
+    replaced by 1 for the rest of the elimination, so no division by zero
+    occurs and that draw's x is finite but meaningless.
+    """
+    n, k = z.shape
+    aug = np.empty((k, k + 1, n))
+    aug[:, :k] = gram.transpose(1, 2, 0)
+    aug[:, k] = z.T
+    diag = aug[range(k), range(k)]
+    ratio = np.ones(n)
+    for j in range(k):
+        piv = aug[j, j]
+        pos = piv > 0
+        ratio *= np.divide(piv, diag[j], out=np.zeros(n), where=pos & (diag[j] > 0))
+        row = aug[j, j + 1:]
+        row /= np.where(pos, piv, 1.0)
+        aug[j + 1:, j + 1:] -= aug[j + 1:, j, None] * row
+    # back substitution on the unit upper-triangular system, column by column
+    x = aug[:, k]
+    for j in range(k - 1, 0, -1):
+        x[:j] -= aug[:j, j] * x[j]
+    return x.T, ratio
+
+
+def _decide(gram: np.ndarray, z: np.ndarray, codebook: Codebook,
+            floor: float) -> np.ndarray:
+    """Sliced solutions of G x = z; draws whose Hadamard ratio is not above
+    ``floor`` are erased, index -1 in every group."""
+    xhat, ratio = _solve(gram, z)
+    good = ratio > floor
+    out = np.full((len(z), codebook.n_groups), -1, dtype=np.intp)
+    out[good] = _slice_groups(xhat[good], codebook)
+    return out
+
+
 def zf_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Zero-forcing: solve G x = z, then slice per group.
 
-    Rank-deficient model matrices yield an erasure, marked as index -1 in
-    every group (scored as symbol errors by the harness). The test is
-    relative, so it does not depend on the model's scale: by Hadamard's
-    inequality det G <= prod(diag G) for the PSD G, with equality for
-    orthogonal columns, and G counts as singular when det G falls below
-    REL_TOL times that bound.
+    The block's systems are solved together by one elimination without
+    pivoting (_solve). Rank-deficient model matrices yield an erasure,
+    marked as index -1 in every group (scored as symbol errors by the
+    harness). The test is relative, so it does not depend on the model's
+    scale: by Hadamard's inequality det G <= prod(diag G) for the PSD G,
+    with equality for orthogonal columns, and G counts as singular unless
+    det G / prod(diag G) = prod_j pivot_j / G_jj exceeds REL_TOL. A zero or
+    negative pivot makes that ratio 0, so the draw is erased.
     """
     y, m, squeeze = _as_batch(y, model)
     z, gram = sufficient_stats(y, m)
-    diag = np.diagonal(gram, axis1=-2, axis2=-1)
-    good = np.linalg.det(gram) > matkernel.REL_TOL * np.prod(diag, axis=-1)
-    out = -np.ones((y.shape[0], codebook.n_groups), dtype=np.intp)
-    if np.any(good):
-        xhat = np.linalg.solve(gram[good], z[good][..., None])[..., 0]
-        out[good] = _slice_groups(xhat, codebook)
+    out = _decide(gram, z, codebook, matkernel.REL_TOL)
     return out[0] if squeeze else out
 
 
@@ -382,11 +428,17 @@ def mmse_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook,
     """Linear MMSE: solve (G + noise_var / Es) x = z, then slice per group.
 
     ``noise_var`` is the per-real-dimension noise variance (0.5 after
-    whitening to unit complex variance). The prior symbol energy per
-    coordinate is estimated from the codebook.
+    whitening to unit complex variance); NaN or a negative value raises
+    ValueError. The prior symbol energy per coordinate is estimated from
+    the codebook. The regularised systems are solved by the same
+    elimination as ZF's (_solve); with ``noise_var`` > 0 they are positive
+    definite, so every pivot is positive. With ``noise_var`` = 0 a draw
+    whose G is singular has a pivot that is not, and it is erased (-1).
     """
+    if not noise_var >= 0:
+        raise ValueError(f"noise_var must be >= 0, got {noise_var!r}")
     y, m, squeeze = _as_batch(y, model)
-    if not np.isfinite(noise_var):
+    if np.isinf(noise_var):
         # degenerate limit: the estimate collapses to the zero vector
         xhat = np.zeros((y.shape[0], codebook.k))
         out = _slice_groups(xhat, codebook)
@@ -396,7 +448,5 @@ def mmse_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook,
     for grp, vals in zip(codebook.groups, codebook.group_values):
         es[list(grp)] = np.mean(vals ** 2, axis=0)
     es = np.where(es > 0, es, 1.0)
-    reg = np.diag(noise_var / es)
-    xhat = np.linalg.solve(gram + reg[None, :, :], z[..., None])[..., 0]
-    out = _slice_groups(xhat, codebook)
+    out = _decide(gram + np.diag(noise_var / es), z, codebook, 0.0)
     return out[0] if squeeze else out

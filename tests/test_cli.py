@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dstc.cli import ConfigError, _sim_config, main
+from dstc.cli import ConfigError, _parse_snr, _sim_config, main
 from dstc.designs import (Design, build_toeplitz, design_to_dict, load_design,
                           save_design)
 from dstc.precoding import pam_alphabet
@@ -214,6 +214,21 @@ class TestSimulateAndPipeline:
             cfg = self.write_cfg(tmp_path, **{field: value})
         assert run(["simulate", "--config", cfg]) == 3
         assert f"error: {field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        # non-finite parts; from an infinite end the grid never ends
+        "0:5:inf", "-inf:5:0", "nan:5:20", "0:nan:20", "0:inf:20",
+        # empty grids
+        "20:5:0", [],
+        # points whose linear power overflows or underflows
+        "1e308:1:1e308", "0:5:4000", [0.0, float("inf")], [-5000.0],
+    ])
+    def test_unrunnable_snr_grid_exit_three(self, tmp_path, capsys, spec):
+        with pytest.raises(ConfigError, match="SNR"):
+            _parse_snr(spec)
+        cfg = self.write_cfg(tmp_path, snr_db=spec)
+        assert run(["simulate", "--config", cfg]) == 3
+        assert "error: SNR" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["pam", "lattice"])
     def test_one_point_constellation_exit_three(self, tmp_path, capsys, kind):

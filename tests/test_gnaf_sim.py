@@ -63,6 +63,15 @@ class TestChannel:
         assert abs(cross) < 3.0 / np.sqrt(n)
 
 
+@pytest.mark.parametrize("shape", [(4096, 9), (4096, 8), (4096, 5), (7,), (3, 2, 5)])
+def test_crandn_bits_equal_the_plain_formula(shape):
+    z = make_rng(17, len(shape)).standard_normal(shape + (2,))
+    want = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    got = gnaf_sim.crandn(make_rng(17, len(shape)), *shape)
+    assert got.shape == shape and got.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+
+
 class TestBuildEffective:
     """Hand-computed entries of the compact model M (effective_matrix)."""
 
@@ -370,12 +379,59 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="receiver"):
             run_monte_carlo(SimConfig(**{**cfg.__dict__, "receiver": "magic"}))
 
+    @pytest.mark.parametrize("snr_db", [(), (float("inf"),), (0.0, float("nan")),
+                                        (-float("inf"),), (1e308,), (-5000.0,)])
+    def test_unrunnable_snr_grid_refused(self, snr_db):
+        cfg = self.config()
+        with pytest.raises(ValueError, match="SNR"):
+            SimConfig(**{**cfg.__dict__, "snr_db": snr_db})
+
     def test_env_var_caps_workers(self, monkeypatch):
         cfg = self.config(workers=8)
         monkeypatch.setenv("DSTC_MAX_WORKERS", "2")
         assert cfg.resolved_workers() == 2
         monkeypatch.delenv("DSTC_MAX_WORKERS")
         assert cfg.resolved_workers() == 8
+
+
+# Per-point (symbol errors, erasures, fallbacks) of a small sweep, 512
+# trials at 4 and 10 dB in batches of 200, for each receiver on each variant
+# it runs: Toeplitz 2x2 QAM4 on the relay variants, QAM4 pairs on direct,
+# pciod4 with its 2-D lattice for grouped ML. Recorded when ZF and MMSE
+# still solved by LAPACK; a change to the batch, model or detector
+# arithmetic that moves a decision fails here.
+_PINNED = {
+    ("gnaf1", "zf"): [(28, 0, 0), (5, 0, 0)],
+    ("gnaf1", "mmse"): [(30, 0, 0), (4, 0, 0)],
+    ("gnaf1", "joint-ml"): [(26, 0, 0), (3, 0, 0)],
+    ("gnaf2", "zf"): [(37, 0, 0), (3, 0, 0)],
+    ("gnaf2", "mmse"): [(37, 0, 0), (4, 0, 0)],
+    ("gnaf2", "joint-ml"): [(36, 0, 0), (3, 0, 0)],
+    ("gnaf3", "zf"): [(37, 0, 0), (3, 0, 0)],
+    ("gnaf3", "mmse"): [(37, 0, 0), (4, 0, 0)],
+    ("gnaf3", "joint-ml"): [(36, 0, 0), (3, 0, 0)],
+    ("jh", "zf"): [(201, 0, 0), (45, 0, 0)],
+    ("jh", "mmse"): [(191, 0, 0), (41, 0, 0)],
+    ("jh", "joint-ml"): [(189, 0, 0), (41, 0, 0)],
+    ("direct", "zf"): [(144, 0, 0), (41, 0, 0)],
+    ("gnaf2", "grouped-ml"): [(90, 0, 0), (3, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("variant,receiver", list(_PINNED))
+def test_pinned_decision_counts(variant, receiver):
+    if variant == "direct":
+        d, book = None, qam_codebook(2, 4)
+    elif receiver == "grouped-ml":
+        d = build_pciod(4)
+        book = lattice_codebook(d.partition, default_lattice(2, 2))
+    else:
+        d = build_toeplitz(2, 2)
+        book = qam_codebook(d.n_complex, 4)
+    res = run_monte_carlo(SimConfig(design=d, codebook=book, receiver=receiver,
+                                    snr_db=(4.0, 10.0), trials=512, seed=15,
+                                    variant=variant, batch_size=200))
+    assert [(r.errors, r.erasures, r.fallbacks) for r in res] == _PINNED[variant, receiver]
 
 
 _BLOCK_CASES = [(v, r) for v in gnaf_sim.VARIANTS for r in gnaf_sim._RECEIVERS

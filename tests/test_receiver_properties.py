@@ -5,6 +5,8 @@ itself (full squared distances, or least squares on the realified model),
 batched and for a single squeezed trial.
 """
 
+import functools
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from dstc import matkernel
 from dstc.designs import Design, build_family
 from dstc.receivers import (gram_crossterm, ml_grouped, ml_joint,
-                            pam_codebook, sufficient_stats, zf_detect)
+                            mmse_detect, pam_codebook, sufficient_stats,
+                            zf_detect)
 from dstc.verifier import check_group_decodable
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -146,4 +149,25 @@ def test_zf_is_sliced_least_squares(case):
         else:
             want = [int(np.argmin(np.sum((vals - xhat[list(grp)]) ** 2, axis=1)))
                     for grp, vals in zip(book.groups, book.group_values)]
+        assert np.array_equal(dec[b], want)
+
+
+@SETTINGS
+@given(cases(), st.floats(0.01, 4.0))
+def test_mmse_is_sliced_regularised_least_squares(case, noise_var):
+    y, m, book, squeeze = case
+    mmse = functools.partial(mmse_detect, noise_var=noise_var)
+    dec, n = detect(mmse, y, m, book, squeeze)
+    # the prior energy per coordinate: the mean square of its values
+    es = np.zeros(book.k)
+    for grp, vals in zip(book.groups, book.group_values):
+        es[list(grp)] = np.mean(vals ** 2, axis=0)
+    ridge = np.diag(np.sqrt(noise_var / es))
+    for b in range(n):
+        # argmin ||A x - rhs||^2 + sum_i (noise_var / es_i) x_i^2
+        a = np.concatenate([m[b].real, m[b].imag, ridge])
+        rhs = np.concatenate([y[b].real, y[b].imag, np.zeros(book.k)])
+        xhat = np.linalg.lstsq(a, rhs, rcond=None)[0]
+        want = [int(np.argmin(np.sum((vals - xhat[list(grp)]) ** 2, axis=1)))
+                for grp, vals in zip(book.groups, book.group_values)]
         assert np.array_equal(dec[b], want)

@@ -4,6 +4,7 @@ import pytest
 from dstc import receivers
 from dstc.designs import build_pciod, build_toeplitz
 from dstc.gnaf_sim import make_rng, omega_diagonals, protocol_params
+from dstc.matkernel import REL_TOL
 from dstc.precoding import default_lattice
 from dstc.receivers import (Codebook, ResourceGuardError, gram_crossterm,
                             lattice_codebook, ml_grouped, ml_joint,
@@ -255,6 +256,46 @@ class TestLinear:
         dec = zf_detect(np.ones((1, 3), complex), m, book)
         assert np.array_equal(dec, [[-1]])
 
+    @staticmethod
+    def hadamard_model(rng, ratio, rows=3, k=4):
+        """A model whose G has det G / prod diag G = ``ratio``.
+
+        The realified model is Q C S: Q has orthonormal columns, C is upper
+        triangular with unit columns and diagonal (1, sqrt(ratio), 1, ...),
+        and S scales the columns; its columns are then shuffled.
+        """
+        c = np.eye(k)
+        c[0, 1], c[1, 1] = np.sqrt(1.0 - ratio), np.sqrt(ratio)
+        q, _ = np.linalg.qr(rng.standard_normal((2 * rows, k)))
+        a = (q @ c * rng.uniform(0.1, 10.0, k))[:, rng.permutation(k)]
+        return a[:rows] + 1j * a[rows:]
+
+    def test_zf_erasure_boundary_is_the_hadamard_ratio(self):
+        # draws just above and just below the REL_TOL ratio, a zero column,
+        # and fewer real rows than symbols: erased exactly where the
+        # determinant rule det G > REL_TOL prod diag G says, without warnings
+        rng = np.random.default_rng(31)
+        book = qam_codebook(2, 4)
+        tol = REL_TOL
+        zero_col = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        zero_col[:, 2] = 0.0
+        cases = [(self.hadamard_model(rng, tol * f), f < 1)
+                 for f in (1.001, 0.999, 1.001, 0.999, 10.0, 0.1)]
+        cases.append((zero_col, True))
+        wide = rng.standard_normal((5, 1, 4)) + 1j * rng.standard_normal((5, 1, 4))
+        for m, want in [(np.stack([c[0] for c in cases]), [c[1] for c in cases]),
+                        (wide, [True] * 5)]:
+            _, gram = sufficient_stats(np.zeros(m.shape[:2], complex), m)
+            diag = np.diagonal(gram, axis1=-2, axis2=-1)
+            det_rule = ~(np.linalg.det(gram) > tol * np.prod(diag, axis=-1))
+            y = rng.standard_normal(m.shape[:2]) + 1j * rng.standard_normal(m.shape[:2])
+            with np.errstate(all="raise"):
+                dec = zf_detect(y, m, book)
+            erased = np.all(dec == -1, axis=1)
+            assert np.array_equal(erased, want)
+            assert np.array_equal(erased, det_rule)
+            assert np.all(dec[~erased] >= 0)
+
     def test_zf_small_scale_not_erased(self):
         # realified model with singular values 10, 4, 2, 1 (condition 10):
         # scaling it by 0.01 must not turn decisions into erasures
@@ -292,6 +333,23 @@ class TestLinear:
         from dstc.receivers import _slice_groups
         want = _slice_groups(np.zeros((40, book.k)), book)
         assert np.array_equal(dec, want)
+
+    @pytest.mark.parametrize("noise_var", [np.nan, -0.5])
+    def test_mmse_refuses_nan_or_negative_noise_var(self, noise_var):
+        book, m, rng = self.setup_case(n=1, seed=13)
+        y = np.einsum("brk,bk->br", m, book.assemble([[3, 1]]))
+        assert np.array_equal(mmse_detect(y, m, book, noise_var=0.5), [[3, 1]])
+        with pytest.raises(ValueError, match="noise_var"):
+            mmse_detect(y, m, book, noise_var=noise_var)
+
+    def test_mmse_without_noise_erases_singular_draws(self):
+        book, m, rng = self.setup_case(n=3, seed=17)
+        m = m.copy()
+        m[1, :, 2] = 0.0                   # draw 1 loses a symbol's column
+        y = np.einsum("brk,bk->br", m, book.assemble([[3, 1], [2, 0], [1, 2]]))
+        with np.errstate(all="raise"):
+            dec = mmse_detect(y, m, book, noise_var=0.0)
+        assert np.array_equal(dec, [[3, 1], [-1, -1], [1, 2]])
 
     def test_lattice_slicing_matches_nearest_row(self):
         d = build_pciod(4)
