@@ -494,8 +494,10 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
 
     The batch's randomness is drawn first, whole and in its keyed order:
     channels, symbols, noise. The model, its whitening, the received
-    vectors and the decisions then run over equal blocks of draws, as few
-    as keep each block's model matrices within ``_BLOCK_BYTES``. So apart
+    vectors, their sufficient statistics (z, G) and the decisions then run
+    over equal blocks of draws, as few as keep each block's model matrices
+    within ``_BLOCK_BYTES``. (z, G) are formed once per block, and every
+    detector and the grouped-ML decodability check read them. So apart
     from the per-draw random inputs and decisions, the memory of a batch
     does not grow with its size.
 
@@ -537,7 +539,7 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
             m *= (1.0 / np.sqrt(omega_diagonals(params, rs, g[blk])))[:, :, None]
         y = np.einsum("brk,bk->br", m, x[blk])
         y += noise[blk]
-        dec[blk], block_fallbacks = _detect(cfg.receiver, y, m, book)
+        dec[blk], block_fallbacks = _detect(cfg.receiver, *sufficient_stats(y, m), book)
         fallbacks += block_fallbacks
 
     errors = int(np.sum(dec != tx))
@@ -545,24 +547,23 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
     return errors, n * book.n_groups, fallbacks, erasures
 
 
-def _detect(receiver: str, y: np.ndarray, m: np.ndarray,
+def _detect(receiver: str, z: np.ndarray, gram: np.ndarray,
             book: Codebook) -> tuple[np.ndarray, int]:
-    """Decisions of ``receiver`` on a block of draws, and its fallback count."""
+    """Decisions of ``receiver`` on a block's (z, G), and its fallback count."""
     if receiver == "joint-ml":
-        return ml_joint(y, m, book), 0
+        return ml_joint(z, gram, book), 0
     if receiver == "grouped-ml":
-        dec = ml_grouped(y, m, book)
+        dec = ml_grouped(z, gram, book)
         # grouped ML is exact only where the whitened model decomposes
-        _, gram = sufficient_stats(y, m)
         worst = gram_crossterm(gram, book.groups)
         coupled = worst > matkernel.zero_threshold(np.max(np.abs(gram), axis=(1, 2)))
         if np.any(coupled):
-            dec[coupled] = ml_joint(y[coupled], m[coupled], book)
+            dec[coupled] = ml_joint(z[coupled], gram[coupled], book)
         return dec, int(np.sum(coupled))
     if receiver == "zf":
-        return zf_detect(y, m, book), 0
+        return zf_detect(z, gram, book), 0
     if receiver == "mmse":
-        return mmse_detect(y, m, book, noise_var=0.5), 0
+        return mmse_detect(z, gram, book), 0
     raise ValueError(f"unknown receiver {receiver!r}; known: {_RECEIVERS}")
 
 

@@ -8,16 +8,19 @@ where M folds the codeword map, channel vector and whitening into one matrix
 per channel realization (see gnaf_sim.effective_matrix). Codebooks enumerate
 X group by group; a decision is one alphabet-point index per group, so joint
 and grouped detectors are directly comparable. Tie-breaking is by lowest
-codeword index, making every detector a pure function of (y, M).
+codeword index.
 
-Every detector reads the same two sufficient statistics (sufficient_stats):
-z = Re(M^H y) and G = Re(M^H M). Joint ML minimizes x^T G x - 2 z.x over the
-codebook, one GEMM per chunk of candidates built from their flat indices,
-with a running minimum across chunks, so its memory does not depend on the
-codebook size; grouped ML does the same per group with z_g and the
-diagonal block G_gg; ZF and MMSE solve G x = z (MMSE with G regularised)
-by one elimination over the whole block of draws, which also gives ZF the
-scale-free singularity ratio it erases by.
+Every detector takes only the two sufficient statistics of a block of
+draws, z = Re(M^H y) and G = Re(M^H M) (sufficient_stats), which the
+caller forms once per block, so each detector is a pure function of
+(z, G). Joint ML minimizes x^T G x - 2 z.x over the codebook, one GEMM
+per chunk of candidates built from their flat indices, with a running
+minimum across chunks, so its memory does not depend on the codebook
+size; grouped ML does the same per group with z_g and the diagonal block
+G_gg; ZF and MMSE solve G x = z by one elimination over the whole block of
+draws, which also gives ZF the scale-free singularity ratio it erases by.
+MMSE regularises G for the whitened noise, whose variance is 1/2 per real
+dimension.
 
 The grouped detector is only valid when the whitened model actually
 decomposes: G must vanish on cross-group entries (the decision-level
@@ -221,16 +224,6 @@ def lattice_codebook(partition, lattice: RotatedLattice) -> Codebook:
 # sufficient statistics
 # ---------------------------------------------------------------------------
 
-def _as_batch(y: np.ndarray, m: np.ndarray):
-    y = np.asarray(y, dtype=np.complex128)
-    m = np.asarray(m, dtype=np.complex128)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[None, :]
-        m = m[None, :, :]
-    return y, m, squeeze
-
-
 def sufficient_stats(y: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter output z = Re(M^H y) and Gram matrix G = Re(M^H M).
 
@@ -305,8 +298,8 @@ def _ml_argmin(z: np.ndarray, gram: np.ndarray, size: int, candidates) -> np.nda
     return best_idx
 
 
-def ml_joint(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Exhaustive ML decision, returned as per-group point indices.
+def ml_joint(z: np.ndarray, gram: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Exhaustive ML decision on (z, G), returned as per-group point indices.
 
     Guarded against oversized codebooks; ties resolve to the lowest flat
     codeword index. Codewords are built chunk by chunk from their flat
@@ -314,19 +307,17 @@ def ml_joint(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray
     """
     if codebook.size > ML_SIZE_GUARD:
         raise ResourceGuardError(f"codebook size {codebook.size} exceeds ML guard")
-    z, gram = sufficient_stats(y, model)
     flat = _ml_argmin(z, gram, codebook.size,
                       lambda flat: codebook.assemble(codebook.flat_to_indices(flat)))
     return codebook.flat_to_indices(flat)
 
 
-def ml_grouped(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray:
+def ml_grouped(z: np.ndarray, gram: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Per-group ML decisions (valid when the model decomposes across groups).
 
     Searches sum(group sizes) candidates instead of their product: group g
     is scored on its own entries z_g and diagonal block G_gg.
     """
-    z, gram = sufficient_stats(y, model)
     out = np.zeros(z.shape[:-1] + (codebook.n_groups,), dtype=np.intp)
     for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
         idx = list(grp)
@@ -405,11 +396,12 @@ def _decide(gram: np.ndarray, z: np.ndarray, codebook: Codebook,
     return out
 
 
-def zf_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarray:
+def zf_detect(z: np.ndarray, gram: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Zero-forcing: solve G x = z, then slice per group.
 
-    The block's systems are solved together by one elimination without
-    pivoting (_solve). Rank-deficient model matrices yield an erasure,
+    ``z`` is (n, K) and ``gram`` (n, K, K), one row per draw. The block's
+    systems are solved together by one elimination without pivoting
+    (_solve). Rank-deficient model matrices yield an erasure,
     marked as index -1 in every group (scored as symbol errors by the
     harness). The test is relative, so it does not depend on the model's
     scale: by Hadamard's inequality det G <= prod(diag G) for the PSD G,
@@ -417,36 +409,19 @@ def zf_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook) -> np.ndarra
     det G / prod(diag G) = prod_j pivot_j / G_jj exceeds REL_TOL. A zero or
     negative pivot makes that ratio 0, so the draw is erased.
     """
-    y, m, squeeze = _as_batch(y, model)
-    z, gram = sufficient_stats(y, m)
-    out = _decide(gram, z, codebook, matkernel.REL_TOL)
-    return out[0] if squeeze else out
+    return _decide(gram, z, codebook, matkernel.REL_TOL)
 
 
-def mmse_detect(y: np.ndarray, model: np.ndarray, codebook: Codebook,
-                noise_var: float) -> np.ndarray:
-    """Linear MMSE: solve (G + noise_var / Es) x = z, then slice per group.
+def mmse_detect(z: np.ndarray, gram: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Linear MMSE: solve (G + diag(1/2 / Es)) x = z, then slice per group.
 
-    ``noise_var`` is the per-real-dimension noise variance (0.5 after
-    whitening to unit complex variance); NaN or a negative value raises
-    ValueError. The prior symbol energy per coordinate is estimated from
-    the codebook. The regularised systems are solved by the same
-    elimination as ZF's (_solve); with ``noise_var`` > 0 they are positive
-    definite, so every pivot is positive. With ``noise_var`` = 0 a draw
-    whose G is singular has a pivot that is not, and it is erased (-1).
+    Shapes as for zf_detect. Whitening leaves the noise unit complex
+    variance, so 1/2 per real dimension; the prior symbol energy Es per
+    coordinate is estimated from the codebook. The regularised systems are
+    positive definite and solved by the same elimination as ZF's (_solve).
     """
-    if not noise_var >= 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var!r}")
-    y, m, squeeze = _as_batch(y, model)
-    if np.isinf(noise_var):
-        # degenerate limit: the estimate collapses to the zero vector
-        xhat = np.zeros((y.shape[0], codebook.k))
-        out = _slice_groups(xhat, codebook)
-        return out[0] if squeeze else out
-    z, gram = sufficient_stats(y, m)
     es = np.zeros(codebook.k)
     for grp, vals in zip(codebook.groups, codebook.group_values):
         es[list(grp)] = np.mean(vals ** 2, axis=0)
     es = np.where(es > 0, es, 1.0)
-    out = _decide(gram + np.diag(noise_var / es), z, codebook, 0.0)
-    return out[0] if squeeze else out
+    return _decide(gram + np.diag(0.5 / es), z, codebook, 0.0)

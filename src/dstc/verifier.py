@@ -372,18 +372,19 @@ def min_delta_det_full(d: Design, codebook) -> tuple[float, np.ndarray | None]:
       block against the contiguous slice of codewords after the first.
     * Product codebook: the search runs over the exact difference set,
       much smaller than the pairs, without building it. The difference set
-      is the product of the per-group tables (Codebook.group_differences,
-      guarded like difference_vectors), so dS of a difference is a sum of
-      one projected piece per group; the sums over the leading and the
+      is the product of the per-group tables of Codebook.group_differences,
+      which guards the size of that product, so dS of a difference is a sum
+      of one projected piece per group; the sums over the leading and the
       trailing half of the groups are formed once and scored in blocks.
       Only the half of the set before the zero difference is scored: each
       table is an exact negation mirror, so -d sits at the mirrored
       position and scores bit for bit the same as d.
 
     The witness is the first minimizing difference, in row-major pair
-    order or in the group-0-major order of difference_vectors, as a fresh
-    array. Scoring half the difference set keeps both: the first minimum
-    always lies before the zero, because its mirror comes after it.
+    order or in the group-0-major order of the product of the
+    group_differences tables, as a fresh array. Scoring half the
+    difference set keeps both: the first minimum always lies before the
+    zero, because its mirror comes after it.
     Square designs are scored as |det dS|^2. A book whose codewords all
     coincide returns (+inf, None). Non-finite codewords raise ValueError
     naming the first one, and so does a search in which no scored

@@ -21,7 +21,7 @@ from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, SimConfig,
                            sample_channel, simulate_trial)
 from dstc.precoding import default_lattice
 from dstc.receivers import (lattice_codebook, ml_grouped, ml_joint,
-                            pam_codebook, qam_codebook)
+                            pam_codebook, qam_codebook, sufficient_stats)
 from dstc.verifier import (check_group_decodable,
                            check_whitened_group_decodable, min_delta_det_full,
                            nvd_probe)
@@ -131,8 +131,9 @@ def test_c03_grouped_equals_joint():
             m, rng = _whitened_models(d, 10.0 ** (snr / 10.0), n, seed=303 + int(snr))
             tx = np.stack([rng.integers(0, s, size=n) for s in book.group_sizes], axis=1)
             y = np.einsum("brk,bk->br", m, book.assemble(tx)) + crandn(rng, n, m.shape[1])
-            dj = ml_joint(y, m, book)
-            dg = ml_grouped(y, m, book)
+            z, gram = sufficient_stats(y, m)
+            dj = ml_joint(z, gram, book)
+            dg = ml_grouped(z, gram, book)
             agree += int(np.sum(np.all(dj == dg, axis=1)))
             total += n
             # metric decomposition: M(S) = sum_k M_k + (1-g)||y||^2, every codeword

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from multiprocessing import forkserver
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dstc import cli, gnaf_sim, verifier
+from dstc import cli, gnaf_sim, receivers, verifier
 from dstc import matkernel as mk
 from dstc.designs import (Design, build_pciod, build_toeplitz, golden_cda,
                           relay_matrix_set)
@@ -438,6 +439,26 @@ _BLOCK_CASES = [(v, r) for v in gnaf_sim.VARIANTS for r in gnaf_sim._RECEIVERS
                 if (v, r) != ("direct", "grouped-ml")]
 
 
+def _half_coupled(gram, groups):
+    """A gram_crossterm stand-in that reports about half the draws coupled,
+    by a per-draw rule, so that blocks mix grouped decisions with joint-ML
+    fallbacks."""
+    return np.where(np.floor(gram[:, 0, 0] * 64) % 2 == 1, np.inf, 0.0)
+
+
+def _record_detect(monkeypatch):
+    """Wrap gnaf_sim._detect; returns the list of (z, G, decisions) per block."""
+    blocks, detect = [], gnaf_sim._detect
+
+    def recording(receiver, z, gram, book):
+        out = detect(receiver, z, gram, book)
+        blocks.append((z, gram, out[0]))
+        return out
+
+    monkeypatch.setattr(gnaf_sim, "_detect", recording)
+    return blocks
+
+
 class TestBlocks:
     """A batch decided in blocks of draws equals the batch decided whole."""
 
@@ -453,31 +474,76 @@ class TestBlocks:
         cfg = SimConfig(design=d, codebook=book, receiver=receiver,
                         snr_db=(4.0,), trials=100, seed=21, variant=variant)
         if receiver == "grouped-ml":
-            # couple about half the draws by a per-draw rule, so that blocks
-            # mix grouped decisions with joint-ML fallbacks
-            monkeypatch.setattr(gnaf_sim, "gram_crossterm", lambda gram, groups: np.where(
-                np.floor(gram[:, 0, 0] * 64) % 2 == 1, np.inf, 0.0))
-        blocks, detect = [], gnaf_sim._detect
-
-        def recording(*args):
-            out = detect(*args)
-            blocks.append(out[0])
-            return out
-
-        monkeypatch.setattr(gnaf_sim, "_detect", recording)
+            monkeypatch.setattr(gnaf_sim, "gram_crossterm", _half_coupled)
+        blocks = _record_detect(monkeypatch)
         per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
         runs = {}
         for draws in (100, 7):
             monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", draws * per_draw)
             blocks.clear()
             counts = gnaf_sim._run_batch(cfg, rs, 0, 3, 100)
-            runs[draws] = counts, np.concatenate(blocks), [len(b) for b in blocks]
+            decided = [dec for _, _, dec in blocks]
+            runs[draws] = counts, np.concatenate(decided), [len(b) for b in decided]
         (whole, dec, sizes), (blocked, blocked_dec, blocked_sizes) = runs[100], runs[7]
         assert sizes == [100] and sorted(set(blocked_sizes)) == [6, 7]
         assert blocked == whole and np.array_equal(blocked_dec, dec)
         assert whole[0] > 0
         if receiver == "grouped-ml":
             assert 0 < whole[2] < 100
+
+    @pytest.mark.parametrize("receiver", gnaf_sim._RECEIVERS)
+    def test_each_block_forms_its_statistics_once(self, receiver, monkeypatch):
+        # counted through both modules' globals: the detectors, the
+        # decodability check and the joint-ML fallback all read the block's
+        # one (z, G)
+        d = build_pciod(2)
+        rs = relay_matrix_set(d)
+        book = lattice_codebook(d.partition, default_lattice(1, 2))
+        cfg = SimConfig(design=d, codebook=book, receiver=receiver,
+                        snr_db=(4.0,), trials=100, seed=21)
+        if receiver == "grouped-ml":
+            monkeypatch.setattr(gnaf_sim, "gram_crossterm", _half_coupled)
+        calls, stats = [], receivers.sufficient_stats
+
+        def counting(y, m):
+            calls.append(len(y))
+            return stats(y, m)
+
+        monkeypatch.setattr(gnaf_sim, "sufficient_stats", counting)
+        monkeypatch.setattr(receivers, "sufficient_stats", counting)
+        per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
+        monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 7 * per_draw)
+        fallbacks = gnaf_sim._run_batch(cfg, rs, 0, 3, 100)[2]
+        assert len(calls) == -(-100 // 7) and sum(calls) == 100
+        assert (fallbacks > 0) == (receiver == "grouped-ml")
+
+    def test_coupled_draws_of_a_mixed_block_decide_as_joint_ml(self, monkeypatch):
+        # Toeplitz 2x2 does not decompose over its QAM groups, so per-group
+        # ML misdecides some draws that joint ML gets right; every draw the
+        # rule reports coupled must get joint ML's decision for that draw
+        d = build_toeplitz(2, 2)
+        rs = relay_matrix_set(d)
+        book = qam_codebook(2, 4)
+        cfg = SimConfig(design=d, codebook=book, receiver="joint-ml",
+                        snr_db=(4.0,), trials=200, seed=21)
+        monkeypatch.setattr(gnaf_sim, "gram_crossterm", _half_coupled)
+        per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
+        monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 50 * per_draw)
+        blocks = _record_detect(monkeypatch)
+        gnaf_sim._run_batch(cfg, rs, 0, 3, 200)
+        joint = np.concatenate([dec for _, _, dec in blocks])
+        blocks.clear()
+        gnaf_sim._run_batch(replace(cfg, receiver="grouped-ml"), rs, 0, 3, 200)
+        masks = [_half_coupled(gram, book.groups) > 0 for _, gram, _ in blocks]
+        assert len(masks) == 4 and all(0 < np.sum(c) < len(c) for c in masks)
+        coupled = np.concatenate(masks)
+        grouped = np.concatenate([dec for _, _, dec in blocks])
+        per_group = np.concatenate([receivers.ml_grouped(z, gram, book)
+                                    for z, gram, _ in blocks])
+        assert np.array_equal(grouped[coupled], joint[coupled])
+        assert np.array_equal(grouped[~coupled], per_group[~coupled])
+        # the check has teeth: per-group ML would decide some of them otherwise
+        assert np.any(per_group[coupled] != joint[coupled])
 
 
 class TestBatchMemory:

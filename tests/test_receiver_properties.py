@@ -1,11 +1,9 @@
 """Property tests of the detectors on random small complex models.
 
-Each detector is compared with a plain reference computed from the model
-itself (full squared distances, or least squares on the realified model),
-batched and for a single squeezed trial.
+Each detector decides a block from its sufficient statistics (z, G) and is
+compared with a plain reference computed from the model itself (full
+squared distances, or least squares on the realified model).
 """
-
-import functools
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -24,7 +22,7 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
 
 @st.composite
 def cases(draw, min_rows=1):
-    """(y, model, codebook, squeeze) with the rng seeded by Hypothesis."""
+    """(y, model, codebook) with the rng seeded by Hypothesis."""
     k = draw(st.integers(2, 4))
     labels = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
     groups = tuple(tuple(i for i in range(k) if labels[i] == g)
@@ -37,25 +35,16 @@ def cases(draw, min_rows=1):
     # zeroed columns: the metric ignores those symbols, so codewords tie
     m[:, :, draw(st.lists(st.integers(0, k - 1), max_size=2))] = 0.0
     y = rng.standard_normal((batch, rows)) + 1j * rng.standard_normal((batch, rows))
-    return y, m, book, draw(st.booleans())
-
-
-def detect(detector, y, m, book, squeeze):
-    """Decisions (batch, n_groups), through the 1-D call when squeezed."""
-    if squeeze:
-        out = detector(y[0], m[0], book)
-        assert out.shape == (book.n_groups,)
-        return out[None], 1
-    return detector(y, m, book), len(y)
+    return y, m, book
 
 
 @SETTINGS
 @given(cases())
 def test_ml_joint_is_bruteforce_argmin(case):
-    y, m, book, squeeze = case
-    dec, n = detect(ml_joint, y, m, book, squeeze)
+    y, m, book = case
+    dec = ml_joint(*sufficient_stats(y, m), book)
     x_all = book.enumerate_x()
-    for b in range(n):
+    for b in range(len(y)):
         met = [float(np.sum(np.abs(y[b] - m[b] @ x) ** 2)) for x in x_all]
         best = int(np.argmin(met))                 # first of any exact tie
         assert np.array_equal(dec[b], book.flat_to_indices(best))
@@ -80,16 +69,13 @@ def decomposable(rng, groups, rows, batch):
 @SETTINGS
 @given(cases(min_rows=2), st.integers(0, 2 ** 32 - 1))
 def test_ml_grouped_equals_joint_when_decomposable(case, seed):
-    y, _, book, squeeze = case
+    y, _, book = case
     rng = np.random.default_rng(seed)
     m = decomposable(rng, book.groups, y.shape[1], len(y))
-    for b in range(len(m)):
-        _, gram = sufficient_stats(y[b], m[b])
-        scale = float(np.max(np.abs(gram)))
-        assume(gram_crossterm(gram, book.groups) < matkernel.zero_threshold(scale))
-    grouped, _ = detect(ml_grouped, y, m, book, squeeze)
-    joint, _ = detect(ml_joint, y, m, book, squeeze)
-    assert np.array_equal(grouped, joint)
+    z, gram = sufficient_stats(y, m)
+    scale = np.max(np.abs(gram), axis=(1, 2))
+    assume(np.all(gram_crossterm(gram, book.groups) < matkernel.zero_threshold(scale)))
+    assert np.array_equal(ml_grouped(z, gram, book), ml_joint(z, gram, book))
 
 
 def unitary(rng, n):
@@ -132,15 +118,16 @@ def test_ml_grouped_equals_joint_on_decodable_designs(d, points, seed):
     x = book.assemble(rng.integers(0, book.group_sizes, size=(batch, book.n_groups)))
     noise = rng.standard_normal((batch, d.t)) + 1j * rng.standard_normal((batch, d.t))
     y = np.einsum("btk,bk->bt", m, x) + noise
-    assert np.array_equal(ml_grouped(y, m, book), ml_joint(y, m, book))
+    z, gram = sufficient_stats(y, m)
+    assert np.array_equal(ml_grouped(z, gram, book), ml_joint(z, gram, book))
 
 
 @SETTINGS
 @given(cases())
 def test_zf_is_sliced_least_squares(case):
-    y, m, book, squeeze = case
-    dec, n = detect(zf_detect, y, m, book, squeeze)
-    for b in range(n):
+    y, m, book = case
+    dec = zf_detect(*sufficient_stats(y, m), book)
+    for b in range(len(y)):
         a = np.concatenate([m[b].real, m[b].imag])
         rhs = np.concatenate([y[b].real, y[b].imag])
         xhat, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
@@ -153,18 +140,18 @@ def test_zf_is_sliced_least_squares(case):
 
 
 @SETTINGS
-@given(cases(), st.floats(0.01, 4.0))
-def test_mmse_is_sliced_regularised_least_squares(case, noise_var):
-    y, m, book, squeeze = case
-    mmse = functools.partial(mmse_detect, noise_var=noise_var)
-    dec, n = detect(mmse, y, m, book, squeeze)
-    # the prior energy per coordinate: the mean square of its values
+@given(cases())
+def test_mmse_is_sliced_regularised_least_squares(case):
+    y, m, book = case
+    dec = mmse_detect(*sufficient_stats(y, m), book)
+    # the prior energy per coordinate: the mean square of its values; the
+    # whitened noise has variance 1/2 per real dimension
     es = np.zeros(book.k)
     for grp, vals in zip(book.groups, book.group_values):
         es[list(grp)] = np.mean(vals ** 2, axis=0)
-    ridge = np.diag(np.sqrt(noise_var / es))
-    for b in range(n):
-        # argmin ||A x - rhs||^2 + sum_i (noise_var / es_i) x_i^2
+    ridge = np.diag(np.sqrt(0.5 / es))
+    for b in range(len(y)):
+        # argmin ||A x - rhs||^2 + sum_i (1/2 / es_i) x_i^2
         a = np.concatenate([m[b].real, m[b].imag, ridge])
         rhs = np.concatenate([y[b].real, y[b].imag, np.zeros(book.k)])
         xhat = np.linalg.lstsq(a, rhs, rcond=None)[0]

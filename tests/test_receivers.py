@@ -72,7 +72,7 @@ class TestMlJoint:
         m, rng = pciod_model(d, n=50)
         tx = rng.integers(0, 2, size=(50, 4))
         y = np.einsum("brk,bk->br", m, book.assemble(tx))
-        dec = ml_joint(y, m, book)
+        dec = ml_joint(*sufficient_stats(y, m), book)
         assert np.array_equal(dec, tx)
 
     def test_matches_bruteforce_loop(self):
@@ -84,7 +84,7 @@ class TestMlJoint:
         tx = rng.integers(0, 2, size=(100, 4))
         y = np.einsum("brk,bk->br", m, book.assemble(tx))
         y += (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-        dec = ml_joint(y, m, book)
+        dec = ml_joint(*sufficient_stats(y, m), book)
         for b in range(100):
             best, besti = np.inf, -1
             for i, x in enumerate(x_all):
@@ -95,9 +95,9 @@ class TestMlJoint:
 
     def test_tie_breaks_to_lowest_index(self):
         book = pam_codebook(((0,), (1,)), 2)
-        m = np.zeros((2, 2), dtype=complex)     # all metrics equal
-        dec = ml_joint(np.ones(2, dtype=complex), m, book)
-        assert np.array_equal(dec, [0, 0])
+        m = np.zeros((1, 2, 2), dtype=complex)     # all metrics equal
+        dec = ml_joint(*sufficient_stats(np.ones((1, 2), dtype=complex), m), book)
+        assert np.array_equal(dec, [[0, 0]])
 
     def test_ties_across_candidate_chunks_go_to_lowest_index(self):
         # integer codewords and models make every score exact, so duplicate
@@ -120,9 +120,10 @@ class TestMlJoint:
         want = np.array([c - 1, c - 1, c - 2, c - 2, c - 1, 7])
         assert product.size > single.size > 2 * c
         y = np.einsum("brk,bk->br", m[:, :, :2], first[sent[:, 0]])
-        assert np.array_equal(ml_joint(y, m[:, :, :2], single)[:, 0], want)
+        assert np.array_equal(
+            ml_joint(*sufficient_stats(y, m[:, :, :2]), single)[:, 0], want)
         y = np.einsum("brk,bk->br", m, product.assemble(sent))
-        assert np.array_equal(ml_joint(y, m, product),
+        assert np.array_equal(ml_joint(*sufficient_stats(y, m), product),
                               np.stack([want, sent[:, 1]], axis=-1))
 
     def test_chunking_changes_no_decision(self, monkeypatch):
@@ -133,16 +134,17 @@ class TestMlJoint:
         tx = np.stack([rng.integers(0, s, size=40) for s in book.group_sizes], axis=1)
         y = np.einsum("brk,bk->br", m, book.assemble(tx))
         y += 0.3 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+        z, gram = sufficient_stats(y, m)
         monkeypatch.setattr(receivers, "_ML_CHUNK", book.size)
-        whole = ml_joint(y, m, book)
+        whole = ml_joint(z, gram, book)
         monkeypatch.setattr(receivers, "_ML_CHUNK", 64)
-        assert np.array_equal(ml_joint(y, m, book), whole)
-        assert np.array_equal(ml_joint(y[3], m[3], book), whole[3])
+        assert np.array_equal(ml_joint(z, gram, book), whole)
+        assert np.array_equal(ml_joint(z[3:4], gram[3:4], book), whole[3:4])
 
     def test_size_guard(self):
         book = pam_codebook(tuple((i,) for i in range(21)), 2)
         with pytest.raises(ResourceGuardError):
-            ml_joint(np.zeros(2, complex), np.zeros((2, 21), complex), book)
+            ml_joint(np.zeros((1, 21)), np.zeros((1, 21, 21)), book)
 
 
 class TestMlGrouped:
@@ -154,8 +156,9 @@ class TestMlGrouped:
         rng = make_rng(1, 2)
         m = (rng.standard_normal((5, 5, 4)) + 1j * rng.standard_normal((5, 5, 4)))
         y = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        a = ml_joint(y, m, single)
-        b = ml_grouped(y, m, single)
+        z, gram = sufficient_stats(y, m)
+        a = ml_joint(z, gram, single)
+        b = ml_grouped(z, gram, single)
         assert np.array_equal(a, b)
 
     def test_equals_joint_on_pciod(self):
@@ -167,7 +170,8 @@ class TestMlGrouped:
                           axis=1)
             y = np.einsum("brk,bk->br", m, book.assemble(tx))
             y += 0.5 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-            assert np.array_equal(ml_grouped(y, m, book), ml_joint(y, m, book))
+            z, gram = sufficient_stats(y, m)
+            assert np.array_equal(ml_grouped(z, gram, book), ml_joint(z, gram, book))
 
     def test_noiseless_recovery(self):
         d = build_pciod(4)
@@ -175,7 +179,7 @@ class TestMlGrouped:
         m, rng = pciod_model(d, n=20, seed=7)
         tx = rng.integers(0, 4, size=(20, 4))
         y = np.einsum("brk,bk->br", m, book.assemble(tx))
-        assert np.array_equal(ml_grouped(y, m, book), tx)
+        assert np.array_equal(ml_grouped(*sufficient_stats(y, m), book), tx)
 
     def test_search_cost_is_sum_not_product(self):
         d = build_pciod(4)
@@ -242,18 +246,19 @@ class TestLinear:
         book, m, rng = self.setup_case()
         tx = rng.integers(0, 4, size=(40, 2))
         y = np.einsum("brk,bk->br", m, book.assemble(tx))
-        assert np.array_equal(zf_detect(y, m, book), tx)
+        assert np.array_equal(zf_detect(*sufficient_stats(y, m), book), tx)
 
     def test_zf_equals_ml_noiseless(self):
         book, m, rng = self.setup_case(seed=5)
         tx = rng.integers(0, 4, size=(40, 2))
         y = np.einsum("brk,bk->br", m, book.assemble(tx))
-        assert np.array_equal(zf_detect(y, m, book), ml_joint(y, m, book))
+        z, gram = sufficient_stats(y, m)
+        assert np.array_equal(zf_detect(z, gram, book), ml_joint(z, gram, book))
 
     def test_zf_rank_deficient_erasure(self):
         book = qam_codebook(1, 4)
         m = np.zeros((1, 3, 2), dtype=complex)     # zero model: rank 0
-        dec = zf_detect(np.ones((1, 3), complex), m, book)
+        dec = zf_detect(*sufficient_stats(np.ones((1, 3), complex), m), book)
         assert np.array_equal(dec, [[-1]])
 
     @staticmethod
@@ -285,12 +290,12 @@ class TestLinear:
         wide = rng.standard_normal((5, 1, 4)) + 1j * rng.standard_normal((5, 1, 4))
         for m, want in [(np.stack([c[0] for c in cases]), [c[1] for c in cases]),
                         (wide, [True] * 5)]:
-            _, gram = sufficient_stats(np.zeros(m.shape[:2], complex), m)
+            y = rng.standard_normal(m.shape[:2]) + 1j * rng.standard_normal(m.shape[:2])
+            z, gram = sufficient_stats(y, m)
             diag = np.diagonal(gram, axis1=-2, axis2=-1)
             det_rule = ~(np.linalg.det(gram) > tol * np.prod(diag, axis=-1))
-            y = rng.standard_normal(m.shape[:2]) + 1j * rng.standard_normal(m.shape[:2])
             with np.errstate(all="raise"):
-                dec = zf_detect(y, m, book)
+                dec = zf_detect(z, gram, book)
             erased = np.all(dec == -1, axis=1)
             assert np.array_equal(erased, want)
             assert np.array_equal(erased, det_rule)
@@ -308,48 +313,27 @@ class TestLinear:
         for scale in (1.0, 0.01):
             ms = np.broadcast_to(scale * m, (len(tx), 4, 4))
             y = np.einsum("brk,bk->br", ms, book.assemble(tx))
-            assert np.array_equal(zf_detect(y, ms, book), tx)
+            assert np.array_equal(zf_detect(*sufficient_stats(y, ms), book), tx)
 
     def test_mmse_noiseless_exact(self):
         book, m, rng = self.setup_case(seed=7)
         tx = rng.integers(0, 4, size=(40, 2))
         y = np.einsum("brk,bk->br", m, book.assemble(tx))
-        assert np.array_equal(mmse_detect(y, m, book, noise_var=1e-12), tx)
+        assert np.array_equal(mmse_detect(*sufficient_stats(y, m), book), tx)
 
-    def test_mmse_converges_to_zf(self):
-        book, m, rng = self.setup_case(seed=9)
-        tx = rng.integers(0, 4, size=(40, 2))
-        y = np.einsum("brk,bk->br", m, book.assemble(tx))
-        y += 0.3 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-        assert np.array_equal(mmse_detect(y, m, book, noise_var=1e-8),
-                              zf_detect(y, m, book))
-
-    def test_mmse_infinite_noise_slices_zero(self):
-        book, m, rng = self.setup_case(seed=11)
-        y = (rng.standard_normal((40, m.shape[1])) +
-             1j * rng.standard_normal((40, m.shape[1])))
-        dec = mmse_detect(y, m, book, noise_var=np.inf)
-        # estimate collapses to the zero vector: nearest point to 0 per group
-        from dstc.receivers import _slice_groups
-        want = _slice_groups(np.zeros((40, book.k)), book)
-        assert np.array_equal(dec, want)
-
-    @pytest.mark.parametrize("noise_var", [np.nan, -0.5])
-    def test_mmse_refuses_nan_or_negative_noise_var(self, noise_var):
-        book, m, rng = self.setup_case(n=1, seed=13)
-        y = np.einsum("brk,bk->br", m, book.assemble([[3, 1]]))
-        assert np.array_equal(mmse_detect(y, m, book, noise_var=0.5), [[3, 1]])
-        with pytest.raises(ValueError, match="noise_var"):
-            mmse_detect(y, m, book, noise_var=noise_var)
-
-    def test_mmse_without_noise_erases_singular_draws(self):
+    def test_mmse_decides_rank_deficient_draws(self):
+        # the whitened noise variance regularises G, so a draw that loses a
+        # symbol's column is still decided, where ZF erases it
         book, m, rng = self.setup_case(n=3, seed=17)
         m = m.copy()
         m[1, :, 2] = 0.0                   # draw 1 loses a symbol's column
         y = np.einsum("brk,bk->br", m, book.assemble([[3, 1], [2, 0], [1, 2]]))
+        z, gram = sufficient_stats(y, m)
         with np.errstate(all="raise"):
-            dec = mmse_detect(y, m, book, noise_var=0.0)
-        assert np.array_equal(dec, [[3, 1], [-1, -1], [1, 2]])
+            dec = mmse_detect(z, gram, book)
+        assert np.array_equal(dec[[0, 2]], [[3, 1], [1, 2]])
+        assert np.all(dec[1] >= 0)
+        assert np.array_equal(zf_detect(z, gram, book)[1], [-1, -1])
 
     def test_lattice_slicing_matches_nearest_row(self):
         d = build_pciod(4)
