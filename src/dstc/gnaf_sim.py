@@ -7,15 +7,20 @@ heard in both phases. Two equivalent signal models are implemented:
 
 * ``two_phase``: the physical protocol, step by step;
 * ``compact``: the stacked real-linear model y = M X + W, with M built for
-  a whole batch of channels at once by ``effective_matrix`` from the
-  per-column gains g_i*f_i (conjugating relays g_i*conj(f_i), see
-  ``column_gains``), and W the relay-amplified noise plus destination
-  noise. There is one such model: the Monte Carlo runs it on batches and
-  a single trial is the batch of one.
+  a batch of channels at once by ``effective_matrix`` from the per-column
+  gains g_i*f_i (conjugating relays g_i*conj(f_i), see ``column_gains``),
+  and W the relay-amplified noise plus destination noise. There is one
+  such model, and a single trial is the batch of one. The Monte Carlo
+  never builds M: it forms the whitened model's sufficient statistics
+  (z, G) from the gains (``_whitened_stats``), reading the relay rows off
+  the same realified weight table as ``effective_matrix``
+  (``_relay_table``) and adding the direct-link rows in closed form.
 
 Fed identical noise draws the two modes agree to machine precision; that
 equivalence is the core correctness oracle for the model and is pinned in
-the acceptance suite, on single trials and on batches.
+the acceptance suite, on single trials and on batches. The Monte Carlo's
+(z, G) are checked against the two-phase protocol, whitened by the exact
+noise covariance, on every variant.
 
 Variants: ``gnaf1`` (source also transmits in phase 2 through A0), ``gnaf2``
 and ``gnaf3`` (source silent in phase 2), ``jh`` (no direct link: the
@@ -38,10 +43,10 @@ Reproducibility: randomness is counter-based (Philox) keyed by
 independently of worker count or execution order.
 
 Execution: ``run_monte_carlo`` cuts the sweep into (SNR point, batch)
-tasks. A batch draws all its randomness at once, then builds, whitens and
-decides its draws in equal blocks whose model matrices fit
-``_BLOCK_BYTES``, and joint ML scores the codebook in fixed chunks of
-candidates; so the memory of a task grows with its batch size only by the
+tasks. A batch draws all its randomness at once, then forms (z, G) for
+and decides its draws in equal blocks, sized as if their model matrices
+had to fit ``_BLOCK_BYTES``, and joint ML scores the codebook in fixed
+chunks of candidates; so the memory of a task grows with its batch size only by the
 per-draw random inputs, and with the codebook not at all. The calling
 process is one of the workers. With more than one, no
 more than the usable cores or the task count, it starts one pool of
@@ -72,7 +77,7 @@ import numpy as np
 from . import matkernel
 from .designs import Design, RelayMatrixSet, relay_matrix_set
 from .receivers import (Codebook, gram_crossterm, ml_grouped, ml_joint,
-                        mmse_detect, sufficient_stats, zf_detect)
+                        mmse_detect, zf_detect)
 
 VARIANTS = ("gnaf1", "gnaf2", "gnaf3", "jh", "direct")
 
@@ -270,19 +275,6 @@ def simulate_trial(d: Design | None, params: ProtocolParams,
 # effective real-linear receiver model
 # ---------------------------------------------------------------------------
 
-def _add_pairing(block: np.ndarray, w: np.ndarray) -> None:
-    """Add w_b * d s_i / d x to row i of ``block[b]``, in place.
-
-    The canonical pairing s_i = x_2i + j x_2i+1 makes row i of the source's
-    contribution w at column 2i and j w at column 2i+1, zero elsewhere;
-    ``block`` is (B, rows, K) and only its first min(rows, K/2) rows are
-    touched (the truncated identity A0 of gnaf1 pairs fewer rows).
-    """
-    i = np.arange(min(block.shape[1], block.shape[2] // 2))
-    block[:, i, 2 * i] += w[:, None]
-    block[:, i, 2 * i + 1] += (1j * w)[:, None]
-
-
 def column_gains(rs: RelayMatrixSet, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Effective gain per design column: g_i f_i, conjugating relays g_i f_i^*.
 
@@ -294,24 +286,68 @@ def column_gains(rs: RelayMatrixSet, f: np.ndarray, g: np.ndarray) -> np.ndarray
     return h
 
 
+def _direct_gain(params: ProtocolParams, g0: np.ndarray) -> np.ndarray:
+    """Gain a of the direct-link rows: row i of the model is a d s_i / d x."""
+    p, pi1, pi3 = params.p, params.pi1, params.pi3
+    return params.scale * np.sqrt((pi1 * p + 1.0) / (pi3 * p)) * g0
+
+
+def _relay_table(d: Design, params: ProtocolParams) -> np.ndarray:
+    """The design's weights realified, (2C, T2 * 2 * (K + 1)): the relay rows.
+
+    Slab c holds W_c[t, k], the weight of real symbol k on cooperation row t
+    of design column c; for ``gnaf1`` one more slab holds A0's pairing of the
+    source, 1 at (i, 2i) and j at (i, 2i+1) for i < min(T2, K/2). The real
+    gains [Re c, Im c] of the C slabs (_relay_gains) times the table give
+    the unscaled rows sum_c c_c W_c per draw, laid out (t, Re/Im, k). Column
+    K of every row is zero: _whitened_stats puts the row's received value
+    there, so the product is already the layout it needs.
+    """
+    w = d.weights.transpose(2, 1, 0)                          # (R, T, K)
+    k = d.k
+    if params.variant == "gnaf1":
+        i = np.arange(min(params.t2, k // 2))
+        a0 = np.zeros((1,) + w.shape[1:], dtype=np.complex128)
+        a0[0, i, 2 * i] = 1.0
+        a0[0, i, 2 * i + 1] = 1j
+        w = np.concatenate([w, a0])
+    c = len(w)
+    table = np.zeros((2, c, params.t2, 2, k + 1))
+    table[0, :, :, 0, :k] = w.real
+    table[0, :, :, 1, :k] = w.imag
+    table[1, :, :, 0, :k] = -w.imag
+    table[1, :, :, 1, :k] = w.real
+    return table.reshape(2 * c, -1)
+
+
+def _relay_gains(params: ProtocolParams, g0: np.ndarray,
+                 h_cols: np.ndarray) -> np.ndarray:
+    """[Re c, Im c] per draw, (B, 2C), for the slabs of _relay_table.
+
+    The design columns' gains h, and for ``gnaf1`` the source's
+    cooperation-phase gain relative to the front factor, c_a0 g0.
+    """
+    if params.variant == "gnaf1":
+        p, pi1, pi2, pi3 = params.p, params.pi1, params.pi2, params.pi3
+        c_a0 = np.sqrt(pi2 * (pi1 * p + 1.0) / (pi3 * pi1 * p))
+        h_cols = np.concatenate([h_cols, (c_a0 * g0)[:, None]], axis=1)
+    return np.concatenate([h_cols.real, h_cols.imag], axis=1)
+
+
 def effective_matrix(d: Design | None, params: ProtocolParams,
                      g0: np.ndarray, h_cols: np.ndarray,
                      k: int | None = None) -> np.ndarray:
     """Batched model matrices M with y_clean = M @ X: the compact model.
 
     ``g0`` has shape (B,), ``h_cols`` (B, R) per-column effective gains
-    (column_gains; unused by ``direct``). Rows follow the variant's receive vector layout.
-    Everything but the noise is folded in except whitening, which the
-    caller applies. A single trial is the batch of one.
+    (column_gains; unused by ``direct``). Rows follow the variant's receive
+    vector layout. Everything but the noise is folded in except whitening,
+    which the caller applies. A single trial is the batch of one.
 
-    The pairing rows are zeros with two entries per row set, the relay
-    rows come from one einsum, and the two blocks are joined. The join
-    costs a copy but leaves the two freed blocks below the model, where
-    the detector's temporaries fit. Filled into one preallocated array,
-    the model left those temporaries on top of the heap, which glibc then
-    returned to the system after every block of draws: a serial
-    ``sweep-joint`` sweep took about 30,000 minor page faults instead of
-    about 8,000.
+    The direct-link rows pair the source's real symbols with the gain
+    _direct_gain; the relay rows are the realified weight table
+    (_relay_table) times the draws' gains, the same table the Monte Carlo
+    forms its statistics from (_whitened_stats), which never builds M.
     """
     if d is not None:
         k = d.k
@@ -319,25 +355,21 @@ def effective_matrix(d: Design | None, params: ProtocolParams,
         raise ValueError("need a design or an explicit symbol count")
     if d is None and params.variant != "direct":
         raise ValueError("a design is required for relay variants")
-    scale = params.scale
-    p, pi1, pi2, pi3 = params.p, params.pi1, params.pi2, params.pi3
     parts = []
     if params.variant != "jh":
         top = np.zeros((len(g0), k // 2, k), dtype=np.complex128)
-        c_top = np.sqrt((pi1 * p + 1.0) / (pi3 * p))
-        _add_pairing(top, scale * c_top * g0)
+        i = np.arange(k // 2)
+        a = _direct_gain(params, g0)[:, None]
+        top[:, i, 2 * i] = a
+        top[:, i, 2 * i + 1] = 1j * a
         parts.append(top)
     if params.variant != "direct":
-        # weights as (R, T, K): with the gains' R first, this einsum runs
-        # faster than from (K, T, R)
-        w = np.ascontiguousarray(d.weights.transpose(2, 1, 0))
-        bottom = np.einsum("br,rtk->btk", h_cols, w)
-        bottom *= scale
-        if params.variant == "gnaf1":
-            # A0 is the T2 x T1 truncated identity: it pairs the first rows
-            c_a0 = np.sqrt(pi2 * (pi1 * p + 1.0) / (pi3 * pi1 * p))
-            _add_pairing(bottom, scale * c_a0 * g0)
-        parts.append(bottom)
+        # einsum, not a GEMM: its sums do not depend on the batch size, so
+        # a trial's model is the same alone and in any batch
+        rows = np.einsum("bj,jn->bn", _relay_gains(params, g0, h_cols),
+                         _relay_table(d, params))
+        rows = rows.reshape(len(g0), params.t2, 2, k + 1)
+        parts.append(params.scale * (rows[:, :, 0, :k] + 1j * rows[:, :, 1, :k]))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
@@ -485,6 +517,9 @@ def _params_for(cfg: SimConfig, p: float, rs: RelayMatrixSet | None) -> Protocol
 # and 63.9 MiB RSS at 256 KiB, 512 KiB, 1 MiB, 2 MiB and 4 MiB (63.0 MiB
 # with whole batches), and its solve time was lowest at 512 KiB and 1 MiB;
 # on the other two sweeps 256 and 512 KiB ran as fast as whole batches.
+# Blocks no longer build those matrices (_whitened_stats), but they keep
+# the size measured with them, so the draws per block, and with them the
+# bits of every product, stay as they were.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -493,13 +528,15 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
     """Simulate one batch of trials; ``rs`` is the design's relay set.
 
     The batch's randomness is drawn first, whole and in its keyed order:
-    channels, symbols, noise. The model, its whitening, the received
-    vectors, their sufficient statistics (z, G) and the decisions then run
-    over equal blocks of draws, as few as keep each block's model matrices
-    within ``_BLOCK_BYTES``. (z, G) are formed once per block, and every
-    detector and the grouped-ML decodability check read them. So apart
-    from the per-draw random inputs and decisions, the memory of a batch
-    does not grow with its size.
+    channels, symbols, noise. The design's weight table (_relay_table) and
+    the draws' real gains are laid out once per batch. The sufficient
+    statistics (z, G) of the whitened model and the decisions then run
+    over equal blocks of draws, as few as keep each block's model matrices,
+    were they built, within ``_BLOCK_BYTES``. (z, G) are formed once per
+    block, from the gains and without the model (_whitened_stats), and
+    every detector and the grouped-ML decodability check read them. So
+    apart from the per-draw random inputs and decisions, the memory of a
+    batch does not grow with its size.
 
     Returns (symbol errors, decisions, fallbacks, erasures).
     """
@@ -531,20 +568,61 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
     edges = [n * i // blocks for i in range(blocks + 1)]
     dec = np.empty((n, book.n_groups), dtype=np.intp)
     fallbacks = 0
+    if d is not None:
+        table, gains = _relay_table(d, params), _relay_gains(params, g0, h_cols)
     for blk in map(slice, edges, edges[1:]):
-        # clean model and whitening
-        m = effective_matrix(d, params, g0[blk], None if h_cols is None else h_cols[blk],
-                             k=book.k)
-        if cfg.variant != "direct":
-            m *= (1.0 / np.sqrt(omega_diagonals(params, rs, g[blk])))[:, :, None]
-        y = np.einsum("brk,bk->br", m, x[blk])
-        y += noise[blk]
-        dec[blk], block_fallbacks = _detect(cfg.receiver, *sufficient_stats(y, m), book)
+        relay = () if d is None else (rs, table, gains[blk], g[blk])
+        dec[blk], block_fallbacks = _detect(cfg.receiver, *_whitened_stats(
+            params, x[blk], noise[blk], g0[blk], *relay), book)
         fallbacks += block_fallbacks
 
     errors = int(np.sum(dec != tx))
     erasures = int(np.sum(np.any(dec < 0, axis=1)))
     return errors, n * book.n_groups, fallbacks, erasures
+
+
+def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
+                    g0: np.ndarray, rs: RelayMatrixSet | None = None,
+                    table: np.ndarray | None = None, gains: np.ndarray | None = None,
+                    g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sufficient statistics (z, G) of a block of draws, from their gains.
+
+    For the whitened compact model y = M X + noise of every draw, with
+    ``x`` (B, K) the sent symbols and ``noise`` (B, rows) unit white noise,
+    returns z = Re(M^H y) (B, K) and G = Re(M^H M) (B, K, K) without
+    forming M. ``gains`` (B, 2C) are the draws' _relay_gains for the weight
+    ``table`` (_relay_table), and ``g`` the relay-to-destination gains the
+    noise diagonal reads; relay variants need all four, ``direct`` none.
+
+    The relay rows (t, Re/Im, k) are one real product of the gains with
+    the table, each scaled by scale / sqrt(omega_t); their received values
+    go in column K, and one product of the rows with [rows | y] gives G
+    and z. The direct-link rows, a d s_i / d x for row i (_direct_gain),
+    are orthogonal with squared norm |a|^2 per column, so they add |a|^2 I
+    to G and |a|^2 x + realify(conj(a) n_top) to z without being formed;
+    for ``direct`` that is all of (z, G), and ``jh`` has no such rows.
+    """
+    b, k = x.shape
+    if params.variant == "direct":
+        gram = np.zeros((b, k, k))
+        z = np.zeros((b, k))
+    else:
+        t2 = params.t2
+        aug = (gains @ table).reshape(b, t2, 2 * (k + 1))
+        aug *= (params.scale / np.sqrt(omega_diagonals(params, rs, g)[:, -t2:]))[:, :, None]
+        aug = aug.reshape(b, 2 * t2, k + 1)
+        aug[..., k] = np.einsum("bjk,bk->bj", aug[..., :k], x)
+        aug[..., k] += noise[:, -t2:].view(np.float64)
+        zg = np.swapaxes(aug[..., :k], -1, -2) @ aug
+        z, gram = zg[..., k], zg[..., :k]
+    if params.variant != "jh":
+        a = _direct_gain(params, g0)
+        a2 = a.real ** 2 + a.imag ** 2
+        i = np.arange(k)
+        gram[:, i, i] += a2[:, None]
+        z += a2[:, None] * x
+        z += (np.conj(a)[:, None] * noise[:, :k // 2]).view(np.float64)
+    return z, gram
 
 
 def _detect(receiver: str, z: np.ndarray, gram: np.ndarray,

@@ -11,16 +11,19 @@ and grouped detectors are directly comparable. Tie-breaking is by lowest
 codeword index.
 
 Every detector takes only the two sufficient statistics of a block of
-draws, z = Re(M^H y) and G = Re(M^H M) (sufficient_stats), which the
-caller forms once per block, so each detector is a pure function of
+draws, z = Re(M^H y) and G = Re(M^H M), since ||y - M x||^2 = ||y||^2 -
+2 z.x + x^T G x for real x. The caller forms them once per block (the
+Monte Carlo does so from the channel gains, without building M: see
+gnaf_sim._whitened_stats), so each detector is a pure function of
 (z, G). Joint ML minimizes x^T G x - 2 z.x over the codebook, one GEMM
 per chunk of candidates built from their flat indices, with a running
 minimum across chunks, so its memory does not depend on the codebook
 size; grouped ML does the same per group with z_g and the diagonal block
 G_gg; ZF and MMSE solve G x = z by one elimination over the whole block of
-draws, which also gives ZF the scale-free singularity ratio it erases by.
-MMSE regularises G for the whitened noise, whose variance is 1/2 per real
-dimension.
+draws, which also gives ZF the scale-free singularity ratio it erases by,
+then slice each group to its nearest point (one-coordinate groups score
+only the two table values around the estimate). MMSE regularises G for
+the whitened noise, whose variance is 1/2 per real dimension.
 
 The grouped detector is only valid when the whitened model actually
 decomposes: G must vanish on cross-group entries (the decision-level
@@ -221,28 +224,8 @@ def lattice_codebook(partition, lattice: RotatedLattice) -> Codebook:
 
 
 # ---------------------------------------------------------------------------
-# sufficient statistics
+# decodability
 # ---------------------------------------------------------------------------
-
-def sufficient_stats(y: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matched-filter output z = Re(M^H y) and Gram matrix G = Re(M^H M).
-
-    Shapes (..., K) and (..., K, K) for y (..., rows) and M (..., rows, K).
-    Since ||y - M x||^2 = ||y||^2 - 2 z.x + x^T G x for real x, (z, G)
-    carry everything every detector needs. Both come from one matmul on
-    the realified model [Re M; Im M] against [Re M; Im M | Re y; Im y].
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    m = np.asarray(m, dtype=np.complex128)
-    rows, k = m.shape[-2:]
-    aug = np.empty(m.shape[:-2] + (2 * rows, k + 1))
-    aug[..., :rows, :k] = m.real
-    aug[..., rows:, :k] = m.imag
-    aug[..., :rows, k] = y.real
-    aug[..., rows:, k] = y.imag
-    zg = np.swapaxes(aug[..., :k], -1, -2) @ aug
-    return zg[..., k], zg[..., :k]
-
 
 def gram_crossterm(gram: np.ndarray, groups) -> np.ndarray:
     """Largest |G| entry across different groups, per matrix of (..., K, K).
@@ -334,18 +317,63 @@ def _slice_groups(xhat: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Nearest constellation point per group.
 
     Lattice groups slice per coordinate (RotatedLattice.nearest), flattened
-    in the order of points(); explicit groups take the nearest table row.
+    in the order of points(); one-coordinate groups that share a value
+    table are sliced together (_nearest_values); other groups take the
+    nearest table row.
     """
     out = np.zeros((xhat.shape[0], codebook.n_groups), dtype=np.intp)
     lat = codebook.lattice
+    scalar = {}            # value table bytes -> (values, group indices)
     for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
         seg = xhat[:, list(grp)]
         if lat is not None and lat.n == len(grp):
             coord = lat.nearest(seg)
             out[:, g] = np.ravel_multi_index(tuple(coord.T), (len(lat.base),) * lat.n)
+        elif len(grp) == 1:
+            scalar.setdefault(vals.tobytes(), (vals[:, 0], []))[1].append(g)
         else:
             d2 = np.sum((seg[:, None, :] - vals[None, :, :]) ** 2, axis=-1)
             out[:, g] = np.argmin(d2, axis=-1)
+    for values, gs in scalar.values():
+        out[:, gs] = _nearest_values(xhat[:, [codebook.groups[g][0] for g in gs]], values)
+    return out
+
+
+def _nearest_values(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """argmin_j of the computed (v - values_j)^2 for every entry of ``v``.
+
+    The lowest index j wins a tie, as with np.argmin over the whole table.
+    Along the sorted distinct values the computed squared distance falls,
+    then rises, so its minimum lies at one of the two values around v
+    (searchsorted) and only those two are scored. A third value can share
+    that minimum only through rounding: by subtraction when |v| + max|values|
+    exceeds 2^40 times the least gap between distinct values, or by
+    underflow when that gap is below 2^-500. Such entries, and NaN, take
+    the full argmin.
+    """
+    u, first = np.unique(values, return_index=True)
+    m = len(u)
+    if m == 1:
+        return np.full(v.shape, first[0])
+    # per neighbouring pair: the lower value's index, the upper's, a tie's
+    pick = np.stack([first[:-1], first[1:], np.minimum(first[:-1], first[1:])],
+                    axis=-1).ravel()
+    lo = np.searchsorted(u[1:-1], v) if m > 2 else 0
+    d_lo = v - u[lo]
+    d_lo *= d_lo
+    d_hi = v - u[lo + 1]
+    d_hi *= d_hi
+    code = 3 * lo
+    code += d_hi < d_lo
+    code += 2 * (d_hi == d_lo)
+    out = pick[code]
+    bound = np.inf
+    if m > 2:
+        gap = np.min(np.diff(u))
+        bound = gap * 2.0 ** 40 - np.max(np.abs(u)) if gap > 2.0 ** -500 else -1.0
+    far = ~(np.abs(v) <= bound)
+    if far.any():
+        out[far] = np.argmin((v[far][:, None] - values) ** 2, axis=-1)
     return out
 
 

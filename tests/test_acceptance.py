@@ -21,12 +21,12 @@ from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, SimConfig,
                            sample_channel, simulate_trial)
 from dstc.precoding import default_lattice
 from dstc.receivers import (lattice_codebook, ml_grouped, ml_joint,
-                            pam_codebook, qam_codebook, sufficient_stats)
+                            pam_codebook, qam_codebook)
 from dstc.verifier import (check_group_decodable,
                            check_whitened_group_decodable, min_delta_det_full,
                            nvd_probe)
 
-from _oracles import ml_joint_metrics
+from _oracles import ml_joint_metrics, sufficient_stats
 
 
 def verdict(num, name, passed, detail, elapsed=None, budget=None):

@@ -25,6 +25,8 @@ from dstc.precoding import default_lattice
 from dstc.receivers import (ResourceGuardError, lattice_codebook, pam_codebook,
                             qam_codebook)
 
+from _oracles import sufficient_stats
+
 
 def zero_noise(params):
     return NoiseDraw(np.zeros(params.t1, complex),
@@ -283,6 +285,56 @@ class TestWhiten:
         assert np.max(np.abs(cov - np.eye(rows))) < 3.0 / np.sqrt(n) * 2.0
 
 
+_STATS_DESIGNS = {"pciod2": lambda: build_pciod(2), "pciod4": lambda: build_pciod(4),
+                  "toeplitz": lambda: build_toeplitz(2, 2), "cda": golden_cda}
+_STATS_CASES = ([("pciod2", v) for v in gnaf_sim.VARIANTS]
+                + [("pciod4", "gnaf2"), ("toeplitz", "gnaf1"), ("toeplitz", "jh"),
+                   ("cda", "gnaf1"), ("cda", "gnaf3")])
+
+
+class TestWhitenedStats:
+    """The Monte Carlo's (z, G), formed from the gains without a model
+    (_whitened_stats), against the physical protocol whitened exactly."""
+
+    @pytest.mark.parametrize("pi", [(1.0, 1.0, 1.0), (0.5, 2.0, 0.7)])
+    @pytest.mark.parametrize("family,variant", _STATS_CASES)
+    def test_matches_whitened_two_phase_protocol(self, family, variant, pi):
+        # golden CDA under gnaf1 has T2 = 2 < K/2 = 4: A0 pairs two rows only
+        d = _STATS_DESIGNS[family]()
+        rs = relay_matrix_set(d)
+        if variant == "direct":
+            params = ProtocolParams(p=5.0, pi1=pi[0], pi2=pi[1], pi3=pi[2],
+                                    t1=d.k // 2, t2=1, r=0, q=0, variant=variant)
+        else:
+            params = protocol_params(d, 5.0, variant, pi, rs=rs)
+        rng = make_rng(41, 7)
+        n = 6
+        g0, f, g = (gnaf_sim.crandn(rng, n), gnaf_sim.crandn(rng, n, d.r),
+                    gnaf_sim.crandn(rng, n, d.r))
+        x = rng.standard_normal((n, d.k))
+        noise = gnaf_sim.crandn(rng, n, params.rows)
+
+        models = []
+        for b in range(n):
+            ch = ChannelRealization(complex(g0[b]), f[b], g[b])
+            # column k of the model: the noiseless reception of unit symbol k
+            basis = np.stack([simulate_trial(d, params, ch, e[0::2] + 1j * e[1::2],
+                                             mode="two_phase", noise=zero_noise(params),
+                                             rs=rs)
+                              for e in np.eye(d.k)], axis=1)
+            models.append(mk.inv_sqrt_pd(noise_cov(params, ch, rs)) @ basis)
+        m = np.stack(models)
+        want_z, want_g = sufficient_stats(np.einsum("brk,bk->br", m, x) + noise, m)
+
+        relay = () if variant == "direct" else (
+            rs, gnaf_sim._relay_table(d, params),
+            gnaf_sim._relay_gains(params, g0, column_gains(rs, f, g)), g)
+        z, gram = gnaf_sim._whitened_stats(params, x, noise, g0, *relay)
+        assert z.shape == (n, d.k) and gram.shape == (n, d.k, d.k)
+        assert np.max(np.abs(z - want_z)) <= 1e-12 * np.max(np.abs(want_z))
+        assert np.max(np.abs(gram - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+
+
 class TestMonteCarlo:
     def config(self, trials=4000, receiver="grouped-ml", workers=None):
         d = build_pciod(2)
@@ -493,7 +545,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("receiver", gnaf_sim._RECEIVERS)
     def test_each_block_forms_its_statistics_once(self, receiver, monkeypatch):
-        # counted through both modules' globals: the detectors, the
+        # counted through gnaf_sim's globals: the detectors, the
         # decodability check and the joint-ML fallback all read the block's
         # one (z, G)
         d = build_pciod(2)
@@ -503,14 +555,13 @@ class TestBlocks:
                         snr_db=(4.0,), trials=100, seed=21)
         if receiver == "grouped-ml":
             monkeypatch.setattr(gnaf_sim, "gram_crossterm", _half_coupled)
-        calls, stats = [], receivers.sufficient_stats
+        calls, stats = [], gnaf_sim._whitened_stats
 
-        def counting(y, m):
-            calls.append(len(y))
-            return stats(y, m)
+        def counting(params, x, *args):
+            calls.append(len(x))
+            return stats(params, x, *args)
 
-        monkeypatch.setattr(gnaf_sim, "sufficient_stats", counting)
-        monkeypatch.setattr(receivers, "sufficient_stats", counting)
+        monkeypatch.setattr(gnaf_sim, "_whitened_stats", counting)
         per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
         monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 7 * per_draw)
         fallbacks = gnaf_sim._run_batch(cfg, rs, 0, 3, 100)[2]

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from dstc import matkernel
 from dstc.designs import Design, build_family
-from dstc.receivers import (gram_crossterm, ml_grouped, ml_joint,
-                            mmse_detect, pam_codebook, sufficient_stats,
+from dstc.receivers import (Codebook, _slice_groups, gram_crossterm,
+                            ml_grouped, ml_joint, mmse_detect, pam_codebook,
                             zf_detect)
 from dstc.verifier import check_group_decodable
+
+from _oracles import sufficient_stats
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -158,3 +160,47 @@ def test_mmse_is_sliced_regularised_least_squares(case):
         want = [int(np.argmin(np.sum((vals - xhat[list(grp)]) ** 2, axis=1)))
                 for grp, vals in zip(book.groups, book.group_values)]
         assert np.array_equal(dec[b], want)
+
+
+# table values: a coarse grid makes duplicates and exact midpoints likely;
+# at the scale 1e-170 squared distances underflow to equal values
+_LEVELS = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]) | st.floats(-4.0, 4.0)
+_SCALES = st.sampled_from([1.0, 1e-3, 1e-170])
+
+
+@st.composite
+def one_coordinate_slices(draw):
+    """(xhat, codebook) of one-coordinate groups on two value tables.
+
+    The points are the table values, every exact midpoint of two of them,
+    their neighbouring floats, and draws from a wide range of magnitudes,
+    NaN and the infinities among them.
+    """
+    tables = [draw(_SCALES) * np.array(draw(st.lists(_LEVELS, min_size=1, max_size=6)))
+              for _ in range(2)]
+    owner = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    special = []
+    for t in tables:
+        mids = ((t[:, None] + t[None, :]) / 2).ravel()
+        special += [t, mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)]
+    special = np.concatenate(special)
+    wide = st.floats(-1e150, 1e150) | st.floats(-10.0, 10.0) \
+        | st.sampled_from([np.nan, np.inf, -np.inf])
+    n = draw(st.integers(1, 40))
+    xhat = np.empty((n, len(owner)))
+    for i in range(n):
+        for g in range(len(owner)):
+            xhat[i, g] = draw(st.sampled_from(special) | wide)
+    book = Codebook(tuple((g,) for g in range(len(owner))),
+                    tuple(tables[o][:, None] for o in owner))
+    return xhat, book
+
+
+@SETTINGS
+@given(one_coordinate_slices())
+def test_one_coordinate_slicer_is_the_table_argmin(case):
+    # lowest index on ties, as the full argmin over each group's table
+    xhat, book = case
+    want = np.stack([np.argmin((xhat[:, [g]] - vals[:, 0]) ** 2, axis=-1)
+                     for g, vals in enumerate(book.group_values)], axis=-1)
+    assert np.array_equal(_slice_groups(xhat, book), want)
