@@ -76,8 +76,8 @@ import numpy as np
 
 from . import matkernel
 from .designs import Design, RelayMatrixSet, relay_matrix_set
-from .receivers import (Codebook, gram_crossterm, ml_grouped, ml_joint,
-                        mmse_detect, zf_detect)
+from .receivers import (Codebook, MlTable, gram_crossterm, ml_grouped,
+                        ml_joint, ml_table, mmse_detect, zf_detect)
 
 VARIANTS = ("gnaf1", "gnaf2", "gnaf3", "jh", "direct")
 
@@ -528,8 +528,10 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
     """Simulate one batch of trials; ``rs`` is the design's relay set.
 
     The batch's randomness is drawn first, whole and in its keyed order:
-    channels, symbols, noise. The design's weight table (_relay_table) and
-    the draws' real gains are laid out once per batch. The sufficient
+    channels, symbols, noise. The design's weight table (_relay_table), the
+    draws' real gains and their noise diagonal on the cooperation rows
+    (omega_diagonals) are laid out once per batch, as are the ML
+    detectors' candidate tables (ml_table). The sufficient
     statistics (z, G) of the whitened model and the decisions then run
     over equal blocks of draws, as few as keep each block's model matrices,
     were they built, within ``_BLOCK_BYTES``. (z, G) are formed once per
@@ -570,10 +572,16 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
     fallbacks = 0
     if d is not None:
         table, gains = _relay_table(d, params), _relay_gains(params, g0, h_cols)
+        omega = omega_diagonals(params, rs, g)[:, -params.t2:]
+    ml = ()                 # candidate tables: grouped ML falls back to joint ML
+    if cfg.receiver in ("joint-ml", "grouped-ml"):
+        ml = (ml_table(book),)
+        if cfg.receiver == "grouped-ml":
+            ml += (ml_table(book, grouped=True),)
     for blk in map(slice, edges, edges[1:]):
-        relay = () if d is None else (rs, table, gains[blk], g[blk])
+        relay = () if d is None else (table, gains[blk], omega[blk])
         dec[blk], block_fallbacks = _detect(cfg.receiver, *_whitened_stats(
-            params, x[blk], noise[blk], g0[blk], *relay), book)
+            params, x[blk], noise[blk], g0[blk], *relay), book, *ml)
         fallbacks += block_fallbacks
 
     errors = int(np.sum(dec != tx))
@@ -582,17 +590,18 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
 
 
 def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
-                    g0: np.ndarray, rs: RelayMatrixSet | None = None,
-                    table: np.ndarray | None = None, gains: np.ndarray | None = None,
-                    g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    g0: np.ndarray, table: np.ndarray | None = None,
+                    gains: np.ndarray | None = None,
+                    omega: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sufficient statistics (z, G) of a block of draws, from their gains.
 
     For the whitened compact model y = M X + noise of every draw, with
     ``x`` (B, K) the sent symbols and ``noise`` (B, rows) unit white noise,
     returns z = Re(M^H y) (B, K) and G = Re(M^H M) (B, K, K) without
     forming M. ``gains`` (B, 2C) are the draws' _relay_gains for the weight
-    ``table`` (_relay_table), and ``g`` the relay-to-destination gains the
-    noise diagonal reads; relay variants need all four, ``direct`` none.
+    ``table`` (_relay_table), and ``omega`` (B, T2) the noise covariance's
+    diagonal on the cooperation rows (omega_diagonals; the other rows'
+    entries are 1); relay variants need all three, ``direct`` none.
 
     The relay rows (t, Re/Im, k) are one real product of the gains with
     the table, each scaled by scale / sqrt(omega_t); their received values
@@ -609,7 +618,7 @@ def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
     else:
         t2 = params.t2
         aug = (gains @ table).reshape(b, t2, 2 * (k + 1))
-        aug *= (params.scale / np.sqrt(omega_diagonals(params, rs, g)[:, -t2:]))[:, :, None]
+        aug *= (params.scale / np.sqrt(omega))[:, :, None]
         aug = aug.reshape(b, 2 * t2, k + 1)
         aug[..., k] = np.einsum("bjk,bk->bj", aug[..., :k], x)
         aug[..., k] += noise[:, -t2:].view(np.float64)
@@ -625,18 +634,23 @@ def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
     return z, gram
 
 
-def _detect(receiver: str, z: np.ndarray, gram: np.ndarray,
-            book: Codebook) -> tuple[np.ndarray, int]:
-    """Decisions of ``receiver`` on a block's (z, G), and its fallback count."""
+def _detect(receiver: str, z: np.ndarray, gram: np.ndarray, book: Codebook,
+            joint: MlTable | None = None,
+            grouped: MlTable | None = None) -> tuple[np.ndarray, int]:
+    """Decisions of ``receiver`` on a block's (z, G), and its fallback count.
+
+    ``joint`` and ``grouped`` are the batch's ml_table of ``book`` for
+    joint and grouped ML; grouped ML's fallback reads the joint one.
+    """
     if receiver == "joint-ml":
-        return ml_joint(z, gram, book), 0
+        return ml_joint(z, gram, book, joint), 0
     if receiver == "grouped-ml":
-        dec = ml_grouped(z, gram, book)
+        dec = ml_grouped(z, gram, book, grouped)
         # grouped ML is exact only where the whitened model decomposes
         worst = gram_crossterm(gram, book.groups)
         coupled = worst > matkernel.zero_threshold(np.max(np.abs(gram), axis=(1, 2)))
         if np.any(coupled):
-            dec[coupled] = ml_joint(z[coupled], gram[coupled], book)
+            dec[coupled] = ml_joint(z[coupled], gram[coupled], book, joint)
         return dec, int(np.sum(coupled))
     if receiver == "zf":
         return zf_detect(z, gram, book), 0

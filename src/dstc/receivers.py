@@ -15,14 +15,19 @@ draws, z = Re(M^H y) and G = Re(M^H M), since ||y - M x||^2 = ||y||^2 -
 2 z.x + x^T G x for real x. The caller forms them once per block (the
 Monte Carlo does so from the channel gains, without building M: see
 gnaf_sim._whitened_stats), so each detector is a pure function of
-(z, G). Joint ML minimizes x^T G x - 2 z.x over the codebook, one GEMM
-per chunk of candidates built from their flat indices, with a running
-minimum across chunks, so its memory does not depend on the codebook
-size; grouped ML does the same per group with z_g and the diagonal block
-G_gg; ZF and MMSE solve G x = z by one elimination over the whole block of
-draws, which also gives ZF the scale-free singularity ratio it erases by,
-then slice each group to its nearest point (one-coordinate groups score
-only the two table values around the estimate). MMSE regularises G for
+(z, G). Both ML detectors minimize x^T G x - 2 z.x, reading the symmetric
+G on its packed upper triangle: one GEMM of the draws' coefficients
+against candidate rows (MlTable) that the Monte Carlo builds once per
+batch (ml_table). Joint ML's candidates are the codewords. Grouped ML's
+are every group's values, scored in the same GEMM, group g on z_g and the
+diagonal block G_gg only, with one argmin per group. Past one chunk the
+candidates are built chunk by chunk (the codewords from their flat
+indices), with a running minimum across chunks, so memory does not
+depend on the codebook size. ZF and MMSE solve G x = z by one
+elimination over the whole block of draws, which also gives ZF the
+scale-free singularity ratio it erases by, then slice each group to its
+nearest point (one-coordinate groups score only the two table values
+around the estimate). MMSE regularises G for
 the whitened noise, whose variance is 1/2 per real dimension.
 
 The grouped detector is only valid when the whitened model actually
@@ -227,6 +232,14 @@ def lattice_codebook(partition, lattice: RotatedLattice) -> Codebook:
 # decodability
 # ---------------------------------------------------------------------------
 
+def _group_labels(groups, k: int) -> np.ndarray:
+    """The group of every one of the K real symbol indices."""
+    label = np.empty(k, dtype=np.intp)
+    for g, grp in enumerate(groups):
+        label[list(grp)] = g
+    return label
+
+
 def gram_crossterm(gram: np.ndarray, groups) -> np.ndarray:
     """Largest |G| entry across different groups, per matrix of (..., K, K).
 
@@ -234,9 +247,7 @@ def gram_crossterm(gram: np.ndarray, groups) -> np.ndarray:
     per-group metrics, i.e. grouped ML equals joint ML for this model.
     """
     gram = np.asarray(gram)
-    label = np.empty(gram.shape[-1], dtype=np.intp)
-    for g, grp in enumerate(groups):
-        label[list(grp)] = g
+    label = _group_labels(groups, gram.shape[-1])
     rows, cols = np.nonzero(label[:, None] != label[None, :])
     return np.max(np.abs(gram[..., rows, cols]), axis=-1, initial=0.0)
 
@@ -246,67 +257,145 @@ def gram_crossterm(gram: np.ndarray, groups) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Candidates scored per matrix product; a chunk's score matrix is (draws x
-# _ML_CHUNK). On OpenBLAS a product's last bits can depend on its width, so
-# a codebook of more than one chunk may break a near-tie differently from
-# one whole product. Keep it at 64 or more: some narrower widths changed
-# bits even on the benchmark's shapes (K = 8, 512 draws).
+# _ML_CHUNK). On OpenBLAS a product's last bits can depend on its width and
+# on the number of draws, so a codebook of more than one chunk may break a
+# near-tie differently from one whole product, and changing the chunk can
+# move such a decision. Scoring a pciod4 block's 256 codewords (44 packed
+# columns) in chunks against one product: at 512 draws only widths 1 and 2
+# changed bits, at 64 draws widths 1 to 16 and 48, at 7 draws every width
+# below 256.
 _ML_CHUNK = 1024
 
 
-def _ml_argmin(z: np.ndarray, gram: np.ndarray, size: int, candidates) -> np.ndarray:
-    """Lowest-index argmin of x^T G x - 2 z.x over ``size`` candidates.
+@dataclass(frozen=True)
+class MlTable:
+    """The candidate side of an ML detector's scores (ml_table).
 
-    ``candidates(flat)`` returns the rows x of the given flat indices. They
-    are scored ``_ML_CHUNK`` at a time, one GEMM per chunk: [vec G, z]
-    against each candidate's [vec(x x^T), -2 x]. A running minimum that
-    moves only on a strict < keeps the lowest index on ties across chunks,
-    and memory depends on the chunk, not on ``size``.
+    ML scores a candidate x by x^T G x - 2 z.x, which for the symmetric G
+    is sum over i <= j of w_ij G_ij x_i x_j, minus 2 z.x, with w_ij = 1 on
+    the diagonal and 2 off it. So one GEMM scores a block of draws: their
+    coefficient rows [G_ij for (i, j) in ``pairs``, z] against the
+    candidates' rows [w_ij x_i x_j for (i, j) in ``pairs``, -2 x]. ``rows``
+    holds every candidate's row when they fit one _ML_CHUNK, and is None
+    otherwise: the detector then builds each chunk of rows as it scores
+    it, so its memory does not grow with the codebook.
     """
-    k = z.shape[-1]
-    coef = np.concatenate([gram.reshape(gram.shape[:-2] + (k * k,)), z], axis=-1)
-    best = best_idx = None
-    for start in range(0, size, _ML_CHUNK):
-        x = candidates(np.arange(start, min(start + _ML_CHUNK, size)))
-        cand = np.concatenate([(x[:, :, None] * x[:, None, :]).reshape(len(x), k * k),
-                               -2.0 * x], axis=-1)
-        scores = coef @ cand.T
-        idx = np.argmin(scores, axis=-1)
-        val = np.take_along_axis(scores, idx[..., None], axis=-1)[..., 0]
-        if best is None:
-            best, best_idx = val, idx
-        else:
-            better = val < best
-            best = np.where(better, val, best)
-            best_idx = np.where(better, idx + start, best_idx)
-    return best_idx
+
+    pairs: tuple[np.ndarray, np.ndarray]
+    rows: np.ndarray | None
 
 
-def ml_joint(z: np.ndarray, gram: np.ndarray, codebook: Codebook) -> np.ndarray:
+def ml_table(codebook: Codebook, grouped: bool = False) -> MlTable:
+    """The table joint ML, or grouped ML when ``grouped``, scores with.
+
+    Joint ML's candidates are the codewords in flat-index order, scored
+    on G's upper triangle. Grouped ML's are the groups' values, group
+    after group, each in its group's coordinates with zeros elsewhere, and
+    scored on the pairs within a group only, so a candidate of group g
+    scores its group's metric x_g^T G_gg x_g - 2 z_g.x_g. The Monte Carlo
+    builds the tables once per batch and passes them to every block's
+    call (gnaf_sim._run_batch).
+    """
+    i, j = np.triu_indices(codebook.k)
+    if grouped:
+        label = _group_labels(codebook.groups, codebook.k)
+        within = label[i] == label[j]
+        i, j = i[within], j[within]
+    count = sum(codebook.group_sizes) if grouped else codebook.size
+    rows = (_candidate_rows(codebook, grouped, (i, j), 0, count)
+            if count <= _ML_CHUNK else None)
+    return MlTable((i, j), rows)
+
+
+def _candidate_rows(codebook: Codebook, grouped: bool, pairs,
+                    start: int, stop: int) -> np.ndarray:
+    """The rows (MlTable) of candidates start..stop-1, (stop - start, P + K)."""
+    if grouped:
+        x = np.zeros((stop - start, codebook.k))
+        first = 0
+        for grp, vals in zip(codebook.groups, codebook.group_values):
+            lo, hi = max(first, start), min(first + len(vals), stop)
+            if lo < hi:
+                x[lo - start:hi - start, list(grp)] = vals[lo - first:hi - first]
+            first += len(vals)
+    else:
+        x = codebook.assemble(codebook.flat_to_indices(np.arange(start, stop)))
+    i, j = pairs
+    return np.concatenate([np.where(i == j, 1.0, 2.0) * x[:, i] * x[:, j],
+                           -2.0 * x], axis=1)
+
+
+def _ml_argmin(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
+               grouped: bool, table: MlTable | None) -> np.ndarray:
+    """Lowest-index argmin of the ML score in each segment of candidates.
+
+    Joint ML has one segment, the codebook; grouped ML one per group
+    (ml_table). Returns (draws, segments) indices within the segments.
+    The candidates are scored ``_ML_CHUNK`` at a time, one GEMM per chunk;
+    a segment cut by a chunk boundary keeps a running minimum that moves
+    only on a strict <, so the lowest index wins a tie, and memory depends
+    on the chunk, not on the candidate count. Segments of one size within
+    one chunk take one argmin over a reshape.
+    """
+    if table is None:
+        table = ml_table(codebook, grouped)
+    sizes = codebook.group_sizes if grouped else (codebook.size,)
+    bounds = np.cumsum((0,) + sizes)
+    i, j = table.pairs
+    # pairs of indices, not flat ones: G is often a strided view (the
+    # Monte Carlo's [G | z]), which a flat np.take would first copy
+    coef = np.concatenate([gram[:, i, j], z], axis=1)
+    n = len(z)
+    out = np.empty((n, len(sizes)), dtype=np.intp)
+    best = np.empty((n, len(sizes)))
+    for start in range(0, bounds[-1], _ML_CHUNK):
+        stop = min(start + _ML_CHUNK, bounds[-1])
+        rows = (table.rows[start:stop] if table.rows is not None else
+                _candidate_rows(codebook, grouped, table.pairs, start, stop))
+        scores = coef @ rows.T
+        if stop - start == bounds[-1] and len(set(sizes)) == 1:
+            return np.argmin(scores.reshape(n, len(sizes), sizes[0]), axis=-1)
+        for s in range(len(sizes)):
+            lo, hi = max(bounds[s], start), min(bounds[s + 1], stop)
+            if lo >= hi:
+                continue
+            part = scores[:, lo - start:hi - start]
+            idx = np.argmin(part, axis=-1)
+            val = np.take_along_axis(part, idx[:, None], axis=-1)[:, 0]
+            idx += lo - bounds[s]
+            if lo == bounds[s]:
+                best[:, s], out[:, s] = val, idx
+            else:
+                better = val < best[:, s]
+                best[better, s] = val[better]
+                out[better, s] = idx[better]
+    return out
+
+
+def ml_joint(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
+             table: MlTable | None = None) -> np.ndarray:
     """Exhaustive ML decision on (z, G), returned as per-group point indices.
 
     Guarded against oversized codebooks; ties resolve to the lowest flat
-    codeword index. Codewords are built chunk by chunk from their flat
-    indices, so no table of the whole codebook is formed.
+    codeword index. ``table`` is ml_table(codebook), built by the call when
+    not given; past one chunk the codewords are built chunk by chunk from
+    their flat indices, so no table of the whole codebook is formed.
     """
     if codebook.size > ML_SIZE_GUARD:
         raise ResourceGuardError(f"codebook size {codebook.size} exceeds ML guard")
-    flat = _ml_argmin(z, gram, codebook.size,
-                      lambda flat: codebook.assemble(codebook.flat_to_indices(flat)))
-    return codebook.flat_to_indices(flat)
+    return codebook.flat_to_indices(_ml_argmin(z, gram, codebook, False, table)[:, 0])
 
 
-def ml_grouped(z: np.ndarray, gram: np.ndarray, codebook: Codebook) -> np.ndarray:
+def ml_grouped(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
+               table: MlTable | None = None) -> np.ndarray:
     """Per-group ML decisions (valid when the model decomposes across groups).
 
     Searches sum(group sizes) candidates instead of their product: group g
-    is scored on its own entries z_g and diagonal block G_gg.
+    is scored on its own entries z_g and diagonal block G_gg, every group
+    by the same GEMM. ``table`` is ml_table(codebook, grouped=True), built
+    by the call when not given. The lowest index within a group wins a tie.
     """
-    out = np.zeros(z.shape[:-1] + (codebook.n_groups,), dtype=np.intp)
-    for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
-        idx = list(grp)
-        out[..., g] = _ml_argmin(z[..., idx], gram[..., idx, :][..., idx],
-                                 len(vals), lambda flat: vals[flat])
-    return out
+    return _ml_argmin(z, gram, codebook, True, table)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -327,8 +328,9 @@ class TestWhitenedStats:
         want_z, want_g = sufficient_stats(np.einsum("brk,bk->br", m, x) + noise, m)
 
         relay = () if variant == "direct" else (
-            rs, gnaf_sim._relay_table(d, params),
-            gnaf_sim._relay_gains(params, g0, column_gains(rs, f, g)), g)
+            gnaf_sim._relay_table(d, params),
+            gnaf_sim._relay_gains(params, g0, column_gains(rs, f, g)),
+            gnaf_sim.omega_diagonals(params, rs, g)[:, -params.t2:])
         z, gram = gnaf_sim._whitened_stats(params, x, noise, g0, *relay)
         assert z.shape == (n, d.k) and gram.shape == (n, d.k, d.k)
         assert np.max(np.abs(z - want_z)) <= 1e-12 * np.max(np.abs(want_z))
@@ -502,8 +504,8 @@ def _record_detect(monkeypatch):
     """Wrap gnaf_sim._detect; returns the list of (z, G, decisions) per block."""
     blocks, detect = [], gnaf_sim._detect
 
-    def recording(receiver, z, gram, book):
-        out = detect(receiver, z, gram, book)
+    def recording(receiver, z, gram, book, *tables):
+        out = detect(receiver, z, gram, book, *tables)
         blocks.append((z, gram, out[0]))
         return out
 
@@ -568,6 +570,43 @@ class TestBlocks:
         assert len(calls) == -(-100 // 7) and sum(calls) == 100
         assert (fallbacks > 0) == (receiver == "grouped-ml")
 
+    @pytest.mark.parametrize("receiver", gnaf_sim._RECEIVERS)
+    def test_each_batch_builds_its_tables_once(self, receiver, monkeypatch):
+        # the ML candidate tables, counted through gnaf_sim's globals, where
+        # the batch builds them, and through receivers', where a detector
+        # given none would (grouped ML's joint-ML fallback reads the batch's
+        # joint table); and the noise diagonal the blocks are whitened by
+        d = build_pciod(2)
+        rs = relay_matrix_set(d)
+        book = lattice_codebook(d.partition, default_lattice(1, 2))
+        cfg = SimConfig(design=d, codebook=book, receiver=receiver,
+                        snr_db=(4.0,), trials=100, seed=21)
+        if receiver == "grouped-ml":
+            monkeypatch.setattr(gnaf_sim, "gram_crossterm", _half_coupled)
+        built = {gnaf_sim: [], receivers: []}
+        for module, calls in built.items():
+            def counting(codebook, grouped=False, _calls=calls,
+                         _build=receivers.ml_table):
+                _calls.append(grouped)
+                return _build(codebook, grouped)
+
+            monkeypatch.setattr(module, "ml_table", counting)
+        diagonals, omega_diagonals = [], gnaf_sim.omega_diagonals
+
+        def counting_diagonals(params, rs, g):
+            diagonals.append(len(g))
+            return omega_diagonals(params, rs, g)
+
+        monkeypatch.setattr(gnaf_sim, "omega_diagonals", counting_diagonals)
+        per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
+        monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 7 * per_draw)
+        for batch in range(2):
+            fallbacks = gnaf_sim._run_batch(cfg, rs, 0, batch, 100)[2]
+            assert (fallbacks > 0) == (receiver == "grouped-ml")
+        once = {"joint-ml": [False], "grouped-ml": [False, True]}.get(receiver, [])
+        assert built == {gnaf_sim: 2 * once, receivers: []}
+        assert diagonals == [100, 100]
+
     def test_coupled_draws_of_a_mixed_block_decide_as_joint_ml(self, monkeypatch):
         # Toeplitz 2x2 does not decompose over its QAM groups, so per-group
         # ML misdecides some draws that joint ML gets right; every draw the
@@ -595,6 +634,29 @@ class TestBlocks:
         assert np.array_equal(grouped[~coupled], per_group[~coupled])
         # the check has teeth: per-group ML would decide some of them otherwise
         assert np.any(per_group[coupled] != joint[coupled])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_changes_none_of_its_inputs(workers, monkeypatch):
+    # the pool's start-up thread pickles (cfg, rs, tasks, counter) while
+    # the caller already runs batches, so no batch may write to either
+    d = build_pciod(4)
+    cfg = SimConfig(design=d, codebook=lattice_codebook(d.partition, default_lattice(2, 2)),
+                    receiver="grouped-ml", snr_db=(0.0, 10.0), trials=600, seed=5,
+                    batch_size=200, workers=workers)
+    relay_sets, clro_relay_set = [], verifier.clro_relay_set
+
+    def recording(design):
+        rep, rs = clro_relay_set(design)
+        relay_sets.append((rs, pickle.dumps(rs)))
+        return rep, rs
+
+    monkeypatch.setattr(verifier, "clro_relay_set", recording)
+    before = pickle.dumps(cfg)
+    run_monte_carlo(cfg)
+    assert pickle.dumps(cfg) == before
+    [(rs, rs_before)] = relay_sets
+    assert pickle.dumps(rs) == rs_before
 
 
 class TestBatchMemory:

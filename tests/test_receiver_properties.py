@@ -5,15 +5,17 @@ compared with a plain reference computed from the model itself (full
 squared distances, or least squares on the realified model).
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dstc import matkernel
+from dstc import matkernel, receivers
 from dstc.designs import Design, build_family
 from dstc.receivers import (Codebook, _slice_groups, gram_crossterm,
-                            ml_grouped, ml_joint, mmse_detect, pam_codebook,
-                            zf_detect)
+                            ml_grouped, ml_joint, ml_table, mmse_detect,
+                            pam_codebook, zf_detect)
 from dstc.verifier import check_group_decodable
 
 from _oracles import sufficient_stats
@@ -78,6 +80,54 @@ def test_ml_grouped_equals_joint_when_decomposable(case, seed):
     scale = np.max(np.abs(gram), axis=(1, 2))
     assume(np.all(gram_crossterm(gram, book.groups) < matkernel.zero_threshold(scale)))
     assert np.array_equal(ml_grouped(z, gram, book), ml_joint(z, gram, book))
+
+
+@st.composite
+def integer_groups(draw):
+    """(z, G, codebook, chunk): small integers, so every score is exact.
+
+    Groups of 1, 2 and 3 coordinates in scrambled coordinate order, of
+    unequal sizes, with duplicate rows; G is symmetric, cross-group
+    entries included, and ``chunk`` is the candidates per GEMM to score
+    with (down to 1, so groups straddle chunk boundaries).
+    """
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    k = sum(dims)
+    order = draw(st.permutations(range(k)))
+    groups, values, at = [], [], 0
+    for dim in dims:
+        groups.append(tuple(order[at:at + dim]))
+        at += dim
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                             min_size=1, max_size=7))
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))     # duplicates
+        values.append(np.array(draw(st.permutations(rows)), dtype=float))
+    batch = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(-3, 4, size=(batch, k, k))
+    gram = (a + np.swapaxes(a, 1, 2)).astype(float)
+    z = rng.integers(-6, 7, size=(batch, k)).astype(float)
+    chunk = draw(st.sampled_from([1, 2, 3, 5, 8, 1024]))
+    return z, gram, Codebook(tuple(groups), tuple(values)), chunk
+
+
+@SETTINGS
+@given(integer_groups())
+def test_fused_grouped_ml_is_the_per_group_argmin(case):
+    # every group by one GEMM per chunk of candidates, against each group's
+    # full metric x_g^T G_gg x_g - 2 z_g.x_g on its own; lowest index on a tie
+    z, gram, book, chunk = case
+    want = np.empty((len(z), book.n_groups), dtype=np.intp)
+    for g, (grp, vals) in enumerate(zip(book.groups, book.group_values)):
+        idx = list(grp)
+        block = gram[:, idx][:, :, idx]
+        metric = (np.einsum("vi,bij,vj->bv", vals, block, vals)
+                  - 2.0 * z[:, idx] @ vals.T)
+        want[:, g] = np.argmin(metric, axis=1)
+    with mock.patch.object(receivers, "_ML_CHUNK", chunk):
+        assert np.array_equal(ml_grouped(z, gram, book), want)
+        assert np.array_equal(ml_grouped(z, gram, book, ml_table(book, grouped=True)),
+                              want)
 
 
 def unitary(rng, n):

@@ -7,11 +7,11 @@ from dstc.gnaf_sim import make_rng, omega_diagonals, protocol_params
 from dstc.matkernel import REL_TOL
 from dstc.precoding import default_lattice
 from dstc.receivers import (Codebook, ResourceGuardError, gram_crossterm,
-                            lattice_codebook, ml_grouped, ml_joint,
+                            lattice_codebook, ml_grouped, ml_joint, ml_table,
                             mmse_detect, pam_codebook, qam_codebook,
                             zf_detect)
 
-from _oracles import sufficient_stats
+from _oracles import ml_joint_metrics, sufficient_stats
 
 
 def pciod_model(d, p=10.0, seed=0, n=1):
@@ -142,6 +142,27 @@ class TestMlJoint:
         monkeypatch.setattr(receivers, "_ML_CHUNK", 64)
         assert np.array_equal(ml_joint(z, gram, book), whole)
         assert np.array_equal(ml_joint(z[3:4], gram[3:4], book), whole[3:4])
+
+    def test_codebook_just_over_one_chunk_is_the_bruteforce_argmin(self):
+        # 41 x 26 = 1066 codewords: two chunks, the second of 42, so
+        # ml_table leaves the rows to the call; integer codewords and models
+        # make every distance exact, and duplicate rows make exact ties
+        first = np.stack([np.arange(41) % 7 - 3, np.arange(41) // 7 - 3],
+                         axis=-1).astype(float)
+        tail = np.arange(26, dtype=float)[:, None] % 9 - 4
+        book = Codebook(((0, 2), (1,)), (first, tail))
+        assert book.size > receivers._ML_CHUNK + 1
+        assert ml_table(book).rows is None
+        rng = make_rng(4, 9)
+        m = (rng.integers(-2, 3, size=(30, 3, 3))
+             + 1j * rng.integers(-2, 3, size=(30, 3, 3))).astype(complex)
+        y = (rng.integers(-9, 10, size=(30, 3))
+             + 1j * rng.integers(-9, 10, size=(30, 3))).astype(complex)
+        want = np.argmin(ml_joint_metrics(y, m, book.enumerate_x()), axis=1)
+        z, gram = sufficient_stats(y, m)
+        for table in (None, ml_table(book)):
+            assert np.array_equal(ml_joint(z, gram, book, table),
+                                  book.flat_to_indices(want))
 
     def test_size_guard(self):
         book = pam_codebook(tuple((i,) for i in range(21)), 2)
