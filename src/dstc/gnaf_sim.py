@@ -460,17 +460,8 @@ class SimConfig:
             check_count("workers", self.workers, 1)
 
     def resolved_workers(self) -> int:
-        """Requested worker count, capped by the DSTC_MAX_WORKERS env var."""
-        requested = self.workers if self.workers is not None else 1
-        env = os.environ.get("DSTC_MAX_WORKERS")
-        if env:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise ValueError(f"DSTC_MAX_WORKERS must be an integer, "
-                                 f"got {env!r}") from None
-            requested = min(requested, cap)
-        return max(1, requested)
+        """Requested worker count: ``workers``, or 1 when it is None."""
+        return self.workers if self.workers is not None else 1
 
 
 def snr_power(snr_db: float) -> float:
@@ -530,8 +521,8 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
     The batch's randomness is drawn first, whole and in its keyed order:
     channels, symbols, noise. The design's weight table (_relay_table), the
     draws' real gains and their noise diagonal on the cooperation rows
-    (omega_diagonals) are laid out once per batch, as are the ML
-    detectors' candidate tables (ml_table). The sufficient
+    (omega_diagonals) are laid out once per batch, as is the candidate
+    table (ml_table) of the ML receiver that runs. The sufficient
     statistics (z, G) of the whitened model and the decisions then run
     over equal blocks of draws, as few as keep each block's model matrices,
     were they built, within ``_BLOCK_BYTES``. (z, G) are formed once per
@@ -573,15 +564,13 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
     if d is not None:
         table, gains = _relay_table(d, params), _relay_gains(params, g0, h_cols)
         omega = omega_diagonals(params, rs, g)[:, -params.t2:]
-    ml = ()                 # candidate tables: grouped ML falls back to joint ML
+    ml = None
     if cfg.receiver in ("joint-ml", "grouped-ml"):
-        ml = (ml_table(book),)
-        if cfg.receiver == "grouped-ml":
-            ml += (ml_table(book, grouped=True),)
+        ml = ml_table(book, grouped=cfg.receiver == "grouped-ml")
     for blk in map(slice, edges, edges[1:]):
         relay = () if d is None else (table, gains[blk], omega[blk])
         dec[blk], block_fallbacks = _detect(cfg.receiver, *_whitened_stats(
-            params, x[blk], noise[blk], g0[blk], *relay), book, *ml)
+            params, x[blk], noise[blk], g0[blk], *relay), book, ml)
         fallbacks += block_fallbacks
 
     errors = int(np.sum(dec != tx))
@@ -635,22 +624,23 @@ def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
 
 
 def _detect(receiver: str, z: np.ndarray, gram: np.ndarray, book: Codebook,
-            joint: MlTable | None = None,
-            grouped: MlTable | None = None) -> tuple[np.ndarray, int]:
+            table: MlTable | None = None) -> tuple[np.ndarray, int]:
     """Decisions of ``receiver`` on a block's (z, G), and its fallback count.
 
-    ``joint`` and ``grouped`` are the batch's ml_table of ``book`` for
-    joint and grouped ML; grouped ML's fallback reads the joint one.
+    ``table`` is the batch's ml_table of ``book`` for the ML receiver that
+    runs, joint or grouped. Grouped ML re-decides the draws whose whitened
+    model couples its groups by joint ML, which then builds its own table;
+    such draws are rare, and no pinned sweep has one.
     """
     if receiver == "joint-ml":
-        return ml_joint(z, gram, book, joint), 0
+        return ml_joint(z, gram, book, table), 0
     if receiver == "grouped-ml":
-        dec = ml_grouped(z, gram, book, grouped)
+        dec = ml_grouped(z, gram, book, table)
         # grouped ML is exact only where the whitened model decomposes
         worst = gram_crossterm(gram, book.groups)
         coupled = worst > matkernel.zero_threshold(np.max(np.abs(gram), axis=(1, 2)))
         if np.any(coupled):
-            dec[coupled] = ml_joint(z[coupled], gram[coupled], book, joint)
+            dec[coupled] = ml_joint(z[coupled], gram[coupled], book)
         return dec, int(np.sum(coupled))
     if receiver == "zf":
         return zf_detect(z, gram, book), 0

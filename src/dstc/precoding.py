@@ -131,6 +131,13 @@ def pam_alphabet(m: int, normalize: bool = True) -> np.ndarray:
     return levels
 
 
+def product_grid(levels: np.ndarray, n: int) -> np.ndarray:
+    """Every n-tuple of ``levels``, shape (len(levels)^n, n), the first
+    coordinate the most significant digit of the row index."""
+    digits = np.unravel_index(np.arange(len(levels) ** n), (len(levels),) * n)
+    return levels[np.stack(digits, axis=-1)]
+
+
 @dataclass(frozen=True)
 class RotatedLattice:
     """A finite rotated lattice constellation: points G @ a, a in base^n."""
@@ -150,15 +157,7 @@ class RotatedLattice:
 
     def points(self) -> np.ndarray:
         """All lattice points, shape (len(base)^n, n), index-lexicographic."""
-        grids = np.meshgrid(*([self.base] * self.n), indexing="ij")
-        a = np.stack([g.ravel() for g in grids], axis=-1)
-        return a @ self.g.T
-
-    def nearest(self, x: np.ndarray) -> np.ndarray:
-        """Per-coordinate nearest-level indices of points x (..., n): rotate
-        back, then slice each coordinate (clipping to the alphabet range)."""
-        a = np.asarray(x, dtype=np.float64) @ self.g
-        return np.argmin(np.abs(a[..., None] - self.base), axis=-1)
+        return product_grid(self.base, self.n) @ self.g.T
 
 
 def default_lattice(n: int, points_per_coord: int = 2) -> RotatedLattice:

@@ -18,7 +18,8 @@ gnaf_sim._whitened_stats), so each detector is a pure function of
 (z, G). Both ML detectors minimize x^T G x - 2 z.x, reading the symmetric
 G on its packed upper triangle: one GEMM of the draws' coefficients
 against candidate rows (MlTable) that the Monte Carlo builds once per
-batch (ml_table). Joint ML's candidates are the codewords. Grouped ML's
+batch, one table for the receiver that runs (ml_table). Joint ML's
+candidates are the codewords. Grouped ML's
 are every group's values, scored in the same GEMM, group g on z_g and the
 diagonal block G_gg only, with one argmin per group. Past one chunk the
 candidates are built chunk by chunk (the codewords from their flat
@@ -26,25 +27,29 @@ indices), with a running minimum across chunks, so memory does not
 depend on the codebook size. ZF and MMSE solve G x = z by one
 elimination over the whole block of draws, which also gives ZF the
 scale-free singularity ratio it erases by, then slice each group to its
-nearest point (one-coordinate groups score only the two table values
-around the estimate). MMSE regularises G for
-the whitened noise, whose variance is 1/2 per real dimension.
+nearest point. Every per-coordinate slice, of one-coordinate groups and
+of rotated-back lattice coordinates alike, is one rule (_nearest_values):
+it scores only the two table values around the estimate. MMSE
+regularises G for the whitened noise, whose variance is 1/2 per real
+dimension.
 
 The grouped detector is only valid when the whitened model actually
 decomposes: G must vanish on cross-group entries (the decision-level
 consequence of the weight-matrix anticommutation condition, measured by
 gram_crossterm). The Monte Carlo driver checks this per channel draw and
-falls back to joint ML otherwise.
+re-decides the coupled draws by joint ML, which builds its own table for
+them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matkernel
-from .precoding import RotatedLattice, pam_alphabet
+from .precoding import RotatedLattice, pam_alphabet, product_grid
 
 ML_SIZE_GUARD = 10 ** 6
 PAIR_GUARD = 10 ** 7
@@ -65,9 +70,10 @@ class Codebook:
     ``groups`` partitions the K real symbol indices; ``group_values[g]`` is
     an (n_g, len(groups[g])) array whose rows are the joint values group g
     may take. The full codebook is the Cartesian product, enumerated with
-    group 0 as the most significant digit. ``lattice`` is set when the
-    groups are rotated-lattice constellations (enables rotation-aware
-    slicing in the linear receivers).
+    group 0 as the most significant digit. ``lattice`` is set when every
+    group is that rotated-lattice constellation (enables rotation-aware
+    slicing in the linear receivers), so its dimension must equal every
+    group's size.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -79,6 +85,10 @@ class Codebook:
         object.__setattr__(self, "group_values", vals)
         if len(vals) != len(self.groups):
             raise ValueError("one value table per group required")
+        lat = self.lattice
+        if lat is not None and any(len(grp) != lat.n for grp in self.groups):
+            raise ValueError(f"group sizes {[len(g) for g in self.groups]} "
+                             f"!= lattice dimension {lat.n}")
         for g, (grp, v) in enumerate(zip(self.groups, vals)):
             if v.ndim != 2 or v.shape[1] != len(grp):
                 raise ValueError(f"value table shape {v.shape} does not match group {grp}")
@@ -98,10 +108,7 @@ class Codebook:
 
     @property
     def size(self) -> int:
-        n = 1
-        for s in self.group_sizes:
-            n *= s
-        return n
+        return math.prod(self.group_sizes)
 
     def assemble(self, indices: np.ndarray) -> np.ndarray:
         """Real symbol vectors from per-group point indices (..., n_groups)."""
@@ -116,20 +123,15 @@ class Codebook:
         if self.size > ML_SIZE_GUARD:
             raise ResourceGuardError(f"codebook size {self.size} exceeds the "
                                      f"exhaustive-enumeration guard {ML_SIZE_GUARD}")
-        grids = np.meshgrid(*[np.arange(s) for s in self.group_sizes], indexing="ij")
-        idx = np.stack([g.ravel() for g in grids], axis=-1)
-        return self.assemble(idx)
+        return self.assemble(self.flat_to_indices(np.arange(self.size)))
 
     def flat_to_indices(self, flat: np.ndarray) -> np.ndarray:
-        """Convert flat codeword indices to per-group point indices."""
+        """Per-group point indices (..., n_groups) of flat codeword indices.
+
+        Raises ValueError for an index outside 0..size-1.
+        """
         flat = np.asarray(flat, dtype=np.intp)
-        out = np.zeros(flat.shape + (self.n_groups,), dtype=np.intp)
-        rem = flat
-        for g in range(self.n_groups - 1, -1, -1):
-            s = self.group_sizes[g]
-            out[..., g] = rem % s
-            rem = rem // s
-        return out
+        return np.stack(np.unravel_index(flat, self.group_sizes), axis=-1)
 
     def group_differences(self) -> tuple[np.ndarray, ...]:
         """Per-group tables of distinct value differences.
@@ -141,10 +143,7 @@ class Codebook:
         difference stays exactly zero. Guarded on the size of the product
         of the tables (the codebook's difference set).
         """
-        bound = 1
-        for sz in self.group_sizes:       # every group has >= sz differences
-            bound *= sz
-        if bound > PAIR_GUARD:
+        if self.size > PAIR_GUARD:        # n values have at least n differences
             raise ResourceGuardError(
                 f"difference enumeration exceeds guard {PAIR_GUARD}")
         per_group = []
@@ -202,11 +201,8 @@ def pam_codebook(partition, points_per_coord: int = 2,
                  normalize: bool = True) -> Codebook:
     """Independent per-coordinate PAM levels, organized by the given partition."""
     base = pam_alphabet(points_per_coord, normalize=normalize)
-    values = []
-    for grp in partition:
-        grids = np.meshgrid(*([base] * len(grp)), indexing="ij")
-        values.append(np.stack([g.ravel() for g in grids], axis=-1))
-    return Codebook(tuple(tuple(g) for g in partition), tuple(values))
+    values = tuple(product_grid(base, len(grp)) for grp in partition)
+    return Codebook(tuple(tuple(g) for g in partition), values)
 
 
 def qam_codebook(n_complex: int, m: int, normalize: bool = True) -> Codebook:
@@ -219,13 +215,13 @@ def qam_codebook(n_complex: int, m: int, normalize: bool = True) -> Codebook:
 
 
 def lattice_codebook(partition, lattice: RotatedLattice) -> Codebook:
-    """Rotated-lattice constellation per group (the full-diversity precoding)."""
-    values = []
-    for grp in partition:
-        if len(grp) != lattice.n:
-            raise ValueError(f"group size {len(grp)} != lattice dimension {lattice.n}")
-        values.append(lattice.points())
-    return Codebook(tuple(tuple(g) for g in partition), tuple(values), lattice)
+    """Rotated-lattice constellation per group (the full-diversity precoding).
+
+    Every group must have the lattice's dimension (ValueError otherwise).
+    """
+    points = lattice.points()
+    return Codebook(tuple(tuple(g) for g in partition),
+                    (points,) * len(partition), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +289,8 @@ def ml_table(codebook: Codebook, grouped: bool = False) -> MlTable:
     after group, each in its group's coordinates with zeros elsewhere, and
     scored on the pairs within a group only, so a candidate of group g
     scores its group's metric x_g^T G_gg x_g - 2 z_g.x_g. The Monte Carlo
-    builds the tables once per batch and passes them to every block's
-    call (gnaf_sim._run_batch).
+    builds the table its receiver scores once per batch and passes it to
+    every block's call (gnaf_sim._run_batch).
     """
     i, j = np.triu_indices(codebook.k)
     if grouped:
@@ -405,22 +401,26 @@ def ml_grouped(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
 def _slice_groups(xhat: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Nearest constellation point per group.
 
-    Lattice groups slice per coordinate (RotatedLattice.nearest), flattened
-    in the order of points(); one-coordinate groups that share a value
-    table are sliced together (_nearest_values); other groups take the
-    nearest table row.
+    A lattice codebook rotates each group back (x_g @ G, G the lattice's
+    orthogonal generator), slices every group's coordinates in one
+    _nearest_values call against the lattice levels and ravels them per
+    group in the order of points(). Otherwise one-coordinate groups that
+    share a value table are sliced together (_nearest_values), and other
+    groups take the nearest table row. The lowest index wins a tie.
     """
-    out = np.zeros((xhat.shape[0], codebook.n_groups), dtype=np.intp)
     lat = codebook.lattice
+    if lat is not None:
+        a = np.stack([xhat[:, list(grp)] @ lat.g for grp in codebook.groups], axis=1)
+        coord = _nearest_values(a, lat.base)
+        return np.ravel_multi_index(tuple(np.moveaxis(coord, -1, 0)),
+                                    (len(lat.base),) * lat.n)
+    out = np.zeros((xhat.shape[0], codebook.n_groups), dtype=np.intp)
     scalar = {}            # value table bytes -> (values, group indices)
     for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
-        seg = xhat[:, list(grp)]
-        if lat is not None and lat.n == len(grp):
-            coord = lat.nearest(seg)
-            out[:, g] = np.ravel_multi_index(tuple(coord.T), (len(lat.base),) * lat.n)
-        elif len(grp) == 1:
+        if len(grp) == 1:
             scalar.setdefault(vals.tobytes(), (vals[:, 0], []))[1].append(g)
         else:
+            seg = xhat[:, list(grp)]
             d2 = np.sum((seg[:, None, :] - vals[None, :, :]) ** 2, axis=-1)
             out[:, g] = np.argmin(d2, axis=-1)
     for values, gs in scalar.values():

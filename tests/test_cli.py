@@ -195,19 +195,14 @@ class TestSimulateAndPipeline:
     @pytest.mark.parametrize("field, value", [
         ("workers", "2"), ("workers", 2.5), ("workers", 0),
         ("batch_size", 0), ("batch_size", -5), ("trials", -1),
-        ("DSTC_MAX_WORKERS", "abc"),
         # non-integer counts are refused, not truncated
         ("trials", 2000.7), ("batch_size", 100.9), ("seed", 1.5),
         ("points", 2.9), ("relays", 2.7),
     ])
-    def test_bad_count_exit_three(self, tmp_path, capsys, monkeypatch,
-                                  field, value):
+    def test_bad_count_exit_three(self, tmp_path, capsys, field, value):
         nested = {"points": ("constellation", {"type": "lattice"}),
                   "relays": ("design", {"family": "pciod"})}
-        if field == "DSTC_MAX_WORKERS":
-            monkeypatch.setenv(field, value)
-            cfg = self.write_cfg(tmp_path)
-        elif field in nested:
+        if field in nested:
             key, spec = nested[field]
             cfg = self.write_cfg(tmp_path, **{key: {**spec, field: value}})
         else:

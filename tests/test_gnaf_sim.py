@@ -441,13 +441,6 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="SNR"):
             SimConfig(**{**cfg.__dict__, "snr_db": snr_db})
 
-    def test_env_var_caps_workers(self, monkeypatch):
-        cfg = self.config(workers=8)
-        monkeypatch.setenv("DSTC_MAX_WORKERS", "2")
-        assert cfg.resolved_workers() == 2
-        monkeypatch.delenv("DSTC_MAX_WORKERS")
-        assert cfg.resolved_workers() == 8
-
 
 # Per-point (symbol errors, erasures, fallbacks) of a small sweep, 512
 # trials at 4 and 10 dB in batches of 200, for each receiver on each variant
@@ -572,17 +565,23 @@ class TestBlocks:
 
     @pytest.mark.parametrize("receiver", gnaf_sim._RECEIVERS)
     def test_each_batch_builds_its_tables_once(self, receiver, monkeypatch):
-        # the ML candidate tables, counted through gnaf_sim's globals, where
-        # the batch builds them, and through receivers', where a detector
-        # given none would (grouped ML's joint-ML fallback reads the batch's
-        # joint table); and the noise diagonal the blocks are whitened by
+        # the ML candidate table, counted through gnaf_sim's globals, where
+        # the batch builds the one its receiver scores, and through
+        # receivers', where ml_joint given none builds one: grouped ML's
+        # joint-ML fallback does so once in each block with coupled draws,
+        # and only there; and the noise diagonal the blocks are whitened by
         d = build_pciod(2)
         rs = relay_matrix_set(d)
         book = lattice_codebook(d.partition, default_lattice(1, 2))
         cfg = SimConfig(design=d, codebook=book, receiver=receiver,
                         snr_db=(4.0,), trials=100, seed=21)
+
+        def rarely_coupled(gram, groups):
+            # about one draw in eight, so that some blocks have none
+            return np.where(np.floor(gram[:, 0, 0] * 64) % 8 == 1, np.inf, 0.0)
+
         if receiver == "grouped-ml":
-            monkeypatch.setattr(gnaf_sim, "gram_crossterm", _half_coupled)
+            monkeypatch.setattr(gnaf_sim, "gram_crossterm", rarely_coupled)
         built = {gnaf_sim: [], receivers: []}
         for module, calls in built.items():
             def counting(codebook, grouped=False, _calls=calls,
@@ -598,13 +597,32 @@ class TestBlocks:
             return omega_diagonals(params, rs, g)
 
         monkeypatch.setattr(gnaf_sim, "omega_diagonals", counting_diagonals)
+        # the fallback calls ml_joint through gnaf_sim's globals, which the
+        # benchmark's tracer rebinds
+        fallback_calls, ml_joint = [], gnaf_sim.ml_joint
+
+        def counting_ml_joint(z, gram, codebook, table=None):
+            fallback_calls.append(len(z))
+            return ml_joint(z, gram, codebook, table)
+
+        if receiver == "grouped-ml":
+            monkeypatch.setattr(gnaf_sim, "ml_joint", counting_ml_joint)
+        blocks = _record_detect(monkeypatch)
         per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
         monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 7 * per_draw)
         for batch in range(2):
             fallbacks = gnaf_sim._run_batch(cfg, rs, 0, batch, 100)[2]
             assert (fallbacks > 0) == (receiver == "grouped-ml")
-        once = {"joint-ml": [False], "grouped-ml": [False, True]}.get(receiver, [])
-        assert built == {gnaf_sim: 2 * once, receivers: []}
+        once = {"joint-ml": [False], "grouped-ml": [True]}.get(receiver, [])
+        assert built[gnaf_sim] == 2 * once
+        if receiver == "grouped-ml":
+            coupled = sum(bool(np.any(rarely_coupled(gram, book.groups)))
+                          for _, gram, _ in blocks)
+            assert len(blocks) == 30 and 0 < coupled < 30
+            assert built[receivers] == coupled * [False]
+            assert len(fallback_calls) == coupled
+        else:
+            assert built[receivers] == []
         assert diagonals == [100, 100]
 
     def test_coupled_draws_of_a_mixed_block_decide_as_joint_ml(self, monkeypatch):

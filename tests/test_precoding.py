@@ -6,7 +6,8 @@ import pytest
 
 from dstc.precoding import (RotatedLattice, default_lattice, load_rotation,
                             pam_alphabet, partition_mod4, rotation)
-from dstc.receivers import ResourceGuardError, lattice_codebook
+from dstc.receivers import (ResourceGuardError, _slice_groups, lattice_codebook,
+                            zf_detect)
 from dstc.verifier import min_product_distance
 
 
@@ -176,15 +177,14 @@ class TestEncodeGroups:
         assert len(seen) == 16
 
     def test_decode_inverts(self):
-        # per-coordinate slicing recovers the alphabet indices of each group
+        # slicing codewords, as they are and through ZF with G = I, returns
+        # their per-group indices
         lat = default_lattice(2, 4)
         book = lattice_codebook(partition_mod4(8), lat)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            coords = rng.integers(0, 4, size=(4, 2))
-            x = book.assemble(np.ravel_multi_index(tuple(coords.T), (4, 4)))
-            for grp, want in zip(book.groups, coords):
-                assert np.array_equal(lat.nearest(x[list(grp)]), want)
+        idx = np.random.default_rng(5).integers(0, 16, size=(50, 4))
+        x = book.assemble(idx)
+        assert np.array_equal(_slice_groups(x, book), idx)
+        assert np.array_equal(zf_detect(x, _identity_grams(50, 8), book), idx)
 
     def test_group_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -207,13 +207,25 @@ def test_lattice_points_enumeration_order():
         assert np.allclose(pts[i], lat.g @ lat.base[[i // 2, i % 2]], atol=1e-15)
 
 
+def _identity_grams(n: int, k: int) -> np.ndarray:
+    """G = I for n draws: ZF then slices z as it is."""
+    return np.broadcast_to(np.eye(k), (n, k, k))
+
+
 def test_lattice_nearest_batches():
-    # one point at a time: rotate back, then the nearest level per coordinate
-    lat = default_lattice(3, 4)
-    x = np.random.default_rng(6).standard_normal((5, 7, 3))
-    got = lat.nearest(x)
-    assert got.shape == (5, 7, 3)
-    for i, j in itertools.product(range(5), range(7)):
-        a = lat.g.T @ x[i, j]
-        want = np.argmin(np.abs(a[:, None] - lat.base[None, :]), axis=1)
-        assert np.array_equal(got[i, j], want)
+    # every group of a batch slices to the brute-force nearest lattice point,
+    # the lowest index on ties; the unrotated integer lattice puts draws at
+    # exact ties (midpoints between levels) and past the outermost levels
+    cases = [(default_lattice(n, m), 1.5 * np.random.default_rng(6).standard_normal((40, 4 * n)))
+             for n, m in [(1, 3), (2, 2), (2, 4), (3, 4), (4, 2)]]
+    grid = np.array([-5.0, -3.0, -2.0, -1.5, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    square = RotatedLattice(2, np.eye(2), pam_alphabet(4, normalize=False))
+    cases.append((square, grid[np.random.default_rng(7).integers(0, len(grid), (60, 8))]))
+    for lat, xhat in cases:
+        book = lattice_codebook(partition_mod4(4 * lat.n), lat)
+        pts = lat.points()
+        want = [[np.argmin(np.sum((pts - xhat[b, list(grp)]) ** 2, axis=1))
+                 for grp in book.groups] for b in range(len(xhat))]
+        assert np.array_equal(_slice_groups(xhat, book), want)
+        grams = _identity_grams(*xhat.shape)
+        assert np.array_equal(zf_detect(xhat, grams, book), want)

@@ -254,3 +254,18 @@ def test_one_coordinate_slicer_is_the_table_argmin(case):
     want = np.stack([np.argmin((xhat[:, [g]] - vals[:, 0]) ** 2, axis=-1)
                      for g, vals in enumerate(book.group_values)], axis=-1)
     assert np.array_equal(_slice_groups(xhat, book), want)
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.data())
+def test_flat_to_indices_inverts_ravel_multi_index(sizes, data):
+    # group 0 is the most significant digit, as in np.ravel_multi_index
+    book = Codebook(tuple((g,) for g in range(len(sizes))),
+                    tuple(np.arange(s, dtype=float)[:, None] for s in sizes))
+    flat = np.array(data.draw(st.lists(st.integers(0, book.size - 1), max_size=8)),
+                    dtype=np.intp)
+    idx = book.flat_to_indices(flat)
+    assert idx.shape == (len(flat), len(sizes))
+    assert np.array_equal(np.ravel_multi_index(tuple(idx.T), sizes), flat)
+    assert np.array_equal(book.flat_to_indices(np.arange(book.size)),
+                          np.argwhere(np.ones(sizes, dtype=bool)))

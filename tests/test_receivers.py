@@ -36,6 +36,21 @@ class TestCodebook:
         idx = book.flat_to_indices(np.arange(8))
         assert np.array_equal(book.assemble(idx), x)
 
+    @pytest.mark.parametrize("flat", [16, -1, [0, 16], [[3], [-2]]])
+    def test_flat_index_out_of_range_refused(self, flat):
+        # an index past either end names no codeword, so it must not wrap
+        book = pam_codebook(((0,), (1,), (2, 3)), 2)
+        assert book.size == 16
+        with pytest.raises(ValueError):
+            book.flat_to_indices(flat)
+
+    def test_lattice_dimension_must_match_every_group(self):
+        lat = default_lattice(2, 2)
+        pts = lat.points()
+        Codebook(((0, 1), (2, 3)), (pts, pts), lat)
+        with pytest.raises(ValueError, match="lattice dimension 2"):
+            Codebook(((0, 1), (2,)), (pts, pts[:, :1]), lat)
+
     def test_size_and_groups(self):
         d = build_pciod(4)
         book = lattice_codebook(d.partition, default_lattice(2, 2))
