@@ -4,6 +4,12 @@ Every run is reproducible from its config and the single --seed flag; output
 files embed the fully resolved configuration. Exit codes: 0 ok, 2 a
 requested verification failed, 3 config error, 4 exhaustive-enumeration
 guard refused the request.
+
+Each input fact is checked once, where it is used: the library refuses a
+design, codebook, SNR point or simulation setting it cannot run with a
+ValueError, and this module adds only the checks of its own config
+syntax. ``main`` reports any ValueError, OSError or KeyError as one
+``error:`` line and exit 3, without a traceback.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import numpy as np
 from . import __version__, dmg, verifier
 from .designs import (Design, build_family, load_design, relay_matrix_set,
                       save_design)
-from .gnaf_sim import (VARIANTS, SimConfig, check_count, protocol_params,
-                       results_to_csv, run_monte_carlo, snr_power)
+from .gnaf_sim import (SimConfig, check_count, protocol_params, results_to_csv,
+                       run_monte_carlo, snr_power)
 from .precoding import (RotatedLattice, default_lattice, load_rotation,
                         pam_alphabet)
 from .receivers import (Codebook, ResourceGuardError, lattice_codebook,
@@ -29,17 +35,13 @@ from .receivers import (Codebook, ResourceGuardError, lattice_codebook,
 OK, VERIFY_FAIL, CONFIG_ERROR, GUARD = 0, 2, 3, 4
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config resolution
 # ---------------------------------------------------------------------------
 
 def _resolve_design(spec) -> Design | None:
     if spec is None:
-        raise ConfigError("config needs a 'design' entry")
+        raise ValueError("config needs a 'design' entry")
     if isinstance(spec, str):
         spec = {"path": spec}
     if "path" in spec:
@@ -49,93 +51,69 @@ def _resolve_design(spec) -> Design | None:
     family = spec.get("family")
     if family == "direct":
         return None
-    try:
-        return build_family(family, spec.get("relays", 0), spec.get("t1", 0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_family(family, spec.get("relays", 0), spec.get("t1", 0))
 
 
 def _resolve_codebook(d: Design | None, spec, t1: int = 0) -> Codebook:
     spec = spec or {"type": "pam", "points": 2}
     kind = spec.get("type", "pam")
     points = spec.get("points", 2)
-    if isinstance(points, (int, float)) and points < 2:
-        raise ConfigError(f"a constellation needs at least 2 points, got {points}")
     check_count("points", points, 2)
     if d is None:
         if t1 < 1:
-            raise ConfigError("direct transmission needs t1 >= 1")
+            raise ValueError("direct transmission needs t1 >= 1")
         if kind == "lattice":
-            raise ConfigError("direct transmission takes a qam or pam "
-                              "constellation, not a lattice")
+            raise ValueError("direct transmission takes a qam or pam "
+                             "constellation, not a lattice")
         n_complex = t1
         partition = tuple((2 * i, 2 * i + 1) for i in range(t1))
     else:
         n_complex = d.n_complex
         partition = d.partition if len(d.partition) > 1 else tuple((i,) for i in range(d.k))
     if kind == "qam":
-        try:
-            return qam_codebook(n_complex, points)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return qam_codebook(n_complex, points)
     if kind == "pam":
         return pam_codebook(partition, points)
     if kind == "lattice":
+        # Codebook refuses groups of another size than the lattice's
         n = len(partition[0])
-        if any(len(g) != n for g in partition):
-            raise ConfigError("lattice constellation needs equal-size groups")
         if spec.get("rotation_file"):
             g = load_rotation(spec["rotation_file"])
             lattice = RotatedLattice(n, g, pam_alphabet(points))
         else:
             lattice = default_lattice(n, points)
         return lattice_codebook(partition, lattice)
-    raise ConfigError(f"unknown constellation type {kind!r}")
+    raise ValueError(f"unknown constellation type {kind!r}")
 
 
 def _parse_snr(spec) -> tuple[float, ...]:
     """The SNR grid in dB, from a list of points or "start:step:stop".
 
-    Raises ConfigError for a grid the simulator cannot run: a part that is
-    not finite, a point whose linear power is not finite and positive
-    (snr_power), or an empty grid.
+    Raises ValueError for a string that is not three numbers, a step that
+    is not finite and positive, or an end without a finite positive linear
+    power (snr_power): stepping from such an end might never reach the
+    other one. SimConfig checks the points of the grid.
     """
     if isinstance(spec, (list, tuple)):
-        grid = [float(v) for v in spec]
-    else:
-        try:
-            start, step, stop = (float(v) for v in str(spec).split(":"))
-        except ValueError as exc:
-            raise ConfigError(f"bad SNR grid {spec!r}; use start:step:stop") from exc
-        if not 0 < step < math.inf:
-            raise ConfigError("SNR step must be positive and finite")
-        # both ends first: stepping from an end beyond the range of powers
-        # might never reach the other one
-        _check_snr(spec, (start, stop))
-        grid = []
-        v = start
-        while v <= stop + 1e-9:
-            grid.append(round(v, 9))
-            v += step
-    if not grid:
-        raise ConfigError(f"SNR grid {spec!r} has no points")
-    _check_snr(spec, grid)
-    return tuple(grid)
-
-
-def _check_snr(spec, points) -> None:
+        return tuple(float(v) for v in spec)
     try:
-        for v in points:
-            snr_power(v)
+        start, step, stop = (float(v) for v in str(spec).split(":"))
     except ValueError as exc:
-        raise ConfigError(f"SNR grid {spec!r}: {exc}") from exc
+        raise ValueError(f"bad SNR grid {spec!r}; use start:step:stop") from exc
+    if not 0 < step < math.inf:
+        raise ValueError("SNR step must be positive and finite")
+    snr_power(start)
+    snr_power(stop)
+    grid = []
+    v = start
+    while v <= stop + 1e-9:
+        grid.append(round(v, 9))
+        v += step
+    return tuple(grid)
 
 
 def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
     d = _resolve_design(cfg.get("design"))
-    variant = cfg.get("variant", "gnaf2")
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; known: {VARIANTS}")
     dspec = cfg.get("design")
     t1 = dspec.get("t1", 0) if isinstance(dspec, dict) else 0
     book = _resolve_codebook(d, cfg.get("constellation"), t1=t1)
@@ -146,8 +124,8 @@ def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
         snr_db=_parse_snr(cfg.get("snr_db", "0:5:20")),
         trials=cfg.get("trials", 10000),
         seed=cfg.get("seed", 0),
-        variant=variant,
-        pi=tuple(float(v) for v in cfg.get("pi", (1.0, 1.0, 1.0))),
+        variant=cfg.get("variant", "gnaf2"),
+        pi=cfg.get("pi", (1.0, 1.0, 1.0)),
         batch_size=cfg.get("batch_size", 4096),
         workers=cfg.get("workers"),
     )
@@ -206,7 +184,7 @@ def run_checks(d: Design, checks, constellation: str, draws: int, seed: int,
                 {"entries": [list(e) for e in probe.entries],
                  "threshold": probe.threshold}))
         else:
-            raise ConfigError(f"unknown check {check!r}; known: {ALL_CHECKS}")
+            raise ValueError(f"unknown check {check!r}; known: {ALL_CHECKS}")
     return reports
 
 
@@ -216,9 +194,9 @@ def _constellation_book(d: Design, name: str) -> Codebook:
     for kind in ("qam", "pam", "lattice"):
         if name.startswith(kind):
             if kind == "lattice" and len(d.partition) < 2:
-                raise ConfigError("lattice constellation needs a grouped design")
+                raise ValueError("lattice constellation needs a grouped design")
             return _resolve_codebook(d, {"type": kind, "points": int(name[len(kind):])})
-    raise ConfigError(f"unknown constellation {name!r} (qamN, pamN or latticeN)")
+    raise ValueError(f"unknown constellation {name!r} (qamN, pamN or latticeN)")
 
 
 def _report_json(reports) -> dict:
@@ -247,11 +225,7 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    try:
-        d = build_family(args.family, args.relays, args.t1)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    d = build_family(args.family, args.relays, args.t1)
     save_design(d, args.out)
     clro = verifier.check_clro(d)
     print(f"{d.family}: T={d.t} R={d.r} K={d.k}")
@@ -380,7 +354,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return GUARD
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

@@ -1,12 +1,14 @@
 """Linear dispersion design constructors for relay space-time codes.
 
 A design is a T x R matrix-valued function S(X) of K *real* symbols,
-S(X) = sum_k X[k] * weights[k]. Columns are what individual relays transmit
-during the cooperation phase, so each constructor also records per-column
-conjugation metadata: a column that is a linear form in the source symbols
-only (not their conjugates) can be produced by a relay holding a single
-matrix applied to its received vector; a column in the conjugates only needs
-the same with a conjugated reception.
+S(X) = sum_k X[k] * weights[k], and its (K, T, R) weight array is all a
+design is: T, R and K are that array's shape. Columns are what individual
+relays transmit during the cooperation phase. A column that is a linear
+form in the source symbols only (not their conjugates) can be produced by
+a relay holding a single matrix applied to its received vector; a column
+in the conjugates only needs the same with a conjugated reception. Which
+kind each column is, is read off the weights (column_kinds), never
+declared.
 
 Real symbols pair canonically into complex source symbols
 ``s[m] = X[2m] + 1j*X[2m+1]``, so the source vector has K/2 complex entries.
@@ -20,6 +22,12 @@ Families:
 * cyclic-algebra designs (``cda``): high rate, built from a numeric parameter
   table (an R x R table of algebra-basis conjugates plus a non-norm element
   ``delta`` and a normalization ``theta``).
+
+A design file (save_design, load_design) is JSON with the keys ``family``,
+``weights`` (the (K, T, R) array as [re, im] pairs), ``partition`` and, for
+a precoded design, ``precode``. Older files also carry ``t``, ``r``, ``k``
+and ``col_conj``: ``col_conj`` is ignored, and a ``t``, ``r`` or ``k`` that
+disagrees with the weights' shape is refused with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matkernel
-from .precoding import partition_mod4
+from .precoding import check_partition, partition_mod4
 
 PLAIN = "plain"
 CONJ = "conj"
@@ -84,32 +92,44 @@ class PrecodePair:
 
 @dataclass(frozen=True)
 class Design:
-    """A T x R linear dispersion design in K real symbols."""
+    """A T x R linear dispersion design in K real symbols.
+
+    ``weights`` is the finite (K, T, R) complex array, and T, R and K are
+    read off its shape. ``partition``, when given, splits the K symbol
+    indices into decoding groups, each index in exactly one. ``precode``
+    is the source-side pair of a precoded design, K/2 x K/2.
+    """
 
     family: str
-    t: int
-    r: int
-    k: int
-    weights: np.ndarray                      # (k, t, r) complex
-    col_conj: tuple[str, ...] | None = None  # declared per-column flags
+    weights: np.ndarray
     partition: tuple[tuple[int, ...], ...] = ()
     precode: PrecodePair | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.complex128)
-        if w.shape != (self.k, self.t, self.r):
-            raise ValueError(
-                f"weights shape {w.shape} != (K,T,R)=({self.k},{self.t},{self.r})")
+        if w.ndim != 3:
+            raise ValueError(f"design weights must be a (K, T, R) array, "
+                             f"got shape {w.shape}")
         matkernel.require_finite(w, "design weights")
         object.__setattr__(self, "weights", w)
         if self.partition:
-            covered = sorted(i for grp in self.partition for i in grp)
-            if covered != list(range(self.k)):
-                raise ValueError("partition is not a disjoint cover of symbol indices")
+            check_partition(self.partition, self.k)
         if self.precode is not None and 2 * len(self.precode.p_mat) != self.k:
             n = len(self.precode.p_mat)
             raise ValueError(f"precode pair is {n}x{n}, but a design in K={self.k} "
                              "real symbols needs K/2 x K/2")
+
+    @property
+    def k(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def t(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def r(self) -> int:
+        return self.weights.shape[2]
 
     @property
     def n_complex(self) -> int:
@@ -162,14 +182,6 @@ class RelayMatrixSet:
     def n_relays(self) -> int:
         return len(self.matrices)
 
-    @property
-    def t2(self) -> int:
-        return self.matrices[0].shape[0]
-
-    @property
-    def t1(self) -> int:
-        return self.matrices[0].shape[1]
-
     @cached_property
     def grams(self) -> np.ndarray:
         """The (R, T2, T2) stack M_i M_i^H that every noise quantity reads."""
@@ -211,8 +223,8 @@ def build_pciod(r: int) -> Design:
         [[ x0 + i x1,  -x2 + i x3 ],
          [ x2 + i x3,   x0 - i x1 ]]
 
-    K = 2R real symbols; even columns are plain, odd columns conjugated;
-    the stored partition groups indices by residue mod 4.
+    K = 2R real symbols; even columns are plain, odd columns conjugated
+    (column_kinds); the stored partition groups indices by residue mod 4.
     """
     if r < 2 or r % 2:
         raise ValueError(
@@ -231,8 +243,7 @@ def build_pciod(r: int) -> Design:
         w[b + 2, r1, r0] = 1.0
         w[b + 3, r0, r1] = 1j
         w[b + 3, r1, r0] = 1j
-    conj_flags = tuple(PLAIN if c % 2 == 0 else CONJ for c in range(r))
-    return Design("pciod", r, r, k, w, conj_flags, partition_mod4(k))
+    return Design("pciod", w, partition_mod4(k))
 
 
 def build_pciod_rect(r: int) -> Design:
@@ -240,9 +251,7 @@ def build_pciod_rect(r: int) -> Design:
     if r < 1 or r % 2 == 0:
         raise ValueError(f"rectangular pciod is for odd relay counts, got {r}")
     full = build_pciod(r + 1)
-    return replace(full, family="pciod-rect", r=r,
-                   weights=full.weights[:, :, :r],
-                   col_conj=full.col_conj[:r])
+    return replace(full, family="pciod-rect", weights=full.weights[:, :, :r])
 
 
 def build_ciod4() -> tuple[Design, PrecodePair]:
@@ -284,9 +293,7 @@ def build_toeplitz(t1: int, r: int) -> Design:
         for j in range(r):
             w[2 * m, m + j, j] = 1.0
             w[2 * m + 1, m + j, j] = 1j
-    return Design("toeplitz", t, r, k, w,
-                  tuple(PLAIN for _ in range(r)),
-                  (tuple(range(k)),))
+    return Design("toeplitz", w, (tuple(range(k)),))
 
 
 def build_cda(r: int, delta: complex, theta: float, sigma_table) -> Design:
@@ -319,9 +326,7 @@ def build_cda(r: int, delta: complex, theta: float, sigma_table) -> Design:
                 c = coef * table[i, j]
                 w[2 * m, kk, j] = c
                 w[2 * m + 1, kk, j] = 1j * c
-    return Design("cda", r, r, k, w,
-                  tuple(PLAIN for _ in range(r)),
-                  (tuple(range(k)),))
+    return Design("cda", w, (tuple(range(k)),))
 
 
 def golden_cda() -> Design:
@@ -392,15 +397,15 @@ def compose_precode(d: Design) -> Design:
     """Re-express a precoded design in its pre-transformation symbols.
 
     The returned design has the same matrix entries as functions of the
-    *user* real symbols (precode folded into the weights); its conjugation
-    metadata is dropped since the folded columns generally mix symbols and
-    conjugates, which is the point of checking at this level.
+    *user* real symbols (precode folded into the weights). Its columns
+    generally mix symbols and conjugates, which is the point of checking at
+    this level.
     """
     if d.precode is None:
         raise ValueError("design has no precode pair")
     m = d.precode.real_matrix()
     w = np.einsum("kj,ktr->jtr", m, d.weights)
-    return Design(d.family + "-raw", d.t, d.r, d.k, w, None, d.partition, None)
+    return Design(d.family + "-raw", w, d.partition)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +424,7 @@ def _pair2c(v) -> np.ndarray:
 def design_to_dict(d: Design) -> dict:
     out = {
         "family": d.family,
-        "t": d.t,
-        "r": d.r,
-        "k": d.k,
         "weights": _c2pair(d.weights),
-        "col_conj": list(d.col_conj) if d.col_conj is not None else None,
         "partition": [list(g) for g in d.partition],
     }
     if d.precode is not None:
@@ -436,13 +437,14 @@ def design_from_dict(obj: dict) -> Design:
     pre = None
     if obj.get("precode") is not None:
         pre = PrecodePair(_pair2c(obj["precode"]["p"]), _pair2c(obj["precode"]["q"]))
-    col_conj = obj.get("col_conj")
-    return Design(
-        family=obj["family"], t=obj["t"], r=obj["r"], k=obj["k"],
-        weights=_pair2c(obj["weights"]),
-        col_conj=tuple(col_conj) if col_conj is not None else None,
-        partition=tuple(tuple(g) for g in obj["partition"]),
-        precode=pre)
+    d = Design(family=obj["family"], weights=_pair2c(obj["weights"]),
+               partition=tuple(tuple(g) for g in obj["partition"]),
+               precode=pre)
+    for key in ("t", "r", "k"):
+        if key in obj and obj[key] != getattr(d, key):
+            raise ValueError(f"design file gives {key}={obj[key]!r}, but its "
+                             f"weights have {key}={getattr(d, key)}")
+    return d
 
 
 def save_design(d: Design, path) -> None:

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -80,6 +81,7 @@ from .receivers import (Codebook, MlTable, gram_crossterm, ml_grouped,
                         ml_joint, ml_table, mmse_detect, zf_detect)
 
 VARIANTS = ("gnaf1", "gnaf2", "gnaf3", "jh", "direct")
+_RECEIVERS = ("joint-ml", "grouped-ml", "zf", "mmse")
 
 
 def make_rng(master_seed: int, *stream: int) -> np.random.Generator:
@@ -116,8 +118,8 @@ class ProtocolParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; known: {VARIANTS}")
-        if not (self.p > 0 and self.pi1 > 0 and self.pi2 > 0 and self.pi3 > 0):
-            raise ValueError("powers must be positive")
+        if not all(0 < v < math.inf for v in (self.p, self.pi1, self.pi2, self.pi3)):
+            raise ValueError("powers must be finite and positive")
 
     @property
     def amplify(self) -> float:
@@ -126,8 +128,12 @@ class ProtocolParams:
 
     @property
     def scale(self) -> float:
-        """Front factor sqrt(pi3*pi1*P^2/(pi1*P+1)) of the compact model."""
-        return float(np.sqrt(self.pi3 * self.pi1 * self.p ** 2 / (self.pi1 * self.p + 1.0)))
+        """Front factor sqrt(pi3*pi1*P^2/(pi1*P+1)) of the compact model.
+
+        Formed as sqrt(amplify * pi1 * P), so that no P^2 overflows at an
+        SNR whose power P is finite.
+        """
+        return float(np.sqrt(self.amplify * self.pi1 * self.p))
 
     @property
     def rows(self) -> int:
@@ -433,8 +439,11 @@ class SimResult:
 class SimConfig:
     """Everything a Monte Carlo run depends on; fully determines the output.
 
-    An empty SNR grid, or a point without a finite positive linear power
-    (snr_power), raises ValueError.
+    Its fields are checked here, once. ValueError is raised for an unknown
+    variant or receiver, an empty SNR grid, a point without a finite
+    positive linear power (snr_power), ``pi`` other than three finite
+    positive numbers (kept as floats), a count that check_count refuses,
+    and a codebook whose K differs from the design's.
     """
 
     design: Design | None
@@ -449,15 +458,30 @@ class SimConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; known: {VARIANTS}")
+        if self.receiver not in _RECEIVERS:
+            raise ValueError(f"unknown receiver {self.receiver!r}; known: {_RECEIVERS}")
         if not self.snr_db:
-            raise ValueError("the SNR grid is empty")
+            raise ValueError("SNR grid has no points")
         for v in self.snr_db:
             snr_power(v)
+        pi = self.pi
+        if not (isinstance(pi, (tuple, list)) and len(pi) == 3 and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and 0 < v < math.inf for v in pi)):
+            raise ValueError("pi must be three finite positive power "
+                             f"fractions, got {pi!r}")
+        object.__setattr__(self, "pi", tuple(float(v) for v in pi))
         check_count("trials", self.trials, 0)
         check_count("seed", self.seed, 0)
         check_count("batch_size", self.batch_size, 1)
         if self.workers is not None:
             check_count("workers", self.workers, 1)
+        if self.design is not None and self.codebook.k != self.design.k:
+            raise ValueError(f"codebook has K={self.codebook.k} real symbols, "
+                             f"but design {self.design.family!r} has "
+                             f"K={self.design.k}")
 
     def resolved_workers(self) -> int:
         """Requested worker count: ``workers``, or 1 when it is None."""
@@ -488,9 +512,6 @@ def check_count(name: str, value, least: int) -> None:
             or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, "
                          f"got {value!r}")
-
-
-_RECEIVERS = ("joint-ml", "grouped-ml", "zf", "mmse")
 
 
 def _params_for(cfg: SimConfig, p: float, rs: RelayMatrixSet | None) -> ProtocolParams:
@@ -627,7 +648,8 @@ def _detect(receiver: str, z: np.ndarray, gram: np.ndarray, book: Codebook,
             table: MlTable | None = None) -> tuple[np.ndarray, int]:
     """Decisions of ``receiver`` on a block's (z, G), and its fallback count.
 
-    ``table`` is the batch's ml_table of ``book`` for the ML receiver that
+    ``receiver`` is one of _RECEIVERS (SimConfig refuses any other), and
+    ``table`` the batch's ml_table of ``book`` for the ML receiver that
     runs, joint or grouped. Grouped ML re-decides the draws whose whitened
     model couples its groups by joint ML, which then builds its own table;
     such draws are rare, and no pinned sweep has one.
@@ -644,9 +666,7 @@ def _detect(receiver: str, z: np.ndarray, gram: np.ndarray, book: Codebook,
         return dec, int(np.sum(coupled))
     if receiver == "zf":
         return zf_detect(z, gram, book), 0
-    if receiver == "mmse":
-        return mmse_detect(z, gram, book), 0
-    raise ValueError(f"unknown receiver {receiver!r}; known: {_RECEIVERS}")
+    return mmse_detect(z, gram, book), 0
 
 
 def _drain(cfg: SimConfig, rs: RelayMatrixSet | None,
@@ -717,8 +737,6 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     CLRO check, under which whitening by the diagonal would be wrong.
     """
     from . import verifier  # deferred: verifier depends on this module
-    if cfg.receiver not in _RECEIVERS:
-        raise ValueError(f"unknown receiver {cfg.receiver!r}; known: {_RECEIVERS}")
     tag = cfg.design.family if cfg.design else "direct"
     if (cfg.design is None) != (cfg.variant == "direct"):
         raise ValueError(f"design {tag!r} with variant {cfg.variant!r}: only "

@@ -38,6 +38,13 @@ def partition_mod4(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(g, k, 4)) for g in range(4))
 
 
+def check_partition(groups, k: int) -> None:
+    """Raise ValueError unless ``groups`` cover {0..K-1}, each index once."""
+    if sorted(i for grp in groups for i in grp) != list(range(k)):
+        raise ValueError(f"partition {[list(g) for g in groups]} is not a "
+                         f"disjoint cover of the symbol indices 0..{k - 1}")
+
+
 # ---------------------------------------------------------------------------
 # rotations
 # ---------------------------------------------------------------------------

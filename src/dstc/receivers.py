@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel
-from .precoding import RotatedLattice, pam_alphabet, product_grid
+from .precoding import (RotatedLattice, check_partition, pam_alphabet,
+                        product_grid)
 
 ML_SIZE_GUARD = 10 ** 6
 PAIR_GUARD = 10 ** 7
@@ -67,7 +68,8 @@ class ResourceGuardError(ValueError):
 class Codebook:
     """Product codebook over symbol groups.
 
-    ``groups`` partitions the K real symbol indices; ``group_values[g]`` is
+    ``groups`` partitions the K real symbol indices (ValueError unless each
+    index 0..K-1 is in exactly one group); ``group_values[g]`` is
     an (n_g, len(groups[g])) array whose rows are the joint values group g
     may take. The full codebook is the Cartesian product, enumerated with
     group 0 as the most significant digit. ``lattice`` is set when every
@@ -85,6 +87,7 @@ class Codebook:
         object.__setattr__(self, "group_values", vals)
         if len(vals) != len(self.groups):
             raise ValueError("one value table per group required")
+        check_partition(self.groups, self.k)
         lat = self.lattice
         if lat is not None and any(len(grp) != lat.n for grp in self.groups):
             raise ValueError(f"group sizes {[len(g) for g in self.groups]} "

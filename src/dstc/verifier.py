@@ -52,6 +52,7 @@ from . import matkernel
 from .designs import MIXED, Design, RelayMatrixSet, column_kinds, relay_matrix_set
 from .gnaf_sim import (ProtocolParams, make_rng, relay_noise_cov,
                        sample_channel)
+from .precoding import check_partition
 from .receivers import (PAIR_GUARD, Codebook, ResourceGuardError,
                         qam_codebook)
 
@@ -126,10 +127,7 @@ def check_group_decodable(weights: np.ndarray, partition) -> VerifierReport:
     """Cross-group anticommutation: A_i^H A_j + A_j^H A_i = 0 for i, j in
     different groups. Witness is the first violating index pair."""
     w = np.asarray(weights, dtype=np.complex128)
-    k = w.shape[0]
-    covered = sorted(i for grp in partition for i in grp)
-    if covered != list(range(k)):
-        raise ValueError("partition does not cover the symbol indices")
+    check_partition(partition, w.shape[0])
     gram = np.einsum("itr,jts->ijrs", np.conj(w), w)   # gram[i,j] = A_i^H A_j
     cross = gram + gram.transpose(1, 0, 2, 3)          # + A_j^H A_i
     viol = np.max(np.abs(cross), axis=(2, 3))
@@ -451,7 +449,7 @@ def min_product_distance(g: np.ndarray, alphabet) -> float:
     if alphabet.size == 0:
         raise ValueError("empty alphabet")
     matkernel.require_finite(alphabet, "alphabet")
-    d = Design("product-distance", n, n, n, g.T[:, :, None] * np.eye(n))
+    d = Design("product-distance", g.T[:, :, None] * np.eye(n))
     book = Codebook(tuple((i,) for i in range(n)), (alphabet[:, None],) * n)
     return float(np.sqrt(min_delta_det_full(d, book)[0]))
 

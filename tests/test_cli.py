@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dstc.cli import ConfigError, _parse_snr, _sim_config, main
+from dstc.cli import _sim_config, main
 from dstc.designs import (Design, build_toeplitz, design_to_dict, load_design,
                           save_design)
 from dstc.precoding import pam_alphabet
 from dstc.receivers import qam_codebook
+
+
+SEVEN_KEY_FILE = Path(__file__).parent / "data" / "pciod4_seven_keys.json"
 
 
 def run(argv):
@@ -35,6 +39,50 @@ class TestConstruct:
                   "--out", tmp_path / "x.json"])
         assert rc == 3
         assert "pciod-rect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, keys", [
+        ("pciod", ["family", "weights", "partition"]),
+        ("ciod4", ["family", "weights", "partition", "precode"]),
+    ])
+    def test_writes_only_the_weight_facts(self, tmp_path, family, keys):
+        out = tmp_path / "d.json"
+        assert run(["construct", "--family", family, "--relays", 4, "--out", out]) == 0
+        assert list(json.loads(out.read_text())) == keys
+
+
+class TestSevenKeyDesignFile:
+    """A design file written before designs became their weight array."""
+
+    def test_verifies(self, tmp_path):
+        rep = tmp_path / "rep.json"
+        assert run(["verify", "--design", SEVEN_KEY_FILE, "--checks",
+                    "clro,group,whitened,fulldiv", "--constellation", "lattice2",
+                    "--draws", 5, "--out", rep]) == 0
+        assert all(c["passed"] for c in json.loads(rep.read_text())["checks"])
+
+    def test_simulates_as_the_built_design(self, tmp_path):
+        rows = []
+        for design in (str(SEVEN_KEY_FILE), {"family": "pciod", "relays": 4}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "design": design, "snr_db": "0:10:10", "trials": 500,
+                "receiver": "grouped-ml", "seed": 3,
+                "constellation": {"type": "lattice", "points": 2}}))
+            out = tmp_path / "res.csv"
+            assert run(["simulate", "--config", cfg, "--out", out]) == 0
+            rows.append([ln for ln in out.read_text().splitlines()
+                         if not ln.startswith("#")])
+        assert rows[0] == rows[1]
+
+    def test_wrong_header_exit_three(self, tmp_path, capsys):
+        doc = json.loads(SEVEN_KEY_FILE.read_text())
+        doc["k"] = 6
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["verify", "--design", bad]) == 3
+        err = capsys.readouterr().err
+        assert "error: design file gives k=6, but its weights have k=8" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:
@@ -71,7 +119,7 @@ class TestVerify:
         rc = run(["verify", "--design", out, "--checks", "fulldiv",
                   "--constellation", constellation, "--out", rep])
         assert rc == 3
-        assert "at least 2 points" in capsys.readouterr().err
+        assert "points must be an integer of at least 2" in capsys.readouterr().err
         assert not rep.exists()
 
     def test_non_finite_design_exit_three(self, tmp_path, capsys):
@@ -90,8 +138,7 @@ class TestVerify:
         out = tmp_path / "d.json"
         run(["construct", "--family", "cda", "--out", out])
         d = load_design(out)
-        save_design(Design(d.family, d.t, d.r, d.k, 1e-4 * d.weights,
-                           d.col_conj, d.partition), out)
+        save_design(Design(d.family, 1e-4 * d.weights, d.partition), out)
         rep = tmp_path / "rep.json"
         rc = run(["verify", "--design", out, "--checks", "fulldiv,nvd",
                   "--constellation", "qam4", "--nvd-sizes", "4", "--out", rep])
@@ -184,9 +231,8 @@ class TestSimulateAndPipeline:
         np.array([1, 1j, 1]).reshape(3, 1, 1),
     ], ids=["non-clro", "odd-k"])
     def test_refused_design_exit_three(self, tmp_path, capsys, weights):
-        k, t, r = weights.shape
         path = tmp_path / "d.json"
-        save_design(Design("custom", t, r, k, weights), path)
+        save_design(Design("custom", weights), path)
         cfg = self.write_cfg(tmp_path, design=str(path), receiver="joint-ml",
                              constellation={"type": "pam", "points": 2})
         assert run(["simulate", "--config", cfg]) == 3
@@ -219,20 +265,50 @@ class TestSimulateAndPipeline:
         "1e308:1:1e308", "0:5:4000", [0.0, float("inf")], [-5000.0],
     ])
     def test_unrunnable_snr_grid_exit_three(self, tmp_path, capsys, spec):
-        with pytest.raises(ConfigError, match="SNR"):
-            _parse_snr(spec)
+        with pytest.raises(ValueError, match="SNR"):
+            _sim_config({"design": {"family": "pciod", "relays": 2}, "snr_db": spec})
         cfg = self.write_cfg(tmp_path, snr_db=spec)
         assert run(["simulate", "--config", cfg]) == 3
         assert "error: SNR" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["pam", "lattice"])
     def test_one_point_constellation_exit_three(self, tmp_path, capsys, kind):
-        with pytest.raises(ConfigError, match="at least 2 points"):
+        with pytest.raises(ValueError, match="points must be an integer of at least 2"):
             _sim_config({"design": {"family": "pciod", "relays": 2},
                          "constellation": {"type": kind, "points": 1}})
         cfg = self.write_cfg(tmp_path, constellation={"type": kind, "points": 1})
         assert run(["simulate", "--config", cfg]) == 3
-        assert "at least 2 points" in capsys.readouterr().err
+        assert "points must be an integer of at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pi", [
+        [1, 1], [1, 1, 1, 5], [float("inf"), 1, 1], [1, 1, float("inf")],
+        [0, 1, 1], [1, float("nan"), 1], ["1", 1, 1], 1,
+    ])
+    def test_bad_power_fractions_exit_three(self, tmp_path, capsys, pi):
+        # [1, 1] once raised an IndexError traceback; [1, 1, 1, 5] ran and
+        # dropped the 4th value; an infinite one printed SER 0.5; a zero
+        # was refused only inside the first batch
+        cfg = self.write_cfg(tmp_path, pi=pi)
+        out = tmp_path / "res.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "error: pi must be three finite positive power fractions" in err
+        assert not out.exists()
+
+    def test_power_fractions_recorded_as_run(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, pi=[1, 2, 0.5], trials=100)
+        out = tmp_path / "res.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        config = json.loads(out.read_text().splitlines()[0][len("# config: "):])
+        assert config["pi"] == [1.0, 2.0, 0.5]
+
+    def test_1600_db_point_runs(self, tmp_path):
+        # 10^160 is a finite power; squaring it once raised OverflowError
+        cfg = self.write_cfg(tmp_path, snr_db=[1600], trials=200)
+        out = tmp_path / "res.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert rows[1].startswith("1600,800,0,0,")
 
     def test_direct_variant(self, tmp_path):
         cfg = self.write_cfg(tmp_path, design={"family": "direct", "t1": 2},
@@ -305,7 +381,7 @@ class TestDirectConstellation:
 
     @pytest.mark.parametrize("points", [2, 8])
     def test_bad_qam_size_config_error(self, points):
-        with pytest.raises(ConfigError, match="QAM size"):
+        with pytest.raises(ValueError, match="QAM size"):
             self.resolve({"type": "qam", "points": points})
 
     def test_pam_per_coordinate(self):
@@ -317,7 +393,7 @@ class TestDirectConstellation:
             assert {tuple(v) for v in vals} == {(a, b) for a in levels for b in levels}
 
     def test_lattice_refused(self, tmp_path, capsys):
-        with pytest.raises(ConfigError, match="lattice"):
+        with pytest.raises(ValueError, match="lattice"):
             self.resolve({"type": "lattice", "points": 2})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

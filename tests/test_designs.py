@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,11 @@ from dstc.designs import (Design, build_cda, build_ciod4, build_family,
                           compose_precode, design_from_dict, design_to_dict,
                           golden_cda, load_design, relay_matrix_set,
                           save_design, unit_energy_relays)
-from dstc.verifier import check_condition1
+from dstc.verifier import check_condition1, check_group_decodable
+
+# pciod4 as the construct command wrote it before designs became their
+# weights: it also carries "t", "r", "k" and "col_conj"
+SEVEN_KEY_FILE = Path(__file__).parent / "data" / "pciod4_seven_keys.json"
 
 
 def sym(d, x):
@@ -248,7 +254,7 @@ class TestRelayMatrixSet:
             for _ in range(100):
                 x = rng.standard_normal(d.k)
                 s = d.source_vector(x)
-                rebuilt = np.zeros((rs.t2, d.r), dtype=complex)
+                rebuilt = np.zeros((d.t, d.r), dtype=complex)
                 for m, cj, col in zip(rs.matrices, rs.conj, rs.columns):
                     rebuilt[:, col] = m @ (np.conj(s) if cj else s)
                 assert np.allclose(rebuilt, d.codeword(x), atol=1e-12)
@@ -257,7 +263,7 @@ class TestRelayMatrixSet:
         # column 0 depends on both s and conj(s): x0*[[1],[0]] + x1*[[0],[0]]
         w = np.zeros((2, 2, 1), dtype=complex)
         w[0, 0, 0] = 1.0           # coefficient of x0 only: s0 and conj(s0) mix
-        d = Design("custom", 2, 1, 2, w)
+        d = Design("custom", w)
         with pytest.raises(ValueError, match="column 0"):
             relay_matrix_set(d)
 
@@ -268,7 +274,7 @@ class TestRelayMatrixSet:
         w = d.weights.copy()
         w[0, 0, 0] += 1e-10           # Q[0, 0] += 1e-10, P unchanged
         w[1, 0, 0] += -1e-10j
-        d2 = Design(d.family, d.t, d.r, d.k, w, d.col_conj, d.partition)
+        d2 = Design(d.family, w, d.partition)
         _, q = d2.column_forms(0)
         scale = float(np.max(np.abs(w)))
         assert 1e-12 * (1 + scale) < np.max(np.abs(q)) < mk.zero_threshold(scale)
@@ -323,7 +329,6 @@ class TestSerialization:
             assert back.family == d.family
             assert (back.t, back.r, back.k) == (d.t, d.r, d.k)
             assert np.array_equal(back.weights, d.weights)
-            assert back.col_conj == d.col_conj
             assert back.partition == d.partition
             if d.precode is None:
                 assert back.precode is None
@@ -336,7 +341,7 @@ class TestSerialization:
         w = d.weights.copy()
         w[1, 0, 1] = np.nan
         with pytest.raises(ValueError, match=r"design weights\[1, 0, 1\] is not finite"):
-            Design(d.family, d.t, d.r, d.k, w)
+            Design(d.family, w)
         # JSON files may carry NaN (Python's json reads it); loading refuses
         doc = design_to_dict(d)
         doc["weights"][0][1][0][1] = float("nan")
@@ -380,6 +385,75 @@ class TestSerialization:
         blob = json.dumps(design_to_dict(d))
         again = json.dumps(design_to_dict(design_from_dict(json.loads(blob))))
         assert blob == again
+
+
+class TestDesignIsItsWeights:
+    def test_four_fields_and_shape_properties(self):
+        assert [f.name for f in dataclasses.fields(Design)] == [
+            "family", "weights", "partition", "precode"]
+        d = build_toeplitz(3, 2)
+        assert d.weights.shape == (d.k, d.t, d.r) == (6, 4, 2)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (4, 2, 1, 1)])
+    def test_weights_must_be_three_dimensional(self, shape):
+        with pytest.raises(ValueError, match=r"design weights must be a \(K, T, R\) "
+                                             r"array, got shape"):
+            Design("custom", np.ones(shape))
+
+    @pytest.mark.parametrize("partition", [((0, 1), (1, 2, 3)), ((0,), (1,), (2,)),
+                                           ((0, 1, 2, 3, 4),)])
+    def test_partition_cover_is_one_rule(self, partition):
+        # Design and the group-decodability check refuse a non-cover alike
+        d = build_pciod(2)
+        msg = "is not a disjoint cover of the symbol indices 0..3"
+        with pytest.raises(ValueError, match=msg):
+            Design("custom", d.weights, partition)
+        with pytest.raises(ValueError, match=msg):
+            check_group_decodable(d.weights, partition)
+
+    @pytest.mark.parametrize("d", [build_pciod(4), build_toeplitz(2, 2), golden_cda()],
+                             ids=lambda d: d.family)
+    def test_file_holds_only_the_weight_facts(self, d):
+        assert list(design_to_dict(d)) == ["family", "weights", "partition"]
+
+    def test_precoded_file_adds_the_precode(self):
+        doc = design_to_dict(build_ciod4()[0])
+        assert list(doc) == ["family", "weights", "partition", "precode"]
+
+
+class TestSevenKeyFile:
+    def doc(self):
+        return json.loads(SEVEN_KEY_FILE.read_text())
+
+    def test_loads_to_the_built_design(self):
+        assert {"t", "r", "k", "col_conj"} <= set(self.doc())
+        d, want = load_design(SEVEN_KEY_FILE), build_pciod(4)
+        assert d.family == want.family
+        assert np.array_equal(d.weights, want.weights)
+        assert d.partition == want.partition
+        assert d.precode is None
+
+    def test_declared_column_kinds_are_ignored(self):
+        # every column declared conjugated; the weights say otherwise
+        doc = self.doc()
+        doc["col_conj"] = ["conj"] * 4
+        rep = check_condition1(design_from_dict(doc))
+        assert rep.details["columns"] == ["plain", "conj", "plain", "conj"]
+
+    @pytest.mark.parametrize("key, value", [("t", 3), ("r", 5), ("k", 6), ("k", "8")])
+    def test_header_disagreeing_with_weights_refused(self, key, value):
+        doc = self.doc()
+        doc[key] = value
+        actual = {"t": 4, "r": 4, "k": 8}[key]
+        with pytest.raises(ValueError, match=rf"design file gives {key}={value!r}, "
+                                             rf"but its weights have {key}={actual}"):
+            design_from_dict(doc)
+
+    def test_saved_again_without_its_header(self, tmp_path):
+        out = tmp_path / "again.json"
+        save_design(load_design(SEVEN_KEY_FILE), out)
+        assert list(json.loads(out.read_text())) == ["family", "weights", "partition"]
+        assert np.array_equal(load_design(out).weights, build_pciod(4).weights)
 
 
 def test_build_family_dispatch():

@@ -84,7 +84,7 @@ class TestBuildEffective:
         w = np.zeros((2, 1, 1), dtype=complex)
         w[0, 0, 0] = 1.0
         w[1, 0, 0] = 1j
-        return Design("custom", 1, 1, 2, w, ("plain",), ((0, 1),))
+        return Design("custom", w, ((0, 1),))
 
     def test_hand_computed_gnaf2(self):
         d = self.unit_relay_design()
@@ -398,7 +398,7 @@ class TestMonteCarlo:
         m = np.array([[1.0, 0.0], [1.0, 1.0]])
         w = np.zeros((4, 2, 1), complex)
         w[0::2, :, 0], w[1::2, :, 0] = m.T, 1j * m.T
-        cfg = SimConfig(design=Design("custom", 2, 1, 4, w),
+        cfg = SimConfig(design=Design("custom", w),
                         codebook=qam_codebook(2, 4), receiver="joint-ml",
                         snr_db=(0.0, 10.0), trials=4000, seed=3)
         with pytest.raises(ValueError,
@@ -408,7 +408,7 @@ class TestMonteCarlo:
     def test_refuses_odd_k(self):
         # K=3 real symbols have no complex pairing; the relay matrix read
         # off the weights is 1x2 although t1 = K // 2 = 1
-        d = Design("custom", 1, 1, 3, np.array([1.0, 1j, 1.0]).reshape(3, 1, 1))
+        d = Design("custom", np.array([1.0, 1j, 1.0]).reshape(3, 1, 1))
         assert relay_matrix_set(d).matrices[0].shape == (1, 2)
         cfg = SimConfig(design=d, codebook=pam_codebook(((0,), (1,), (2,)), 2),
                         receiver="joint-ml", snr_db=(0.0,), trials=10, seed=3)
@@ -440,6 +440,59 @@ class TestMonteCarlo:
         cfg = self.config()
         with pytest.raises(ValueError, match="SNR"):
             SimConfig(**{**cfg.__dict__, "snr_db": snr_db})
+
+    def test_unknown_variant(self):
+        cfg = self.config()
+        with pytest.raises(ValueError, match="unknown variant 'gnaf9'"):
+            SimConfig(**{**cfg.__dict__, "variant": "gnaf9"})
+
+    @pytest.mark.parametrize("pi", [
+        (1.0, 1.0), (1.0, 1.0, 1.0, 5.0), (float("inf"), 1.0, 1.0),
+        (1.0, 1.0, float("inf")), (0.0, 1.0, 1.0), (1.0, float("nan"), 1.0),
+        (1.0, -1.0, 1.0), (True, 1.0, 1.0), ("1", 1.0, 1.0), 1.0,
+    ])
+    def test_power_fractions_refused(self, pi):
+        cfg = self.config()
+        with pytest.raises(ValueError, match="pi must be three finite positive"):
+            SimConfig(**{**cfg.__dict__, "pi": pi})
+
+    def test_power_fractions_stored_as_floats(self):
+        cfg = SimConfig(**{**self.config().__dict__, "pi": [1, 2, np.float64(0.5)]})
+        assert cfg.pi == (1.0, 2.0, 0.5)
+        assert all(type(v) is float for v in cfg.pi)
+
+    @pytest.mark.parametrize("p, pi3", [(float("inf"), 1.0), (float("nan"), 1.0),
+                                        (10.0, float("inf")), (10.0, 0.0)])
+    def test_protocol_powers_finite_and_positive(self, p, pi3):
+        with pytest.raises(ValueError, match="powers must be finite and positive"):
+            ProtocolParams(p=p, pi3=pi3)
+
+    def test_codebook_size_must_match_design(self):
+        # 2 complex QAM symbols are K = 4 real ones; pciod4 carries K = 8
+        with pytest.raises(ValueError, match=r"codebook has K=4 real symbols, "
+                                             r"but design 'pciod' has K=8"):
+            SimConfig(design=build_pciod(4), codebook=qam_codebook(2, 4),
+                      receiver="joint-ml", snr_db=(0.0,), trials=10, seed=1)
+
+    def test_front_factor_finite_at_any_finite_power(self):
+        # P^2 overflows float64 past about 1540 dB; the front factor, about
+        # sqrt(pi3 P) at high SNR, does not
+        params = ProtocolParams(p=gnaf_sim.snr_power(1600.0), pi3=4.0)
+        assert params.scale == pytest.approx(2e80, rel=1e-12)
+        low = ProtocolParams(p=10.0, pi1=0.5, pi3=1.5)
+        assert low.scale == pytest.approx(np.sqrt(1.5 * 0.5 * 100.0 / 6.0), rel=1e-15)
+
+    @pytest.mark.parametrize("receiver", gnaf_sim._RECEIVERS)
+    def test_1600_db_point_simulates(self, receiver):
+        # a point the grid parser accepts runs without an overflow (the
+        # suite makes RuntimeWarning an error) and decides every draw right
+        d = build_pciod(4)
+        cfg = SimConfig(design=d, receiver=receiver, snr_db=(1600.0, 3000.0),
+                        codebook=lattice_codebook(d.partition, default_lattice(2, 2)),
+                        trials=300, seed=5, variant="gnaf1", batch_size=100)
+        res = run_monte_carlo(cfg)
+        assert [(r.errors, r.fallbacks, r.erasures) for r in res] == [(0, 0, 0)] * 2
+        assert all(r.trials == 1200 for r in res)
 
 
 # Per-point (symbol errors, erasures, fallbacks) of a small sweep, 512

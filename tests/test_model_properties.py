@@ -35,7 +35,7 @@ def relay_designs(draw):
         # s_j = x_2j + i x_2j+1, conj(s_j) = x_2j - i x_2j+1
         w[0::2, :, c] = m.T
         w[1::2, :, c] = (-1j if cj else 1j) * m.T
-    return Design("random", t2, r, 2 * t1, w)
+    return Design("random", w)
 
 
 def channels(d, n, rng):

@@ -154,7 +154,7 @@ def decodable_designs(draw):
         mix[np.ix_(grp, grp)] = rng.standard_normal((len(grp), len(grp)))
     w = np.einsum("kl,ltr->ktr", mix, d.weights)
     w = unitary(rng, d.t) @ w @ unitary(rng, d.r)
-    return Design("mixed-" + family, d.t, d.r, d.k, w, partition=d.partition)
+    return Design("mixed-" + family, w, partition=d.partition)
 
 
 @SETTINGS

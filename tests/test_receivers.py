@@ -51,6 +51,15 @@ class TestCodebook:
         with pytest.raises(ValueError, match="lattice dimension 2"):
             Codebook(((0, 1), (2,)), (pts, pts[:, :1]), lat)
 
+    @pytest.mark.parametrize("groups", [((0,), (0,)), ((0,), (2,)), ((1,), (2,))])
+    def test_groups_must_cover_every_index_once(self, groups):
+        # ((0,), (0,)) once passed as K = 2 with coordinate 1 never set
+        v = np.array([[-1.0], [1.0]])
+        with pytest.raises(ValueError, match="not a disjoint cover of the "
+                                             "symbol indices 0..1"):
+            Codebook(groups, (v, v))
+        assert Codebook(((1,), (0,)), (v, v)).k == 2
+
     def test_size_and_groups(self):
         d = build_pciod(4)
         book = lattice_codebook(d.partition, default_lattice(2, 2))
@@ -125,7 +134,7 @@ class TestMlJoint:
         first = np.stack([np.arange(n) // 64, np.arange(n) % 64], axis=-1).astype(float)
         first[c] = first[c + 2 * 64 + 1] = first[c - 1]
         first[2 * c] = first[2 * c + 5] = first[c - 2]
-        tail = pam_codebook(((2,),), 3, normalize=False).group_values[0]
+        tail = pam_codebook(((0,),), 3, normalize=False).group_values[0]
         rng = make_rng(3, 1)
         m = (rng.integers(-3, 4, size=(6, 3, 3))
              + 1j * rng.integers(-3, 4, size=(6, 3, 3))).astype(complex)

@@ -71,7 +71,7 @@ def designs(draw, integer=False):
         w = rng.standard_normal((k, t, r)) + 1j * rng.standard_normal((k, t, r))
     # zero weights make whole families of differences score exactly 0
     w[draw(st.lists(st.integers(0, k - 1), max_size=2))] = 0.0
-    return Design("random", t, r, k, w)
+    return Design("random", w)
 
 
 @st.composite
