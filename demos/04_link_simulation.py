@@ -8,7 +8,7 @@ acceptance suite; this uses small trial counts to stay interactive.
 """
 import numpy as np
 
-from dstc import (SimConfig, build_pciod, draw_noise, make_rng,
+from dstc import (SimConfig, build_pciod, direct_design, draw_noise, make_rng,
                   protocol_params, results_to_csv, run_monte_carlo,
                   sample_channel, simulate_trial)
 from dstc.precoding import default_lattice
@@ -39,7 +39,7 @@ def main():
         print(f"  {receiver:10s}: {sers}")
 
     res_direct = run_monte_carlo(SimConfig(
-        design=None, codebook=qam_codebook(2, 4), receiver="joint-ml",
+        design=direct_design(2), codebook=qam_codebook(2, 4), receiver="joint-ml",
         snr_db=grid, trials=40000, seed=7, variant="direct"))
     print("  direct    :", " ".join(f"{r.ser:.2e}" for r in res_direct))
     print("\nnote the slope difference: the relay path buys extra diversity")

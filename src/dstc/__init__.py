@@ -13,8 +13,8 @@ from . import dmg, matkernel, precoding
 from .designs import (Design, PrecodePair, RelayMatrixSet, build_cda,
                       build_ciod4, build_family, build_pciod,
                       build_pciod_rect, build_toeplitz, compose_precode,
-                      golden_cda, load_design, relay_matrix_set, save_design,
-                      unit_energy_relays)
+                      direct_design, golden_cda, load_design,
+                      relay_matrix_set, save_design, unit_energy_relays)
 from .gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
                        SimConfig, SimResult, column_gains, draw_noise,
                        effective_matrix, make_rng, noise_cov,

@@ -17,14 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, dmg, verifier
-from .designs import (Design, build_family, load_design, relay_matrix_set,
-                      save_design)
+from .designs import (Design, build_family, direct_design, load_design,
+                      relay_matrix_set, save_design)
 from .gnaf_sim import (SimConfig, check_count, protocol_params, results_to_csv,
                        run_monte_carlo, snr_power)
 from .precoding import (RotatedLattice, default_lattice, load_rotation,
@@ -39,45 +40,59 @@ OK, VERIFY_FAIL, CONFIG_ERROR, GUARD = 0, 2, 3, 4
 # config resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_design(spec) -> Design | None:
+def _check_type(key: str, value, types, what: str) -> None:
+    """Refuse a config entry whose JSON value is not of ``types``."""
+    if not isinstance(value, types):
+        raise ValueError(f"config entry {key!r} must be {what}, got {value!r}")
+
+
+def _resolve_design(spec) -> Design:
+    """The design a config's ``design`` entry names: a design file's path,
+    or a family with its relay and symbol counts. The ``direct`` family is
+    the relay-free design (direct_design)."""
     if spec is None:
         raise ValueError("config needs a 'design' entry")
+    _check_type("design", spec, (str, dict), "a path or an object")
     if isinstance(spec, str):
         spec = {"path": spec}
     if "path" in spec:
+        # open() takes a number for a file descriptor
+        _check_type("path", spec["path"], str, "a string")
         return load_design(spec["path"])
     for key in ("relays", "t1"):
         check_count(key, spec.get(key, 0), 0)
     family = spec.get("family")
     if family == "direct":
-        return None
+        return direct_design(spec.get("t1", 0))
     return build_family(family, spec.get("relays", 0), spec.get("t1", 0))
 
 
-def _resolve_codebook(d: Design | None, spec, t1: int = 0) -> Codebook:
+def _resolve_codebook(d: Design, spec) -> Codebook:
+    """The codebook a constellation entry names, grouped as the design is.
+
+    PAM takes the design's partition; a design with relays and a single
+    group gets one group per real symbol instead. The relay-free design
+    keeps its groups, one per complex symbol, and refuses a lattice.
+    """
     spec = spec or {"type": "pam", "points": 2}
+    _check_type("constellation", spec, dict, "an object")
     kind = spec.get("type", "pam")
     points = spec.get("points", 2)
     check_count("points", points, 2)
-    if d is None:
-        if t1 < 1:
-            raise ValueError("direct transmission needs t1 >= 1")
-        if kind == "lattice":
-            raise ValueError("direct transmission takes a qam or pam "
-                             "constellation, not a lattice")
-        n_complex = t1
-        partition = tuple((2 * i, 2 * i + 1) for i in range(t1))
-    else:
-        n_complex = d.n_complex
-        partition = d.partition if len(d.partition) > 1 else tuple((i,) for i in range(d.k))
+    if not d.r and kind == "lattice":
+        raise ValueError("direct transmission takes a qam or pam "
+                         "constellation, not a lattice")
+    partition = (d.partition if len(d.partition) > 1 or not d.r
+                 else tuple((i,) for i in range(d.k)))
     if kind == "qam":
-        return qam_codebook(n_complex, points)
+        return qam_codebook(d.n_complex, points)
     if kind == "pam":
         return pam_codebook(partition, points)
     if kind == "lattice":
         # Codebook refuses groups of another size than the lattice's
         n = len(partition[0])
         if spec.get("rotation_file"):
+            _check_type("rotation_file", spec["rotation_file"], str, "a string")
             g = load_rotation(spec["rotation_file"])
             lattice = RotatedLattice(n, g, pam_alphabet(points))
         else:
@@ -95,6 +110,8 @@ def _parse_snr(spec) -> tuple[float, ...]:
     other one. SimConfig checks the points of the grid.
     """
     if isinstance(spec, (list, tuple)):
+        for v in spec:
+            _check_type("snr_db", v, numbers.Real, "a list of numbers")
         return tuple(float(v) for v in spec)
     try:
         start, step, stop = (float(v) for v in str(spec).split(":"))
@@ -114,9 +131,7 @@ def _parse_snr(spec) -> tuple[float, ...]:
 
 def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
     d = _resolve_design(cfg.get("design"))
-    dspec = cfg.get("design")
-    t1 = dspec.get("t1", 0) if isinstance(dspec, dict) else 0
-    book = _resolve_codebook(d, cfg.get("constellation"), t1=t1)
+    book = _resolve_codebook(d, cfg.get("constellation"))
     sim = SimConfig(
         design=d,
         codebook=book,
@@ -131,7 +146,7 @@ def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
     )
     resolved = {
         "version": __version__,
-        "design": dspec,
+        "design": cfg.get("design"),
         "variant": sim.variant,
         "pi": list(sim.pi),
         "snr_db": list(sim.snr_db),
@@ -278,12 +293,14 @@ def cmd_pipeline(args) -> int:
 
     checks = cfg.get("checks", ["clro", "group"])
     reports = []
-    if sim.design is not None and checks:
+    # the relay-free design has no relays to check
+    if sim.design.r and checks:
+        _check_type("checks", checks, list, "a list of check names")
         draws = cfg.get("draws", 20)
         check_count("draws", draws, 1)
-        reports = run_checks(sim.design, checks,
-                             cfg.get("verify_constellation", "qam4"),
-                             draws, sim.seed)
+        constellation = cfg.get("verify_constellation", "qam4")
+        _check_type("verify_constellation", constellation, str, "a name")
+        reports = run_checks(sim.design, checks, constellation, draws, sim.seed)
     report_doc = {"config": resolved, **_report_json(reports)}
     (outdir / "report.json").write_text(json.dumps(report_doc, indent=1))
     failed = [r for r in reports if not r.passed]

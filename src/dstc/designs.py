@@ -21,7 +21,9 @@ Families:
 * banded shift designs (``toeplitz``): full diversity under linear receivers;
 * cyclic-algebra designs (``cda``): high rate, built from a numeric parameter
   table (an R x R table of algebra-basis conjugates plus a non-norm element
-  ``delta`` and a normalization ``theta``).
+  ``delta`` and a normalization ``theta``);
+* the relay-free design (``direct_design``): T = R = 0, the no-relay
+  baseline, whose protocol is the broadcast phase alone.
 
 A design file (save_design, load_design) is JSON with the keys ``family``,
 ``weights`` (the (K, T, R) array as [re, im] pairs), ``partition`` and, for
@@ -184,8 +186,10 @@ class RelayMatrixSet:
 
     @cached_property
     def grams(self) -> np.ndarray:
-        """The (R, T2, T2) stack M_i M_i^H that every noise quantity reads."""
-        return np.array([m @ matkernel.herm(m) for m in self.matrices])
+        """The (R, T2, T2) stack M_i M_i^H that every noise quantity reads;
+        (0, 0, 0) for the relay-free set."""
+        grams = [m @ matkernel.herm(m) for m in self.matrices]
+        return np.array(grams) if grams else np.zeros((0, 0, 0), dtype=np.complex128)
 
     def scaled(self, factors) -> "RelayMatrixSet":
         factors = np.broadcast_to(np.asarray(factors, dtype=np.float64), (self.n_relays,))
@@ -329,6 +333,19 @@ def build_cda(r: int, delta: complex, theta: float, sigma_table) -> Design:
     return Design("cda", w, (tuple(range(k)),))
 
 
+def direct_design(t1: int) -> Design:
+    """The relay-free design of the no-relay baseline: T = R = 0.
+
+    K = 2*T1 real symbols, grouped by complex symbol, (0, 1), (2, 3), ...;
+    with no relays the protocol is its broadcast phase alone, the source
+    sending T1 symbols straight to the destination.
+    """
+    if t1 < 1:
+        raise ValueError("direct transmission needs t1 >= 1")
+    return Design("direct", np.zeros((2 * t1, 0, 0), dtype=np.complex128),
+                  tuple((2 * i, 2 * i + 1) for i in range(t1)))
+
+
 def golden_cda() -> Design:
     """Built-in R=2 cyclic-algebra instance with non-vanishing determinant.
 
@@ -434,6 +451,15 @@ def design_to_dict(d: Design) -> dict:
 
 
 def design_from_dict(obj: dict) -> Design:
+    """The design a dict of design_to_dict's keys describes.
+
+    Raises ValueError naming a missing ``family``, ``weights`` or
+    ``partition`` key, or a ``t``, ``r`` or ``k`` that disagrees with the
+    weights.
+    """
+    for key in ("family", "weights", "partition"):
+        if key not in obj:
+            raise ValueError(f"design file has no {key!r} key")
     pre = None
     if obj.get("precode") is not None:
         pre = PrecodePair(_pair2c(obj["precode"]["p"]), _pair2c(obj["precode"]["q"]))

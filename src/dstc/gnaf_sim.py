@@ -24,7 +24,10 @@ noise covariance, on every variant.
 
 Variants: ``gnaf1`` (source also transmits in phase 2 through A0), ``gnaf2``
 and ``gnaf3`` (source silent in phase 2), ``jh`` (no direct link: the
-destination only observes phase 2), ``direct`` (no relays at all, baseline).
+destination only observes phase 2), ``direct`` (the no-relay baseline). The
+baseline needs no model of its own: it runs the relay-free design
+(designs.direct_design, R = 0 and T2 = 0) through the same model, where
+phase 2 is empty and the receive vector is phase 1 alone.
 
 The stacked noise covariance Omega is the identity plus, on the
 cooperation rows, the relay Gram Gamma (``relay_noise_cov``). Gamma, Omega
@@ -138,8 +141,8 @@ class ProtocolParams:
     @property
     def rows(self) -> int:
         """Length of the destination's receive vector: T1 + T2, T2 without
-        the direct link (``jh``), T1 without relays (``direct``)."""
-        return {"direct": self.t1, "jh": self.t2}.get(self.variant, self.t1 + self.t2)
+        the direct link (``jh``); T2 is 0 without relays."""
+        return self.t2 if self.variant == "jh" else self.t1 + self.t2
 
     def source_matrix(self) -> np.ndarray:
         """A0, the source's cooperation-phase matrix (gnaf1): the T2 x T1
@@ -206,26 +209,25 @@ def relay_noise_cov(params: ProtocolParams, rs: RelayMatrixSet,
 
 
 def noise_cov(params: ProtocolParams, ch: ChannelRealization,
-              rs: RelayMatrixSet | None) -> np.ndarray:
+              rs: RelayMatrixSet) -> np.ndarray:
     """Covariance of the stacked noise W, dense, for one trial.
 
     The identity, plus relay_noise_cov on the trailing T2 (cooperation)
-    rows. Row-orthogonal relay matrices make it diagonal; for any other
-    relay set the lower block is dense, and this function still returns it
-    exactly. The Monte Carlo uses only the diagonal (omega_diagonals) and
-    refuses designs that fail CLRO.
+    rows, of which the relay-free design has none. Row-orthogonal relay
+    matrices make it diagonal; for any other relay set the lower block is
+    dense, and this function still returns it exactly. The Monte Carlo
+    uses only the diagonal (omega_diagonals) and refuses designs that fail
+    CLRO.
     """
     omega = np.eye(params.rows, dtype=np.complex128)
-    if params.variant != "direct":
-        omega[-params.t2:, -params.t2:] += relay_noise_cov(params, rs, ch.g)
+    coop = params.rows - params.t2
+    omega[coop:, coop:] += relay_noise_cov(params, rs, ch.g)
     return omega
 
 
 def _stack_noise(params: ProtocolParams, ch: ChannelRealization,
-                 rs: RelayMatrixSet | None, noise: NoiseDraw) -> np.ndarray:
+                 rs: RelayMatrixSet, noise: NoiseDraw) -> np.ndarray:
     """The compact model's W for a given elementary noise draw."""
-    if params.variant == "direct":
-        return noise.w1
     amp = np.sqrt(params.amplify)
     relay_noise = np.zeros(params.t2, dtype=np.complex128)
     for i, (m, cj) in enumerate(zip(rs.matrices, rs.conj)):
@@ -237,22 +239,23 @@ def _stack_noise(params: ProtocolParams, ch: ChannelRealization,
     return np.concatenate([noise.w1, lower])
 
 
-def simulate_trial(d: Design | None, params: ProtocolParams,
+def simulate_trial(d: Design, params: ProtocolParams,
                    ch: ChannelRealization, s: np.ndarray,
                    mode: str = "compact", *, noise: NoiseDraw,
                    rs: RelayMatrixSet | None = None) -> np.ndarray:
     """One received vector, via the compact model or the physical protocol.
 
     The explicit ``noise`` draw (see draw_noise) makes the two modes
-    comparable on identical randomness.
+    comparable on identical randomness. ``rs`` is the design's relay set,
+    built when not given; for the relay-free design both modes return the
+    broadcast phase alone.
     """
     s = np.asarray(s, dtype=np.complex128)
-    if d is not None and rs is None:
-        rs = relay_matrix_set(d)
+    rs = rs or relay_matrix_set(d)
 
     if mode == "compact":
-        h = None if rs is None else column_gains(rs, ch.f, ch.g)[None]
-        m = effective_matrix(d, params, np.array([ch.g0]), h, k=2 * s.size)[0]
+        h = column_gains(rs, ch.f, ch.g)[None]
+        m = effective_matrix(d, params, np.array([ch.g0]), h)[0]
         x = np.stack([s.real, s.imag], axis=-1).ravel()
         return m @ x + _stack_noise(params, ch, rs, noise)
 
@@ -261,8 +264,6 @@ def simulate_trial(d: Design | None, params: ProtocolParams,
 
     p, pi1, pi2 = params.p, params.pi1, params.pi2
     y1 = np.sqrt(pi1 * p) * ch.g0 * s + noise.w1
-    if params.variant == "direct":
-        return y1
     amp = np.sqrt(params.amplify)
     y2 = noise.w2.astype(np.complex128).copy()
     for i, (m, cj) in enumerate(zip(rs.matrices, rs.conj)):
@@ -323,7 +324,8 @@ def _relay_table(d: Design, params: ProtocolParams) -> np.ndarray:
     table[0, :, :, 1, :k] = w.imag
     table[1, :, :, 0, :k] = -w.imag
     table[1, :, :, 1, :k] = w.real
-    return table.reshape(2 * c, -1)
+    # the width is spelled out: a relay-free table has no entries to infer it
+    return table.reshape(2 * c, params.t2 * 2 * (k + 1))
 
 
 def _relay_gains(params: ProtocolParams, g0: np.ndarray,
@@ -340,27 +342,23 @@ def _relay_gains(params: ProtocolParams, g0: np.ndarray,
     return np.concatenate([h_cols.real, h_cols.imag], axis=1)
 
 
-def effective_matrix(d: Design | None, params: ProtocolParams,
-                     g0: np.ndarray, h_cols: np.ndarray,
-                     k: int | None = None) -> np.ndarray:
+def effective_matrix(d: Design, params: ProtocolParams,
+                     g0: np.ndarray, h_cols: np.ndarray) -> np.ndarray:
     """Batched model matrices M with y_clean = M @ X: the compact model.
 
     ``g0`` has shape (B,), ``h_cols`` (B, R) per-column effective gains
-    (column_gains; unused by ``direct``). Rows follow the variant's receive
-    vector layout. Everything but the noise is folded in except whitening,
-    which the caller applies. A single trial is the batch of one.
+    (column_gains; (B, 0) for the relay-free design). Rows follow the
+    variant's receive vector layout. Everything but the noise is folded in
+    except whitening, which the caller applies. A single trial is the
+    batch of one.
 
     The direct-link rows pair the source's real symbols with the gain
     _direct_gain; the relay rows are the realified weight table
     (_relay_table) times the draws' gains, the same table the Monte Carlo
     forms its statistics from (_whitened_stats), which never builds M.
+    The relay-free design has no relay rows.
     """
-    if d is not None:
-        k = d.k
-    if k is None:
-        raise ValueError("need a design or an explicit symbol count")
-    if d is None and params.variant != "direct":
-        raise ValueError("a design is required for relay variants")
+    k = d.k
     parts = []
     if params.variant != "jh":
         top = np.zeros((len(g0), k // 2, k), dtype=np.complex128)
@@ -369,14 +367,13 @@ def effective_matrix(d: Design | None, params: ProtocolParams,
         top[:, i, 2 * i] = a
         top[:, i, 2 * i + 1] = 1j * a
         parts.append(top)
-    if params.variant != "direct":
-        # einsum, not a GEMM: its sums do not depend on the batch size, so
-        # a trial's model is the same alone and in any batch
-        rows = np.einsum("bj,jn->bn", _relay_gains(params, g0, h_cols),
-                         _relay_table(d, params))
-        rows = rows.reshape(len(g0), params.t2, 2, k + 1)
-        parts.append(params.scale * (rows[:, :, 0, :k] + 1j * rows[:, :, 1, :k]))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    # einsum, not a GEMM: its sums do not depend on the batch size, so
+    # a trial's model is the same alone and in any batch
+    rows = np.einsum("bj,jn->bn", _relay_gains(params, g0, h_cols),
+                     _relay_table(d, params))
+    rows = rows.reshape(len(g0), params.t2, 2, k + 1)
+    parts.append(params.scale * (rows[:, :, 0, :k] + 1j * rows[:, :, 1, :k]))
+    return np.concatenate(parts, axis=1)
 
 
 def omega_diagonals(params: ProtocolParams, rs: RelayMatrixSet,
@@ -443,10 +440,12 @@ class SimConfig:
     variant or receiver, an empty SNR grid, a point without a finite
     positive linear power (snr_power), ``pi`` other than three finite
     positive numbers (kept as floats), a count that check_count refuses,
-    and a codebook whose K differs from the design's.
+    and a codebook whose K differs from the design's. The no-relay
+    baseline is the relay-free design (designs.direct_design) under the
+    ``direct`` variant.
     """
 
-    design: Design | None
+    design: Design
     codebook: Codebook
     receiver: str                  # joint-ml | grouped-ml | zf | mmse
     snr_db: tuple[float, ...]
@@ -478,7 +477,7 @@ class SimConfig:
         check_count("batch_size", self.batch_size, 1)
         if self.workers is not None:
             check_count("workers", self.workers, 1)
-        if self.design is not None and self.codebook.k != self.design.k:
+        if self.codebook.k != self.design.k:
             raise ValueError(f"codebook has K={self.codebook.k} real symbols, "
                              f"but design {self.design.family!r} has "
                              f"K={self.design.k}")
@@ -514,14 +513,6 @@ def check_count(name: str, value, least: int) -> None:
                          f"got {value!r}")
 
 
-def _params_for(cfg: SimConfig, p: float, rs: RelayMatrixSet | None) -> ProtocolParams:
-    if cfg.variant == "direct":
-        t1 = cfg.codebook.k // 2
-        return ProtocolParams(p=p, pi1=cfg.pi[0], pi2=cfg.pi[1], pi3=cfg.pi[2],
-                              t1=t1, t2=1, r=0, q=0, variant="direct")
-    return protocol_params(cfg.design, p, cfg.variant, cfg.pi, rs=rs)
-
-
 # Bytes of complex128 model matrices one block of draws may hold; it sets
 # the memory a batch needs apart from its per-draw random inputs. Set by
 # measurement on the three benchmark sweeps (2 cores, medians of three
@@ -535,7 +526,7 @@ def _params_for(cfg: SimConfig, p: float, rs: RelayMatrixSet | None) -> Protocol
 _BLOCK_BYTES = 1 << 19
 
 
-def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
+def _run_batch(cfg: SimConfig, rs: RelayMatrixSet, snr_idx: int,
                batch_idx: int, n: int):
     """Simulate one batch of trials; ``rs`` is the design's relay set.
 
@@ -554,19 +545,14 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
 
     Returns (symbol errors, decisions, fallbacks, erasures).
     """
-    p = snr_power(cfg.snr_db[snr_idx])
-    d = cfg.design
-    params = _params_for(cfg, p, rs)
+    params = protocol_params(cfg.design, snr_power(cfg.snr_db[snr_idx]),
+                             cfg.variant, cfg.pi, rs=rs)
     book = cfg.codebook
     rng = make_rng(cfg.seed, snr_idx, batch_idx)
 
     # channels
-    if cfg.variant == "direct":
-        g0, g, h_cols = crandn(rng, n), None, None
-    else:
-        z = crandn(rng, n, 2 * params.r + 1)
-        g0, f, g = z[:, 0], z[:, 1:params.r + 1], z[:, params.r + 1:]
-        h_cols = column_gains(rs, f, g)
+    z = crandn(rng, n, 2 * params.r + 1)
+    g0, f, g = z[:, 0], z[:, 1:params.r + 1], z[:, params.r + 1:]
 
     # symbols
     tx = np.zeros((n, book.n_groups), dtype=np.intp)
@@ -582,16 +568,16 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
     edges = [n * i // blocks for i in range(blocks + 1)]
     dec = np.empty((n, book.n_groups), dtype=np.intp)
     fallbacks = 0
-    if d is not None:
-        table, gains = _relay_table(d, params), _relay_gains(params, g0, h_cols)
-        omega = omega_diagonals(params, rs, g)[:, -params.t2:]
+    table = _relay_table(cfg.design, params)
+    gains = _relay_gains(params, g0, column_gains(rs, f, g))
+    omega = omega_diagonals(params, rs, g)[:, params.rows - params.t2:]
     ml = None
     if cfg.receiver in ("joint-ml", "grouped-ml"):
         ml = ml_table(book, grouped=cfg.receiver == "grouped-ml")
     for blk in map(slice, edges, edges[1:]):
-        relay = () if d is None else (table, gains[blk], omega[blk])
         dec[blk], block_fallbacks = _detect(cfg.receiver, *_whitened_stats(
-            params, x[blk], noise[blk], g0[blk], *relay), book, ml)
+            params, x[blk], noise[blk], g0[blk], table, gains[blk], omega[blk]),
+            book, ml)
         fallbacks += block_fallbacks
 
     errors = int(np.sum(dec != tx))
@@ -600,9 +586,8 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet | None, snr_idx: int,
 
 
 def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
-                    g0: np.ndarray, table: np.ndarray | None = None,
-                    gains: np.ndarray | None = None,
-                    omega: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    g0: np.ndarray, table: np.ndarray, gains: np.ndarray,
+                    omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sufficient statistics (z, G) of a block of draws, from their gains.
 
     For the whitened compact model y = M X + noise of every draw, with
@@ -611,7 +596,8 @@ def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
     forming M. ``gains`` (B, 2C) are the draws' _relay_gains for the weight
     ``table`` (_relay_table), and ``omega`` (B, T2) the noise covariance's
     diagonal on the cooperation rows (omega_diagonals; the other rows'
-    entries are 1); relay variants need all three, ``direct`` none.
+    entries are 1). The relay-free design has no relay rows: its table,
+    gains and omega have no columns, and (z, G) are the direct link's.
 
     The relay rows (t, Re/Im, k) are one real product of the gains with
     the table, each scaled by scale / sqrt(omega_t); their received values
@@ -619,21 +605,17 @@ def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
     and z. The direct-link rows, a d s_i / d x for row i (_direct_gain),
     are orthogonal with squared norm |a|^2 per column, so they add |a|^2 I
     to G and |a|^2 x + realify(conj(a) n_top) to z without being formed;
-    for ``direct`` that is all of (z, G), and ``jh`` has no such rows.
+    ``jh`` has no such rows.
     """
     b, k = x.shape
-    if params.variant == "direct":
-        gram = np.zeros((b, k, k))
-        z = np.zeros((b, k))
-    else:
-        t2 = params.t2
-        aug = (gains @ table).reshape(b, t2, 2 * (k + 1))
-        aug *= (params.scale / np.sqrt(omega))[:, :, None]
-        aug = aug.reshape(b, 2 * t2, k + 1)
-        aug[..., k] = np.einsum("bjk,bk->bj", aug[..., :k], x)
-        aug[..., k] += noise[:, -t2:].view(np.float64)
-        zg = np.swapaxes(aug[..., :k], -1, -2) @ aug
-        z, gram = zg[..., k], zg[..., :k]
+    t2 = params.t2
+    aug = (gains @ table).reshape(b, t2, 2 * (k + 1))
+    aug *= (params.scale / np.sqrt(omega))[:, :, None]
+    aug = aug.reshape(b, 2 * t2, k + 1)
+    aug[..., k] = np.einsum("bjk,bk->bj", aug[..., :k], x)
+    aug[..., k] += noise[:, params.rows - t2:].view(np.float64)
+    zg = np.swapaxes(aug[..., :k], -1, -2) @ aug
+    z, gram = zg[..., k], zg[..., :k]
     if params.variant != "jh":
         a = _direct_gain(params, g0)
         a2 = a.real ** 2 + a.imag ** 2
@@ -669,7 +651,7 @@ def _detect(receiver: str, z: np.ndarray, gram: np.ndarray, book: Codebook,
     return mmse_detect(z, gram, book), 0
 
 
-def _drain(cfg: SimConfig, rs: RelayMatrixSet | None,
+def _drain(cfg: SimConfig, rs: RelayMatrixSet,
            tasks: list[tuple[int, int, int]], counter) -> list:
     """Claim tasks from the shared counter and run them until none is left.
 
@@ -732,27 +714,26 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     collected. Either way every helper exits within this call.
 
     Raises ValueError before any batch runs for a design the batched model
-    would get wrong: a design (or none) that does not match the variant,
-    odd K (the source pairs real symbols into complex ones), or a failed
-    CLRO check, under which whitening by the diagonal would be wrong.
+    would get wrong: a design that does not match the variant (the
+    ``direct`` variant runs exactly the relay-free designs), odd K (the
+    source pairs real symbols into complex ones), or a failed CLRO check,
+    under which whitening by the diagonal would be wrong.
     """
     from . import verifier  # deferred: verifier depends on this module
-    tag = cfg.design.family if cfg.design else "direct"
-    if (cfg.design is None) != (cfg.variant == "direct"):
+    tag = cfg.design.family
+    if (cfg.design.r == 0) != (cfg.variant == "direct"):
         raise ValueError(f"design {tag!r} with variant {cfg.variant!r}: only "
                          "the direct design runs the no-relay baseline")
-    rs = None
-    if cfg.design is not None:
-        if cfg.design.k % 2:
-            raise ValueError(f"design has odd K={cfg.design.k}: the source "
-                             "has no complex pairing of its real symbols")
-        rep, rs = verifier.clro_relay_set(cfg.design)
-        if not rep.passed:
-            raise ValueError(f"design fails clro (witness {rep.witness}, margin "
-                             f"{rep.margin:.3e}); the simulator whitens with the "
-                             "noise covariance's diagonal only")
+    if cfg.design.k % 2:
+        raise ValueError(f"design has odd K={cfg.design.k}: the source "
+                         "has no complex pairing of its real symbols")
+    rep, rs = verifier.clro_relay_set(cfg.design)
+    if not rep.passed:
+        raise ValueError(f"design fails clro (witness {rep.witness}, margin "
+                         f"{rep.margin:.3e}); the simulator whitens with the "
+                         "noise covariance's diagonal only")
     if cfg.receiver == "grouped-ml":
-        if cfg.design is None or len(cfg.design.partition) < 2:
+        if len(cfg.design.partition) < 2:
             raise ValueError("grouped-ml needs a design with a nontrivial "
                              "symbol partition")
         if tuple(map(tuple, cfg.codebook.groups)) != tuple(map(tuple, cfg.design.partition)):

@@ -130,7 +130,7 @@ def check_group_decodable(weights: np.ndarray, partition) -> VerifierReport:
     check_partition(partition, w.shape[0])
     gram = np.einsum("itr,jts->ijrs", np.conj(w), w)   # gram[i,j] = A_i^H A_j
     cross = gram + gram.transpose(1, 0, 2, 3)          # + A_j^H A_i
-    viol = np.max(np.abs(cross), axis=(2, 3))
+    viol = np.max(np.abs(cross), axis=(2, 3), initial=0.0)
     for grp in partition:
         idx = np.ix_(list(grp), list(grp))
         viol[idx] = 0.0

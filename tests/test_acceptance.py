@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from dstc.designs import (build_ciod4, build_pciod, build_pciod_rect,
-                          build_toeplitz, golden_cda, relay_matrix_set,
-                          unit_energy_relays)
+                          build_toeplitz, direct_design, golden_cda,
+                          relay_matrix_set, unit_energy_relays)
 from dstc.dmg import crossover, d_code, d_lower, d_naf, d_star
 from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, SimConfig,
                            column_gains, crandn, draw_noise, effective_matrix,
@@ -276,7 +276,7 @@ def test_c09_diversity_slopes():
         design=d2, codebook=book2, receiver="grouped-ml", snr_db=grid,
         trials=trials, seed=1009, variant="gnaf2", batch_size=20000))
     direct = run_monte_carlo(SimConfig(
-        design=None, codebook=qam_codebook(2, 4), receiver="joint-ml",
+        design=direct_design(2), codebook=qam_codebook(2, 4), receiver="joint-ml",
         snr_db=grid, trials=trials, seed=1013, variant="direct",
         batch_size=20000))
     s_relay, s_direct = _fit_slope(relay), _fit_slope(direct)

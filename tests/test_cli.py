@@ -74,6 +74,17 @@ class TestSevenKeyDesignFile:
                          if not ln.startswith("#")])
         assert rows[0] == rows[1]
 
+    @pytest.mark.parametrize("key", ["family", "weights", "partition"])
+    def test_missing_key_exit_three(self, tmp_path, capsys, key):
+        doc = json.loads(SEVEN_KEY_FILE.read_text())
+        del doc[key]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["verify", "--design", bad]) == 3
+        err = capsys.readouterr().err
+        assert f"error: design file has no '{key}' key" in err
+        assert "Traceback" not in err
+
     def test_wrong_header_exit_three(self, tmp_path, capsys):
         doc = json.loads(SEVEN_KEY_FILE.read_text())
         doc["k"] = 6
@@ -330,6 +341,28 @@ class TestSimulateAndPipeline:
         assert "no-relay baseline" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("constellation", "qam4", "'constellation' must be an object, got 'qam4'"),
+        ("design", 5, "'design' must be a path or an object, got 5"),
+        ("snr_db", [None], "'snr_db' must be a list of numbers, got None"),
+        ("checks", "clro", "'checks' must be a list of check names, got 'clro'"),
+        # open() would take these for file descriptors, fd 2 being stderr
+        ("design", {"path": 2}, "'path' must be a string, got 2"),
+        ("constellation", {"type": "lattice", "points": 2, "rotation_file": 2},
+         "'rotation_file' must be a string, got 2"),
+    ], ids=["constellation-string", "design-number", "snr-null", "checks-string",
+            "design-path-number", "rotation-file-number"])
+    def test_wrong_json_type_exit_three(self, tmp_path, capsys, field, value,
+                                        message):
+        # each once ended in a traceback and exit 1, or ran "clro" as the
+        # checks "c", "l", "r" and "o"
+        cfg = self.write_cfg(tmp_path, **{field: value})
+        assert run(["pipeline", "--config", cfg, "--out-dir", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert f"error: config entry {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_pipeline_bad_draws_exit_three(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, checks=["whitened"], draws=2.5)
         assert run(["pipeline", "--config", cfg,
@@ -400,6 +433,22 @@ class TestDirectConstellation:
             "design": {"family": "direct", "t1": 2}, "variant": "direct",
             "constellation": {"type": "lattice", "points": 2}}))
         assert run(["simulate", "--config", cfg]) == 3
+
+    def test_one_complex_symbol_pam_is_one_group(self):
+        # the relay-free design's single (Re, Im) group is kept, not split
+        # per coordinate as a relay design's single group is
+        cfg = {"design": {"family": "direct", "t1": 1}, "variant": "direct",
+               "constellation": {"type": "pam", "points": 2}}
+        assert _sim_config(cfg)[0].codebook.groups == ((0, 1),)
+
+    @pytest.mark.parametrize("t1", [1, 2])
+    def test_pipeline_runs_no_checks(self, tmp_path, t1):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "design": {"family": "direct", "t1": t1}, "variant": "direct",
+            "snr_db": [0], "trials": 100, "checks": ["clro", "group"]}))
+        assert run(["pipeline", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["checks"] == []
 
     def test_default_is_qam4_and_csv_unchanged(self, tmp_path):
         book, want = self.resolve(), qam_codebook(2, 4)

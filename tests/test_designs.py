@@ -9,9 +9,9 @@ from dstc import matkernel as mk
 from dstc.designs import (Design, build_cda, build_ciod4, build_family,
                           build_pciod, build_pciod_rect, build_toeplitz,
                           compose_precode, design_from_dict, design_to_dict,
-                          golden_cda, load_design, relay_matrix_set,
-                          save_design, unit_energy_relays)
-from dstc.verifier import check_condition1, check_group_decodable
+                          direct_design, golden_cda, load_design,
+                          relay_matrix_set, save_design, unit_energy_relays)
+from dstc.verifier import check_clro, check_condition1, check_group_decodable
 
 # pciod4 as the construct command wrote it before designs became their
 # weights: it also carries "t", "r", "k" and "col_conj"
@@ -163,6 +163,29 @@ class TestToeplitz:
             for diag in range(-2, 3):
                 vals = np.diagonal(gram, offset=diag)
                 assert np.allclose(vals, vals[0], atol=1e-12)
+
+
+class TestDirect:
+    """The relay-free design of the no-relay baseline."""
+
+    @pytest.mark.parametrize("t1", [1, 2, 3])
+    def test_shape_and_partition(self, t1):
+        d = direct_design(t1)
+        assert d.family == "direct"
+        assert d.weights.shape == (2 * t1, 0, 0)
+        assert (d.k, d.t, d.r, d.n_complex) == (2 * t1, 0, 0, t1)
+        assert d.partition == tuple((2 * i, 2 * i + 1) for i in range(t1))
+
+    @pytest.mark.parametrize("t1", [0, -1])
+    def test_refuses_no_symbols(self, t1):
+        with pytest.raises(ValueError, match="t1 >= 1"):
+            direct_design(t1)
+
+    def test_relay_set_is_empty(self):
+        rs = relay_matrix_set(direct_design(2))
+        assert rs.n_relays == 0 and rs.q == 0
+        assert rs.grams.shape == (0, 0, 0)
+        assert check_clro(direct_design(2)).passed
 
 
 class TestCda:
@@ -463,3 +486,6 @@ def test_build_family_dispatch():
         build_family("pciod", 3)
     with pytest.raises(ValueError, match="unknown family"):
         build_family("nope", 2)
+    # the relay-free design is a run config's family, not a built one
+    with pytest.raises(ValueError, match="unknown family"):
+        build_family("direct", 0, 2)

@@ -15,8 +15,8 @@ import pytest
 
 from dstc import cli, gnaf_sim, receivers, verifier
 from dstc import matkernel as mk
-from dstc.designs import (Design, build_pciod, build_toeplitz, golden_cda,
-                          relay_matrix_set)
+from dstc.designs import (Design, build_pciod, build_toeplitz, direct_design,
+                          golden_cda, relay_matrix_set)
 from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
                            SimConfig, SimResult, column_gains, draw_noise,
                            effective_matrix, make_rng, noise_cov,
@@ -119,22 +119,14 @@ class TestBuildEffective:
     def test_effective_matrix_matches_stacked_model(self, variant):
         # the receiver model M must satisfy M @ X = the noiseless two-phase
         # reception of the source vector s(X)
-        d = None if variant == "direct" else build_pciod(4)
+        d = direct_design(2) if variant == "direct" else build_pciod(4)
         rng = make_rng(31, 2)
-        if variant == "direct":
-            params = ProtocolParams(p=3.0, t1=2, t2=1, r=0, q=0, variant=variant)
-            ch = ChannelRealization(complex(0.3 - 1.1j), np.zeros(0), np.zeros(0))
-            k = 4
-            m = effective_matrix(None, params, np.array([ch.g0]),
-                                 np.zeros((1, 0), complex), k=k)[0]
-        else:
-            params = protocol_params(d, 3.0, variant)
-            ch = sample_channel(d.r, rng)
-            k = d.k
-            m = single_model(d, params, ch)
-        assert m.shape[0] == params.rows
+        params = protocol_params(d, 3.0, variant)
+        ch = sample_channel(d.r, rng)
+        m = single_model(d, params, ch)
+        assert m.shape == (params.rows, d.k)
         for _ in range(10):
-            x = rng.standard_normal(k)
+            x = rng.standard_normal(d.k)
             s = x[0::2] + 1j * x[1::2]
             y = simulate_trial(d, params, ch, s, mode="two_phase",
                                noise=zero_noise(params))
@@ -170,6 +162,15 @@ class TestNoiseCov:
             omega = noise_cov(params, ch, rs)
             off = omega - np.diag(np.diag(omega))
             assert np.linalg.norm(off) < 1e-12
+
+    def test_relay_free_design_identity(self):
+        # no cooperation rows: the identity of the broadcast phase, with no
+        # relay block added over the whole matrix
+        d = direct_design(3)
+        params = protocol_params(d, 5.0, "direct")
+        ch = sample_channel(0, make_rng(2, 0))
+        assert params.rows == 3
+        assert np.array_equal(noise_cov(params, ch, relay_matrix_set(d)), np.eye(3))
 
     def test_lower_block_is_identity_plus_gamma(self):
         # pciod relay matrices have unit row energies on their support
@@ -221,6 +222,19 @@ class TestSimulateTrial:
             y1 = simulate_trial(d, params, ch, s, mode="compact", noise=noise)
             y2 = simulate_trial(d, params, ch, s, mode="two_phase", noise=noise)
             assert np.max(np.abs(y1 - y2)) < 1e-10
+
+    def test_relay_free_design_receives_the_broadcast_phase(self):
+        d = direct_design(2)
+        params = protocol_params(d, 5.0, "direct")
+        rng = make_rng(4, 9)
+        ch = sample_channel(0, rng)
+        s = d.source_vector(rng.standard_normal(d.k))
+        noise = draw_noise(params, rng)
+        y1 = simulate_trial(d, params, ch, s, mode="compact", noise=noise)
+        y2 = simulate_trial(d, params, ch, s, mode="two_phase", noise=noise)
+        assert y1.shape == y2.shape == (2,)
+        assert np.max(np.abs(y1 - y2)) < 1e-12
+        assert np.allclose(y2, np.sqrt(5.0) * ch.g0 * s + noise.w1, atol=1e-14)
 
     def test_conjugating_relays_use_conjugated_channel(self):
         # flipping f's imaginary part must not change a conjugating relay's
@@ -301,13 +315,9 @@ class TestWhitenedStats:
     @pytest.mark.parametrize("family,variant", _STATS_CASES)
     def test_matches_whitened_two_phase_protocol(self, family, variant, pi):
         # golden CDA under gnaf1 has T2 = 2 < K/2 = 4: A0 pairs two rows only
-        d = _STATS_DESIGNS[family]()
+        d = direct_design(2) if variant == "direct" else _STATS_DESIGNS[family]()
         rs = relay_matrix_set(d)
-        if variant == "direct":
-            params = ProtocolParams(p=5.0, pi1=pi[0], pi2=pi[1], pi3=pi[2],
-                                    t1=d.k // 2, t2=1, r=0, q=0, variant=variant)
-        else:
-            params = protocol_params(d, 5.0, variant, pi, rs=rs)
+        params = protocol_params(d, 5.0, variant, pi, rs=rs)
         rng = make_rng(41, 7)
         n = 6
         g0, f, g = (gnaf_sim.crandn(rng, n), gnaf_sim.crandn(rng, n, d.r),
@@ -327,11 +337,10 @@ class TestWhitenedStats:
         m = np.stack(models)
         want_z, want_g = sufficient_stats(np.einsum("brk,bk->br", m, x) + noise, m)
 
-        relay = () if variant == "direct" else (
-            gnaf_sim._relay_table(d, params),
+        z, gram = gnaf_sim._whitened_stats(
+            params, x, noise, g0, gnaf_sim._relay_table(d, params),
             gnaf_sim._relay_gains(params, g0, column_gains(rs, f, g)),
-            gnaf_sim.omega_diagonals(params, rs, g)[:, -params.t2:])
-        z, gram = gnaf_sim._whitened_stats(params, x, noise, g0, *relay)
+            gnaf_sim.omega_diagonals(params, rs, g)[:, params.rows - params.t2:])
         assert z.shape == (n, d.k) and gram.shape == (n, d.k, d.k)
         assert np.max(np.abs(z - want_z)) <= 1e-12 * np.max(np.abs(want_z))
         assert np.max(np.abs(gram - want_g)) <= 1e-12 * np.max(np.abs(want_g))
@@ -522,7 +531,7 @@ _PINNED = {
 @pytest.mark.parametrize("variant,receiver", list(_PINNED))
 def test_pinned_decision_counts(variant, receiver):
     if variant == "direct":
-        d, book = None, qam_codebook(2, 4)
+        d, book = direct_design(2), qam_codebook(2, 4)
     elif receiver == "grouped-ml":
         d = build_pciod(4)
         book = lattice_codebook(d.partition, default_lattice(2, 2))
@@ -535,8 +544,20 @@ def test_pinned_decision_counts(variant, receiver):
     assert [(r.errors, r.erasures, r.fallbacks) for r in res] == _PINNED[variant, receiver]
 
 
-_BLOCK_CASES = [(v, r) for v in gnaf_sim.VARIANTS for r in gnaf_sim._RECEIVERS
-                if (v, r) != ("direct", "grouped-ml")]
+def test_grouped_ml_on_direct_decides_as_joint_ml():
+    # the relay-free design's G is |a|^2 I, so its complex symbols decouple
+    # and per-group ML is exact on every draw
+    d = direct_design(2)
+    res = {rx: run_monte_carlo(SimConfig(
+        design=d, codebook=qam_codebook(2, 16), receiver=rx,
+        snr_db=(0.0, 10.0, 20.0), trials=2000, seed=9, variant="direct"))
+        for rx in ("grouped-ml", "joint-ml")}
+    assert [(r.errors, r.fallbacks) for r in res["grouped-ml"]] == [
+        (r.errors, 0) for r in res["joint-ml"]]
+    assert all(r.errors > 0 for r in res["joint-ml"])
+
+
+_BLOCK_CASES = [(v, r) for v in gnaf_sim.VARIANTS for r in gnaf_sim._RECEIVERS]
 
 
 def _half_coupled(gram, groups):
@@ -566,17 +587,17 @@ class TestBlocks:
     def test_blocks_of_seven_draws_equal_one_block(self, variant, receiver,
                                                    monkeypatch):
         if variant == "direct":
-            d, rs, book = None, None, qam_codebook(2, 4)
+            d, book = direct_design(2), qam_codebook(2, 4)
         else:
             d = build_pciod(2)
-            rs = relay_matrix_set(d)
             book = lattice_codebook(d.partition, default_lattice(1, 2))
+        rs = relay_matrix_set(d)
         cfg = SimConfig(design=d, codebook=book, receiver=receiver,
                         snr_db=(4.0,), trials=100, seed=21, variant=variant)
         if receiver == "grouped-ml":
             monkeypatch.setattr(gnaf_sim, "gram_crossterm", _half_coupled)
         blocks = _record_detect(monkeypatch)
-        per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
+        per_draw = 16 * protocol_params(d, 1.0, cfg.variant, rs=rs).rows * book.k
         runs = {}
         for draws in (100, 7):
             monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", draws * per_draw)
@@ -610,7 +631,7 @@ class TestBlocks:
             return stats(params, x, *args)
 
         monkeypatch.setattr(gnaf_sim, "_whitened_stats", counting)
-        per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
+        per_draw = 16 * protocol_params(d, 1.0, cfg.variant, rs=rs).rows * book.k
         monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 7 * per_draw)
         fallbacks = gnaf_sim._run_batch(cfg, rs, 0, 3, 100)[2]
         assert len(calls) == -(-100 // 7) and sum(calls) == 100
@@ -661,7 +682,7 @@ class TestBlocks:
         if receiver == "grouped-ml":
             monkeypatch.setattr(gnaf_sim, "ml_joint", counting_ml_joint)
         blocks = _record_detect(monkeypatch)
-        per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
+        per_draw = 16 * protocol_params(d, 1.0, cfg.variant, rs=rs).rows * book.k
         monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 7 * per_draw)
         for batch in range(2):
             fallbacks = gnaf_sim._run_batch(cfg, rs, 0, batch, 100)[2]
@@ -688,7 +709,7 @@ class TestBlocks:
         cfg = SimConfig(design=d, codebook=book, receiver="joint-ml",
                         snr_db=(4.0,), trials=200, seed=21)
         monkeypatch.setattr(gnaf_sim, "gram_crossterm", _half_coupled)
-        per_draw = 16 * gnaf_sim._params_for(cfg, 1.0, rs).rows * book.k
+        per_draw = 16 * protocol_params(d, 1.0, cfg.variant, rs=rs).rows * book.k
         monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 50 * per_draw)
         blocks = _record_detect(monkeypatch)
         gnaf_sim._run_batch(cfg, rs, 0, 3, 200)

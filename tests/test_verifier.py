@@ -101,6 +101,11 @@ class TestGroupDecodable:
         rep = check_group_decodable(d.weights, ((0, 1, 2, 3),))
         assert rep.passed
 
+    def test_zero_size_weights_vacuous(self):
+        # the relay-free design's weights: no matrix entries to violate
+        rep = check_group_decodable(np.zeros((4, 0, 0)), ((0, 1), (2, 3)))
+        assert rep.passed and rep.margin == 0.0 and rep.witness is None
+
     def test_duplicate_matrix_fails(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         w = np.stack([a, a])
