@@ -39,11 +39,11 @@ def main():
 
     # determinant floor of the high-rate family across constellation sizes
     probe = nvd_probe(golden_cda(), (4, 16))
-    print("\ngolden cda determinant floor:", dict(probe.entries),
-          "non-vanishing:", probe.non_vanishing)
+    print("\ngolden cda determinant floor:", dict(probe.details["entries"]),
+          "non-vanishing:", probe.passed)
     probe_p = nvd_probe(d, (4, 16))
-    print("unprecoded pciod floor:       ", dict(probe_p.entries),
-          "non-vanishing:", probe_p.non_vanishing)
+    print("unprecoded pciod floor:       ", dict(probe_p.details["entries"]),
+          "non-vanishing:", probe_p.passed)
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from .precoding import (RotatedLattice, default_lattice, pam_alphabet,
 from .receivers import (Codebook, ResourceGuardError, lattice_codebook,
                         ml_grouped, ml_joint, mmse_detect, pam_codebook,
                         qam_codebook, zf_detect)
-from .verifier import (NvdProbe, VerifierReport, check_clro,
-                       check_condition1, check_condition2,
+from .verifier import (VerifierReport, check_clro, check_condition1,
+                       check_condition2, check_full_diversity,
                        check_group_decodable,
                        check_whitened_group_decodable, det_zero_threshold,
                        min_delta_det_full, min_product_distance, nvd_probe,

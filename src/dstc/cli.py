@@ -15,6 +15,7 @@ syntax. ``main`` reports any ValueError, OSError or KeyError as one
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import numbers
@@ -41,8 +42,12 @@ OK, VERIFY_FAIL, CONFIG_ERROR, GUARD = 0, 2, 3, 4
 # ---------------------------------------------------------------------------
 
 def _check_type(key: str, value, types, what: str) -> None:
-    """Refuse a config entry whose JSON value is not of ``types``."""
-    if not isinstance(value, types):
+    """Refuse a config entry whose JSON value is not of ``types``.
+
+    No entry takes a JSON true or false, which Python reads as the numbers
+    1 and 0.
+    """
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"config entry {key!r} must be {what}, got {value!r}")
 
 
@@ -72,9 +77,11 @@ def _resolve_codebook(d: Design, spec) -> Codebook:
 
     PAM takes the design's partition; a design with relays and a single
     group gets one group per real symbol instead. The relay-free design
-    keeps its groups, one per complex symbol, and refuses a lattice.
+    keeps its groups, one per complex symbol, and refuses a lattice. An
+    absent or null entry is PAM-2, and so are the defaults of an object.
     """
-    spec = spec or {"type": "pam", "points": 2}
+    if spec is None:
+        spec = {"type": "pam", "points": 2}
     _check_type("constellation", spec, dict, "an object")
     kind = spec.get("type", "pam")
     points = spec.get("points", 2)
@@ -156,7 +163,7 @@ def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
         "batch_size": sim.batch_size,
         "constellation": cfg.get("constellation", {"type": "pam", "points": 2}),
         "rotation": (None if book.lattice is None else
-                     (cfg.get("constellation") or {}).get("rotation_file", "builtin")),
+                     cfg["constellation"].get("rotation_file", "builtin")),
     }
     return sim, resolved
 
@@ -165,42 +172,30 @@ def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
 # verification driver shared by `verify` and `pipeline`
 # ---------------------------------------------------------------------------
 
-ALL_CHECKS = ("clro", "group", "whitened", "fulldiv", "nvd")
-
-
 def run_checks(d: Design, checks, constellation: str, draws: int, seed: int,
                nvd_sizes=(4, 16)) -> list[verifier.VerifierReport]:
-    reports = []
-    rs = None
+    """The verifier's reports for the named checks, in the order named.
+
+    Each name maps to one verifier call, which makes the verdict: "whitened"
+    runs ``draws`` channel draws from ``seed`` at p = 10, "fulldiv" scores
+    the codebook ``constellation`` names (_constellation_book), and "nvd"
+    probes the integer QAM sizes ``nvd_sizes``. An unknown name raises
+    ValueError before any check runs.
+    """
+    table = {
+        "clro": lambda: verifier.check_clro(d),
+        "group": lambda: verifier.check_group_decodable(d.weights, d.partition),
+        "whitened": lambda: verifier.check_whitened_group_decodable(
+            d, d.partition, protocol_params(d, p=10.0, rs=relay_matrix_set(d)),
+            n_draws=draws, seed=seed),
+        "fulldiv": lambda: verifier.check_full_diversity(
+            d, _constellation_book(d, constellation), constellation),
+        "nvd": lambda: verifier.nvd_probe(d, nvd_sizes),
+    }
     for check in checks:
-        if check == "clro":
-            reports.append(verifier.check_clro(d))
-        elif check == "group":
-            reports.append(verifier.check_group_decodable(d.weights, d.partition))
-        elif check == "whitened":
-            rs = rs or relay_matrix_set(d)
-            params = protocol_params(d, p=10.0, rs=rs)
-            reports.append(verifier.check_whitened_group_decodable(
-                d, d.partition, params, n_draws=draws, seed=seed))
-        elif check == "fulldiv":
-            book = _constellation_book(d, constellation)
-            val, witness = verifier.min_delta_det_full(d, book)
-            zero = verifier.det_zero_threshold(d, book)
-            diverse = bool(val > zero)
-            reports.append(verifier.VerifierReport(
-                "full_diversity", diverse, float(val),
-                None if diverse or witness is None else witness.tolist(),
-                {"constellation": constellation, "threshold": zero}))
-        elif check == "nvd":
-            probe = verifier.nvd_probe(d, nvd_sizes)
-            worst = min(v for _, v in probe.entries)
-            reports.append(verifier.VerifierReport(
-                "nvd_probe", probe.non_vanishing, worst, None,
-                {"entries": [list(e) for e in probe.entries],
-                 "threshold": probe.threshold}))
-        else:
-            raise ValueError(f"unknown check {check!r}; known: {ALL_CHECKS}")
-    return reports
+        if check not in table:
+            raise ValueError(f"unknown check {check!r}; known: {tuple(table)}")
+    return [table[check]() for check in checks]
 
 
 def _constellation_book(d: Design, name: str) -> Codebook:
@@ -214,25 +209,17 @@ def _constellation_book(d: Design, name: str) -> Codebook:
     raise ValueError(f"unknown constellation {name!r} (qamN, pamN or latticeN)")
 
 
-def _report_json(reports) -> dict:
-    return {"checks": [
-        {"check": r.check, "passed": r.passed, "margin": r.margin,
-         "witness": _jsonable(r.witness), "details": _jsonable(r.details)}
-        for r in reports]}
+def _report_text(reports, **head) -> str:
+    """The JSON report of ``reports``, after the entries of ``head``."""
+    doc = {**head, "checks": [dataclasses.asdict(r) for r in reports]}
+    return json.dumps(doc, indent=1, default=_numpy_json)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+def _numpy_json(obj):
+    """The JSON value of a numpy array or scalar in a report."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +245,7 @@ def cmd_verify(args) -> int:
     for r in reports:
         print(r)
     if args.out:
-        Path(args.out).write_text(json.dumps(_report_json(reports), indent=1))
+        Path(args.out).write_text(_report_text(reports))
     return OK if all(r.passed for r in reports) else VERIFY_FAIL
 
 
@@ -301,8 +288,7 @@ def cmd_pipeline(args) -> int:
         constellation = cfg.get("verify_constellation", "qam4")
         _check_type("verify_constellation", constellation, str, "a name")
         reports = run_checks(sim.design, checks, constellation, draws, sim.seed)
-    report_doc = {"config": resolved, **_report_json(reports)}
-    (outdir / "report.json").write_text(json.dumps(report_doc, indent=1))
+    (outdir / "report.json").write_text(_report_text(reports, config=resolved))
     failed = [r for r in reports if not r.passed]
     if failed and not args.force:
         for r in failed:

@@ -225,20 +225,6 @@ def noise_cov(params: ProtocolParams, ch: ChannelRealization,
     return omega
 
 
-def _stack_noise(params: ProtocolParams, ch: ChannelRealization,
-                 rs: RelayMatrixSet, noise: NoiseDraw) -> np.ndarray:
-    """The compact model's W for a given elementary noise draw."""
-    amp = np.sqrt(params.amplify)
-    relay_noise = np.zeros(params.t2, dtype=np.complex128)
-    for i, (m, cj) in enumerate(zip(rs.matrices, rs.conj)):
-        vi = np.conj(noise.v[i]) if cj else noise.v[i]
-        relay_noise += ch.g[i] * (m @ vi)
-    lower = amp * relay_noise + noise.w2
-    if params.variant == "jh":
-        return lower
-    return np.concatenate([noise.w1, lower])
-
-
 def simulate_trial(d: Design, params: ProtocolParams,
                    ch: ChannelRealization, s: np.ndarray,
                    mode: str = "compact", *, noise: NoiseDraw,
@@ -248,7 +234,9 @@ def simulate_trial(d: Design, params: ProtocolParams,
     The explicit ``noise`` draw (see draw_noise) makes the two modes
     comparable on identical randomness. ``rs`` is the design's relay set,
     built when not given; for the relay-free design both modes return the
-    broadcast phase alone.
+    broadcast phase alone. The compact mode's noise W is the protocol's
+    output at silent symbols s = 0: the protocol is linear in s, so that
+    output is its noise alone.
     """
     s = np.asarray(s, dtype=np.complex128)
     rs = rs or relay_matrix_set(d)
@@ -257,7 +245,8 @@ def simulate_trial(d: Design, params: ProtocolParams,
         h = column_gains(rs, ch.f, ch.g)[None]
         m = effective_matrix(d, params, np.array([ch.g0]), h)[0]
         x = np.stack([s.real, s.imag], axis=-1).ravel()
-        return m @ x + _stack_noise(params, ch, rs, noise)
+        return m @ x + simulate_trial(d, params, ch, np.zeros_like(s), "two_phase",
+                                      noise=noise, rs=rs)
 
     if mode != "two_phase":
         raise ValueError(f"unknown mode {mode!r}")

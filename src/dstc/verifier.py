@@ -1,6 +1,8 @@
 """Algebraic certification of relay designs.
 
-Checks, each returning a report with a concrete witness on failure:
+Every check's verdict is made here, as a VerifierReport: pass or fail, the
+margin, a concrete witness on failure and the details, thresholds
+included. The checks are:
 
 * conjugate-linearity of columns (each design column uses only the source
   symbols or only their conjugates) and row-orthogonality of the extracted
@@ -10,10 +12,13 @@ Checks, each returning a report with a concrete witness on failure:
 * the weight-matrix anticommutation condition for group-by-group ML
   decoding, on raw weights and on Gamma-whitened weights over random
   draws;
-* exhaustive minimum codeword-difference determinants (full diversity),
-  the determinant probe across constellation sizes (non-vanishing
-  determinant evidence), and the minimum product distance of a lattice
-  rotation, scored as a determinant minimum of a diagonal design.
+* full diversity, from the exhaustive minimum codeword-difference
+  determinant, and the determinant probe across constellation sizes
+  (non-vanishing determinant evidence); both call a minimum zero only
+  below det_zero_threshold.
+
+The determinant layer also scores the minimum product distance of a
+lattice rotation, as a determinant minimum of a diagonal design.
 
 The determinant minima never build the array of difference vectors. dS is
 linear in the symbol difference, so for a product codebook dS of a
@@ -454,31 +459,42 @@ def min_product_distance(g: np.ndarray, alphabet) -> float:
     return float(np.sqrt(min_delta_det_full(d, book)[0]))
 
 
-@dataclass(frozen=True)
-class NvdProbe:
-    """Determinant-floor evidence across constellation sizes."""
+def check_full_diversity(d: Design, book: Codebook,
+                         constellation: str) -> VerifierReport:
+    """Full diversity: the minimum |det(dS^H dS)| over ``book`` is no zero.
 
-    entries: tuple[tuple[int, float], ...]   # (QAM size, min det)
-    non_vanishing: bool
-    threshold: float                         # det_zero_threshold, smallest size
+    A minimum at or below det_zero_threshold is one rounding alone could
+    give, so it fails, with the first minimizing difference as a list for
+    its witness. The margin is the minimum, and the details name the
+    constellation and give the threshold.
+    """
+    val, witness = min_delta_det_full(d, book)
+    zero = det_zero_threshold(d, book)
+    diverse = bool(val > zero)
+    return VerifierReport("full_diversity", diverse, float(val),
+                          None if diverse or witness is None else witness.tolist(),
+                          {"constellation": constellation, "threshold": zero})
 
 
-def nvd_probe(d: Design, qam_sizes) -> NvdProbe:
+def nvd_probe(d: Design, qam_sizes) -> VerifierReport:
     """Minimum difference determinant per unnormalized integer QAM size.
 
     The determinant floor of a non-vanishing-determinant design is identical
     across sizes (finite evidence only, at the probed sizes). A floor at
     the smallest size that rounding alone could give (det_zero_threshold)
-    is no floor. Uses exact difference enumeration; refuses sizes whose
-    difference set exceeds the guard.
+    is no floor. The report's margin is the least minimum, and its details
+    hold the [size, minimum] entries in increasing size and the threshold.
+    Uses exact difference enumeration; refuses sizes whose difference set
+    exceeds the guard.
     """
     sizes = sorted(int(s) for s in qam_sizes)
     if not sizes:
         raise ValueError("nvd_probe needs at least one QAM size")
     books = [qam_codebook(d.n_complex, m, normalize=False) for m in sizes]
-    entries = tuple((m, float(min_delta_det_full(d, book)[0]))
-                    for m, book in zip(sizes, books))
+    entries = [[m, float(min_delta_det_full(d, book)[0])]
+               for m, book in zip(sizes, books)]
     zero = det_zero_threshold(d, books[0])
     base = entries[0][1]
-    nv = base > zero and min(v for _, v in entries) / base >= 1.0 - 1e-6
-    return NvdProbe(entries, nv, zero)
+    least = min(v for _, v in entries)
+    return VerifierReport("nvd_probe", base > zero and least / base >= 1.0 - 1e-6,
+                          least, None, {"entries": entries, "threshold": zero})

@@ -217,15 +217,15 @@ def test_c06_omega_diagonality():
 def test_c07_nvd_probe():
     t0 = time.perf_counter()
     probe = nvd_probe(golden_cda(), (4, 16))
-    (s4, v4), (s16, v16) = probe.entries
-    golden_ok = probe.non_vanishing and abs(v4 - v16) <= 1e-9 * v4
-    pciod_probe = nvd_probe(build_pciod(4), (4, 16))
-    pciod_ok = all(v < 1e-12 for _, v in pciod_probe.entries)
+    (s4, v4), (s16, v16) = probe.details["entries"]
+    golden_ok = probe.passed and abs(v4 - v16) <= 1e-9 * v4
+    pciod_entries = nvd_probe(build_pciod(4), (4, 16)).details["entries"]
+    pciod_ok = all(v < 1e-12 for _, v in pciod_entries)
     elapsed = time.perf_counter() - t0
     verdict(7, "nvd-probe", golden_ok and pciod_ok,
             f"golden min det {v4:.6f}@QAM{s4} vs {v16:.6f}@QAM{s16}; "
-            f"unprecoded pciod {pciod_probe.entries[0][1]:.1e}/"
-            f"{pciod_probe.entries[1][1]:.1e}", elapsed, 300.0)
+            f"unprecoded pciod {pciod_entries[0][1]:.1e}/"
+            f"{pciod_entries[1][1]:.1e}", elapsed, 300.0)
 
 
 def test_c08_dmg_curves():

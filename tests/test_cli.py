@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dstc import cli, verifier
 from dstc.cli import _sim_config, main
 from dstc.designs import (Design, build_toeplitz, design_to_dict, load_design,
                           save_design)
@@ -350,18 +354,36 @@ class TestSimulateAndPipeline:
         ("design", {"path": 2}, "'path' must be a string, got 2"),
         ("constellation", {"type": "lattice", "points": 2, "rotation_file": 2},
          "'rotation_file' must be a string, got 2"),
+        ("constellation", [], "'constellation' must be an object, got []"),
+        ("constellation", "", "'constellation' must be an object, got ''"),
+        ("constellation", 0, "'constellation' must be an object, got 0"),
+        ("constellation", False, "'constellation' must be an object, got False"),
+        ("snr_db", [5, True], "'snr_db' must be a list of numbers, got True"),
     ], ids=["constellation-string", "design-number", "snr-null", "checks-string",
-            "design-path-number", "rotation-file-number"])
+            "design-path-number", "rotation-file-number",
+            "constellation-empty-list", "constellation-empty-string",
+            "constellation-zero", "constellation-false", "snr-true"])
     def test_wrong_json_type_exit_three(self, tmp_path, capsys, field, value,
                                         message):
-        # each once ended in a traceback and exit 1, or ran "clro" as the
-        # checks "c", "l", "r" and "o"
+        # each once ended in a traceback and exit 1, ran "clro" as the
+        # checks "c", "l", "r" and "o", ran a falsy constellation as PAM-2,
+        # or ran true as a 1 dB point
         cfg = self.write_cfg(tmp_path, **{field: value})
         assert run(["pipeline", "--config", cfg, "--out-dir", tmp_path / "out"]) == 3
         err = capsys.readouterr().err
         assert f"error: config entry {message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("value", [None, {}])
+    def test_null_or_empty_constellation_is_pam2(self, value):
+        cfg = {"design": {"family": "pciod", "relays": 2}, "constellation": value}
+        book = _sim_config(cfg)[0].codebook
+        want = _sim_config({"design": {"family": "pciod", "relays": 2}})[0].codebook
+        assert book.groups == want.groups
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(book.group_values, want.group_values))
+        assert np.array_equal(book.group_values[0], [[-1.0], [1.0]])
 
     def test_pipeline_bad_draws_exit_three(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, checks=["whitened"], draws=2.5)
@@ -497,3 +519,40 @@ def test_tradeoff_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "r,d_naf,d_star,d_code,d_lower,no_coop"
     assert len(lines) == 4
+
+
+def test_run_checks_refuses_unknown_name_before_any_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verifier, "check_clro", lambda d: calls.append(d))
+    with pytest.raises(ValueError, match="unknown check 'bogus'"):
+        cli.run_checks(build_toeplitz(2, 2), ("clro", "bogus"), "qam4", 1, 0)
+    assert calls == []
+
+
+def test_pooled_pipeline_from_guarded_script(tmp_path):
+    # forkserver helpers import the main script before their first task;
+    # a script whose call to main() is guarded runs the CLI once, prints
+    # nothing on stderr and writes the serial sweep's bytes
+    script = tmp_path / "dstc_script.py"
+    script.write_text("import sys\n\nfrom dstc import cli\n\n"
+                      "if __name__ == \"__main__\":\n"
+                      "    sys.exit(cli.main(sys.argv[1:]))\n")
+    base = {"design": {"family": "toeplitz", "relays": 2, "t1": 2},
+            "variant": "gnaf2", "snr_db": [0, 10], "trials": 8000,
+            "batch_size": 1000, "receiver": "zf", "seed": 41}
+    for workers in (1, 2):
+        (tmp_path / f"cfg{workers}.json").write_text(
+            json.dumps({**base, "workers": workers}))
+    assert run(["pipeline", "--config", tmp_path / "cfg1.json",
+                "--out-dir", tmp_path / "out1"]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(script), "pipeline", "--config",
+         str(tmp_path / "cfg2.json"), "--out-dir", str(tmp_path / "out2")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert ((tmp_path / "out2" / "results.csv").read_bytes()
+            == (tmp_path / "out1" / "results.csv").read_bytes())

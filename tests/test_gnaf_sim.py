@@ -290,12 +290,12 @@ class TestWhiten:
         rng = make_rng(21, 1)
         n = 10 ** 5
         rows = params.t1 + params.t2
-        acc = np.zeros((rows, rows), dtype=complex)
-        from dstc.gnaf_sim import _stack_noise
+        silent = np.zeros(params.t1, dtype=complex)
         samples = np.empty((n, rows), dtype=complex)
         for i in range(n):
-            noise = draw_noise(params, rng)
-            samples[i] = w @ _stack_noise(params, ch, rs, noise)
+            # the protocol's output at silent symbols is its noise alone
+            samples[i] = w @ simulate_trial(d, params, ch, silent, "two_phase",
+                                            noise=draw_noise(params, rng), rs=rs)
         cov = (samples.conj().T @ samples) / n
         assert np.max(np.abs(cov - np.eye(rows))) < 3.0 / np.sqrt(n) * 2.0
 

@@ -10,8 +10,8 @@ from dstc.precoding import default_lattice, partition_mod4
 from dstc.receivers import (ResourceGuardError, lattice_codebook, pam_codebook,
                             qam_codebook)
 from dstc.verifier import (check_condition1, check_condition2,
-                           check_group_decodable,
-                           check_whitened_group_decodable,
+                           check_full_diversity, check_group_decodable,
+                           check_whitened_group_decodable, det_zero_threshold,
                            min_delta_det_full, nvd_probe, whitened_weights)
 
 ALL_FAMILIES = [build_pciod(2), build_pciod(4), build_pciod(6),
@@ -296,18 +296,57 @@ class TestMinDeltaDet:
             assert witness.base is None
 
 
+class TestFullDiversity:
+    def test_pciod2_qam4_passes(self):
+        d = build_pciod(2)
+        book = qam_codebook(d.n_complex, 4)
+        rep = check_full_diversity(d, book, "qam4")
+        assert rep.check == "full_diversity"
+        assert rep.passed and rep.witness is None
+        assert rep.margin == min_delta_det_full(d, book)[0]
+        assert rep.margin > rep.details["threshold"] > 0
+
+    def test_pciod4_qam4_fails_with_list_witness(self):
+        d = build_pciod(4)
+        book = qam_codebook(d.n_complex, 4)
+        rep = check_full_diversity(d, book, "qam4")
+        assert not rep.passed
+        assert rep.margin == 0.0
+        assert isinstance(rep.witness, list)
+        assert rep.witness == min_delta_det_full(d, book)[1].tolist()
+        # the report names the constellation before the threshold
+        assert list(rep.details) == ["constellation", "threshold"]
+        assert rep.details == {"constellation": "qam4",
+                               "threshold": det_zero_threshold(d, book)}
+
+
 class TestNvdProbe:
+    def test_report_shape(self):
+        d = golden_cda()
+        rep = nvd_probe(d, [16, 4])
+        assert rep.check == "nvd_probe"
+        assert rep.passed is True
+        assert rep.witness is None
+        assert list(rep.details) == ["entries", "threshold"]
+        entries = rep.details["entries"]
+        # [size, minimum] lists in increasing size; the margin is the least
+        assert [size for size, _ in entries] == [4, 16]
+        assert all(isinstance(e, list) and len(e) == 2 for e in entries)
+        assert rep.margin == min(v for _, v in entries)
+        assert rep.details["threshold"] == det_zero_threshold(
+            d, qam_codebook(d.n_complex, 4, normalize=False))
+
     def test_golden_size4(self):
         d = golden_cda()
         probe = nvd_probe(d, [4])
-        assert probe.entries[0][0] == 4
-        assert probe.entries[0][1] == pytest.approx(16.0 / 5.0, rel=1e-9)
+        assert probe.details["entries"][0][0] == 4
+        assert probe.details["entries"][0][1] == pytest.approx(16.0 / 5.0, rel=1e-9)
 
     def test_unprecoded_pciod_zero(self):
         d = build_pciod(4)
         probe = nvd_probe(d, [4])
-        assert probe.entries[0][1] < 1e-12
-        assert not probe.non_vanishing
+        assert probe.details["entries"][0][1] < 1e-12
+        assert not probe.passed
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
