@@ -10,8 +10,9 @@ The story, in check order:
    Gram Gamma and the simulator's noise covariance are built from;
 3. cross-group weight matrices must anticommute (A_i^H A_j + A_j^H A_i = 0),
    splitting the ML search into per-group searches;
-4. the same condition must survive the channel-dependent whitening, checked
-   over random channel draws.
+4. the same condition must survive the channel-dependent whitening by the
+   cooperation block of the noise covariance I + Gamma, the covariance the
+   simulator whitens by, checked over random channel draws.
 """
 import numpy as np
 
@@ -40,7 +41,9 @@ def main():
     print("ciod4 over user symbols:       ", check_condition1(compose_precode(ciod)))
 
     # the channel-dependent relay Gram matrix of the 4x4 example is block
-    # scalar, which is exactly why whitening preserves the group structure
+    # scalar, so I + Gamma, the noise covariance the check whitens by, is
+    # block scalar too, which is exactly why whitening preserves the group
+    # structure
     rs = unit_energy_relays(relay_matrix_set(ciod)).by_column()
     params = protocol_params(ciod, 10.0)
     ch = sample_channel(4, make_rng(2, 0))

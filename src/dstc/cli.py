@@ -216,7 +216,10 @@ def _report_text(reports, **head) -> str:
 
 
 def _numpy_json(obj):
-    """The JSON value of a numpy array or scalar in a report."""
+    """The JSON value of a numpy array or scalar in a report; a complex
+    number, such as a whitened witness's gain, is its [re, im] pair."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -240,6 +243,8 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     d = load_design(args.design)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        raise ValueError(f"--checks names no check: {args.checks!r}")
     reports = run_checks(d, checks, args.constellation, args.draws, args.seed,
                          nvd_sizes=tuple(int(s) for s in args.nvd_sizes.split(",")))
     for r in reports:
@@ -279,10 +284,10 @@ def cmd_pipeline(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     checks = cfg.get("checks", ["clro", "group"])
+    _check_type("checks", checks, list, "a list of check names")
     reports = []
     # the relay-free design has no relays to check
     if sim.design.r and checks:
-        _check_type("checks", checks, list, "a list of check names")
         draws = cfg.get("draws", 20)
         check_count("draws", draws, 1)
         constellation = cfg.get("verify_constellation", "qam4")

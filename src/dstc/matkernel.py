@@ -35,8 +35,12 @@ def require_finite(a: np.ndarray, name: str) -> None:
 
 
 def zero_threshold(scale):
-    """The package-wide zero test: |z| < REL_TOL * (1 + scale), per scale."""
-    return REL_TOL * (1.0 + scale)
+    """The package-wide zero test: |z| < REL_TOL * scale, per scale.
+
+    Purely relative: scaling the inputs scales the threshold with them, so
+    no verdict depends on their scale.
+    """
+    return REL_TOL * scale
 
 
 def herm(m: np.ndarray) -> np.ndarray:
@@ -57,7 +61,8 @@ def inv_sqrt_pd(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a Hermitian positive-definite matrix.
 
     Returns the Hermitian X with X @ m @ X = I. Used for the whitening
-    filters (noise covariance and the channel-dependent relay Gram matrix).
+    filter of the verifier's whitened check (the cooperation block of the
+    noise covariance).
 
     Raises:
         ValueError: input not Hermitian to tolerance.

@@ -10,8 +10,9 @@ included. The checks are:
   diagonal and let each relay operate with a single matrix; both this
   check and the relay Gram Gamma read the relay set's Gram stack;
 * the weight-matrix anticommutation condition for group-by-group ML
-  decoding, on raw weights and on Gamma-whitened weights over random
-  draws;
+  decoding, on raw weights and on weights whitened over random draws by
+  the cooperation block of the noise covariance I + Gamma (noise_cov),
+  the covariance the simulator whitens by;
 * full diversity, from the exhaustive minimum codeword-difference
   determinant, and the determinant probe across constellation sizes
   (non-vanishing determinant evidence); both call a minimum zero only
@@ -55,8 +56,7 @@ import numpy as np
 
 from . import matkernel
 from .designs import MIXED, Design, RelayMatrixSet, column_kinds, relay_matrix_set
-from .gnaf_sim import (ProtocolParams, make_rng, relay_noise_cov,
-                       sample_channel)
+from .gnaf_sim import ProtocolParams, make_rng, noise_cov, sample_channel
 from .precoding import check_partition
 from .receivers import (PAIR_GUARD, Codebook, ResourceGuardError,
                         qam_codebook)
@@ -150,12 +150,13 @@ def check_group_decodable(weights: np.ndarray, partition) -> VerifierReport:
                           {"groups": len(partition)})
 
 
-def whitened_weights(d: Design, gamma: np.ndarray) -> np.ndarray:
-    """Weight matrices of Gamma^{-1/2} S(X) (rows conditioned per draw).
+def whitened_weights(d: Design, cov: np.ndarray) -> np.ndarray:
+    """Weight matrices of cov^{-1/2} S(X), the design whitened by ``cov``.
 
-    Raises numpy.linalg.LinAlgError if ``gamma`` is not positive definite.
+    ``cov`` is a T x T Hermitian positive-definite noise covariance;
+    inv_sqrt_pd raises numpy.linalg.LinAlgError for any other.
     """
-    w = matkernel.inv_sqrt_pd(gamma)
+    w = matkernel.inv_sqrt_pd(cov)
     return np.einsum("ts,ksr->ktr", w, d.weights)
 
 
@@ -163,38 +164,29 @@ def check_whitened_group_decodable(d: Design, partition, params: ProtocolParams,
                                    n_draws: int, seed: int = 0) -> VerifierReport:
     """Anticommutation of the whitened relay-part weights over random draws.
 
-    Each draw conditions the design by the inverse square root of the relay
-    Gram matrix for freshly sampled link gains; draws where it is not
-    positive definite (all gains tiny) are resampled and counted. The
-    report records the seed so a failing draw is replayable.
+    Each draw whitens the design by the cooperation block of the noise
+    covariance Omega = I + Gamma (noise_cov) for freshly sampled link
+    gains, the covariance the simulator whitens by; ``params`` sets
+    Gamma's weight against the identity. I + Gamma is positive definite
+    for every draw. The report records the seed so a failing draw is
+    replayable.
     """
     if n_draws < 1:
         raise ValueError("need at least one draw")
     rs = relay_matrix_set(d)
+    coop = params.rows - params.t2
     rng = make_rng(seed, 0xC0, 0xDE)
     worst = 0.0
     witness = None
-    resamples = 0
-    draws = 0
-    while draws < n_draws:
+    for draw in range(n_draws):
         ch = sample_channel(d.r, rng)
-        try:
-            weights = whitened_weights(d, relay_noise_cov(params, rs, ch.g))
-        except np.linalg.LinAlgError:
-            resamples += 1
-            if resamples > 100 * n_draws:
-                raise RuntimeError("relay Gram matrix singular on every draw; "
-                                   "the relay set cannot be whitened") from None
-            continue
-        draws += 1
-        rep = check_group_decodable(weights, partition)
+        cov = noise_cov(params, ch, rs)[coop:, coop:]
+        rep = check_group_decodable(whitened_weights(d, cov), partition)
         worst = max(worst, rep.margin)
         if not rep.passed and witness is None:
-            witness = {"draw": draws - 1, "pair": rep.witness,
-                       "gains": ch.g.tolist()}
+            witness = {"draw": draw, "pair": rep.witness, "gains": ch.g.tolist()}
     return VerifierReport("whitened_group_decodable", witness is None, worst,
-                          witness, {"draws": n_draws, "resamples": resamples,
-                                    "seed": seed})
+                          witness, {"draws": n_draws, "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +255,33 @@ def _overflow_error() -> ValueError:
                       "or the constellation")
 
 
+def _first_min(lead: np.ndarray, trail: np.ndarray, blocks, t: int, r: int,
+               upper: bool = False) -> tuple[float, tuple[int, int]]:
+    """First minimum score over blocks of sums lead[:, a] + trail[:, b].
+
+    ``blocks`` lists (a0, a1, b0, b1) ranges in scan order; each block is
+    scored whole and searched row-major, so the first minimum of the scan
+    is the first in (block, a, b) order. With ``upper`` the sums with
+    b <= a are skipped. Returns the minimum and its (a, b); no finite score
+    (float64 overflow) or an undefined one raises _overflow_error.
+    """
+    best, best_ab = np.inf, None
+    for a0, a1, b0, b1 in blocks:
+        ds = (lead[:, a0:a1, None] + trail[:, None, b0:b1]).reshape(t, r, -1)
+        dets = _abs_dets(ds).reshape(a1 - a0, b1 - b0)
+        if upper:
+            dets[np.tri(a1 - a0, b1 - b0, a0 - b0, dtype=bool)] = np.inf
+        k = int(np.argmin(dets))                    # argmin stops at a NaN
+        if dets.flat[k] < best:
+            a, b = divmod(k, b1 - b0)
+            best, best_ab = float(dets.flat[k]), (a0 + a, b0 + b)
+        elif np.isnan(dets.flat[k]):
+            raise _overflow_error()
+    if best == np.inf:
+        raise _overflow_error()
+    return best, best_ab
+
+
 def _min_det_product(d: Design, book: Codebook) -> tuple[float, np.ndarray]:
     """First minimum over a product codebook's difference set, group-0-major.
 
@@ -306,28 +325,18 @@ def _min_det_product(d: Design, book: Codebook) -> tuple[float, np.ndarray]:
     cols = min(n_trail, _DET_CHUNK)
     full_rows, rest = divmod(zero, n_trail)
     # (first, last + 1, width) row bands: whole rows of trailing sums, then
-    # the zero's row up to the zero, so no block needs truncating
+    # the zero's row up to the zero, so no block needs truncating; a block
+    # is whole trailing rows or part of one row, so its flat indices run
+    # contiguously and the scan is in flat order
     bands = [(a0, min(a0 + rows, full_rows), n_trail)
              for a0 in range(0, full_rows, rows)] + [(full_rows, full_rows + 1, rest)]
-    best, best_flat = np.inf, -1
-    # a block is whole trailing rows or part of one row, so its flat
-    # indices run contiguously from its start
-    for a0, a1, width in bands:
-        for b0 in range(0, width, cols):
-            start = a0 * n_trail + b0
-            b1 = min(b0 + cols, width)
-            ds = (lead[:, a0:a1, None] + trail[:, None, b0:b1]).reshape(t, r, -1)
-            dets = _abs_dets(ds)
-            j = int(np.argmin(dets))                # argmin stops at a NaN
-            if dets[j] < best:
-                best, best_flat = float(dets[j]), start + j
-            elif np.isnan(dets[j]):
-                raise _overflow_error()
-    if best == np.inf:
-        raise _overflow_error()
+    blocks = [(a0, a1, b0, min(b0 + cols, width))
+              for a0, a1, width in bands for b0 in range(0, width, cols)]
+    best, (a, b) = _first_min(lead, trail, blocks, t, r)
     witness = np.zeros(book.k)
     sizes = tuple(len(tab) for tab in tables)
-    for grp, tab, i in zip(book.groups, tables, np.unravel_index(best_flat, sizes)):
+    for grp, tab, i in zip(book.groups, tables,
+                           np.unravel_index(a * n_trail + b, sizes)):
         witness[list(grp)] = tab[i]
     return best, witness
 
@@ -335,32 +344,21 @@ def _min_det_product(d: Design, book: Codebook) -> tuple[float, np.ndarray]:
 def _min_det_pairs(d: Design, x: np.ndarray) -> tuple[float, np.ndarray]:
     """First minimum over the pairs (i, j > i) of explicit codewords, row-major.
 
-    Each codeword is projected once, S = x W. A block of consecutive rows
+    Each codeword is projected once, S = x W, and a pair's dS is
+    -S_i + S_j (bit-identical to S_j - S_i). A block of consecutive rows
     i0 <= i < i1 is scored against the contiguous slice of codewords
     i0 + 1 .. N-1, about _DET_CHUNK pairs at a time, with the few pairs
-    j <= i inside the block masked out.
+    j <= i inside the block skipped.
     """
     n = len(x)
-    t, r = d.t, d.r
     proj = _projection(x, d.weights)
-    best, best_pair = np.inf, (0, 1)
-    i0 = 0
+    blocks, i0 = [], 0
     while i0 < n - 1:
-        cols = n - 1 - i0
-        i1 = min(i0 + max(1, _DET_CHUNK // cols), n - 1)
-        ds = proj[:, None, i0 + 1:] - proj[:, i0:i1, None]
-        dets = _abs_dets(ds.reshape(t, r, -1)).reshape(i1 - i0, cols)
-        dets[np.tri(i1 - i0, cols, -1, dtype=bool)] = np.inf
-        k = int(np.argmin(dets))                    # argmin stops at a NaN
-        if dets.flat[k] < best:
-            a, c = divmod(k, cols)
-            best, best_pair = float(dets.flat[k]), (i0 + a, i0 + 1 + c)
-        elif np.isnan(dets.flat[k]):
-            raise _overflow_error()
+        i1 = min(i0 + max(1, _DET_CHUNK // (n - 1 - i0)), n - 1)
+        blocks.append((i0, i1, i0 + 1, n))
         i0 = i1
-    if best == np.inf:
-        raise _overflow_error()
-    return best, x[best_pair[1]] - x[best_pair[0]]
+    best, (i, j) = _first_min(-proj, proj, blocks, d.t, d.r, upper=True)
+    return best, x[j] - x[i]
 
 
 def min_delta_det_full(d: Design, codebook) -> tuple[float, np.ndarray | None]:

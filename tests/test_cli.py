@@ -11,6 +11,7 @@ from dstc import cli, verifier
 from dstc.cli import _sim_config, main
 from dstc.designs import (Design, build_toeplitz, design_to_dict, load_design,
                           save_design)
+from dstc.gnaf_sim import protocol_params
 from dstc.precoding import pam_alphabet
 from dstc.receivers import qam_codebook
 
@@ -162,6 +163,45 @@ class TestVerify:
             assert check["passed"]
             assert check["margin"] < 1e-12
             assert 0 < check["details"]["threshold"] < 1e-3 * check["margin"]
+
+    def test_small_scale_design_passes_whitened(self, tmp_path, capsys):
+        # pciod4 scaled by 1e-6 has a relay Gram below the zero test on
+        # every draw; I + Gamma, which the check whitens by as the
+        # simulator does, is positive definite on every draw
+        out = tmp_path / "d.json"
+        run(["construct", "--family", "pciod", "--relays", 4, "--out", out])
+        d = load_design(out)
+        save_design(Design(d.family, 1e-6 * d.weights, d.partition), out)
+        capsys.readouterr()
+        assert run(["verify", "--design", out, "--checks", "whitened"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_failing_whitened_check_writes_its_report(self, tmp_path):
+        # the witness's gains are complex; the report writes each as its
+        # [re, im] pair
+        d = build_toeplitz(2, 2)
+        out = tmp_path / "d.json"
+        save_design(Design(d.family, d.weights, ((0, 1), (2, 3))), out)
+        rep = tmp_path / "rep.json"
+        assert run(["verify", "--design", out, "--checks", "whitened",
+                    "--draws", 3, "--out", rep]) == 2
+        (check,) = json.loads(rep.read_text())["checks"]
+        assert not check["passed"] and check["witness"]["draw"] == 0
+        gains = verifier.check_whitened_group_decodable(
+            load_design(out), ((0, 1), (2, 3)),
+            protocol_params(d, 10.0), n_draws=3).witness["gains"]
+        assert check["witness"]["gains"] == [[g.real, g.imag] for g in gains]
+
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_no_check_named_exit_three(self, tmp_path, capsys, checks):
+        # a verification that names no check certifies nothing
+        out = tmp_path / "d.json"
+        run(["construct", "--family", "pciod", "--relays", 4, "--out", out])
+        rep = tmp_path / "rep.json"
+        assert run(["verify", "--design", out, "--checks", checks,
+                    "--out", rep]) == 3
+        assert f"error: --checks names no check: {checks!r}" in capsys.readouterr().err
+        assert not rep.exists()
 
     def test_guard_exit_four(self, tmp_path):
         out = tmp_path / "d.json"
@@ -359,15 +399,21 @@ class TestSimulateAndPipeline:
         ("constellation", 0, "'constellation' must be an object, got 0"),
         ("constellation", False, "'constellation' must be an object, got False"),
         ("snr_db", [5, True], "'snr_db' must be a list of numbers, got True"),
+        ("checks", False, "'checks' must be a list of check names, got False"),
+        ("checks", "", "'checks' must be a list of check names, got ''"),
+        ("checks", 0, "'checks' must be a list of check names, got 0"),
+        ("checks", {}, "'checks' must be a list of check names, got {}"),
     ], ids=["constellation-string", "design-number", "snr-null", "checks-string",
             "design-path-number", "rotation-file-number",
             "constellation-empty-list", "constellation-empty-string",
-            "constellation-zero", "constellation-false", "snr-true"])
+            "constellation-zero", "constellation-false", "snr-true",
+            "checks-false", "checks-empty-string", "checks-zero",
+            "checks-empty-object"])
     def test_wrong_json_type_exit_three(self, tmp_path, capsys, field, value,
                                         message):
         # each once ended in a traceback and exit 1, ran "clro" as the
         # checks "c", "l", "r" and "o", ran a falsy constellation as PAM-2,
-        # or ran true as a 1 dB point
+        # ran true as a 1 dB point, or ran no check for a falsy check list
         cfg = self.write_cfg(tmp_path, **{field: value})
         assert run(["pipeline", "--config", cfg, "--out-dir", tmp_path / "out"]) == 3
         err = capsys.readouterr().err

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from dstc import verifier
 from dstc.designs import (Design, RelayMatrixSet, build_ciod4, build_pciod,
                           build_pciod_rect, build_toeplitz, compose_precode,
                           golden_cda, relay_matrix_set)
-from dstc.gnaf_sim import (make_rng, protocol_params, relay_noise_cov,
-                           sample_channel)
+from dstc.gnaf_sim import (make_rng, noise_cov, protocol_params,
+                           relay_noise_cov, sample_channel)
 from dstc.precoding import default_lattice, partition_mod4
 from dstc.receivers import (ResourceGuardError, lattice_codebook, pam_codebook,
                             qam_codebook)
@@ -177,7 +178,7 @@ class TestWhitened:
         rep = check_whitened_group_decodable(d, d.partition, params,
                                              n_draws=50, seed=1)
         assert rep.passed
-        assert rep.details["resamples"] == 0
+        assert rep.details == {"draws": 50, "seed": 1}
 
     def test_identity_gamma_reduces_to_unwhitened(self):
         d = build_pciod(4)
@@ -186,15 +187,39 @@ class TestWhitened:
         rep_u = check_group_decodable(d.weights, d.partition)
         assert rep_w.passed == rep_u.passed
 
-    def test_singular_gamma_on_every_draw_raises(self):
+    def test_silent_cooperation_row_gets_a_verdict(self):
         # the second row of the only relay matrix is zero, so Gamma is
-        # singular whatever the gains
+        # singular whatever the gains; I + Gamma, which the check whitens
+        # by, is not, and the two matrices still anticommute after it
         w = np.zeros((2, 2, 1), dtype=complex)
         w[0, 0, 0], w[1, 0, 0] = 1.0, 1j
         d = Design("custom", w)
         params = protocol_params(d, 10.0)
-        with pytest.raises(RuntimeError, match="singular on every draw"):
-            check_whitened_group_decodable(d, ((0, 1),), params, n_draws=2)
+        rep = check_whitened_group_decodable(d, ((0,), (1,)), params, n_draws=2)
+        assert rep.passed and rep.witness is None
+        assert rep.details == {"draws": 2, "seed": 0}
+
+    @pytest.mark.parametrize("variant", ["gnaf1", "gnaf2", "jh"])
+    def test_whitens_by_the_cooperation_block_of_noise_cov(self, monkeypatch,
+                                                           variant):
+        d = build_pciod(4)
+        params = protocol_params(d, 10.0, variant)
+        seen = []
+
+        def recording(design, cov):
+            seen.append(cov)
+            return whitened_weights(design, cov)
+
+        monkeypatch.setattr(verifier, "whitened_weights", recording)
+        check_whitened_group_decodable(d, d.partition, params, n_draws=5, seed=4)
+        rs = relay_matrix_set(d)
+        coop = params.rows - params.t2
+        rng = make_rng(4, 0xC0, 0xDE)
+        assert len(seen) == 5
+        for cov in seen:
+            want = noise_cov(params, sample_channel(d.r, rng), rs)[coop:, coop:]
+            assert cov.shape == (d.t, d.t)
+            assert np.array_equal(cov, want)
 
     def test_rect_designs_pass_for_any_relay_count(self):
         # the drop-a-column construction keeps 4-group decodability

@@ -6,6 +6,8 @@ Codebook.difference_vectors for a product codebook, and a loop over every
 codeword pair for explicit codewords. The product path scores only the
 half of the difference set below the zero difference, which rests on every
 difference table being an exact negation mirror; both are checked here.
+The verdicts of every check on the built-in designs are checked not to
+move as the weights are scaled.
 """
 
 import functools
@@ -21,7 +23,8 @@ from dstc import cli, verifier
 from dstc.designs import (Design, build_ciod4, build_family, build_pciod,
                           build_pciod_rect, build_toeplitz, compose_precode,
                           golden_cda)
-from dstc.precoding import RotatedLattice, pam_alphabet, rotation
+from dstc.precoding import (RotatedLattice, pam_alphabet, partition_mod4,
+                            rotation)
 from dstc.receivers import Codebook, lattice_codebook, qam_codebook
 from dstc.verifier import min_delta_det_full
 
@@ -324,3 +327,32 @@ def test_verdicts_independent_of_weight_scale(name, power):
     d = FAMILIES[name]
     scaled = replace(d, weights=d.weights * 10.0 ** power)
     assert fulldiv_and_nvd(scaled) == unscaled_verdicts(name)
+
+
+# The algebraic checks, on the five built-in families and on two splits
+# into groups that do not anticommute.
+ALGEBRAIC_CASES = {
+    "pciod4": build_pciod(4), "pciod-rect3": build_pciod_rect(3),
+    "ciod4": build_ciod4()[0], "toeplitz2x2": build_toeplitz(2, 2),
+    "golden": golden_cda(),
+    "golden-mod4": replace(golden_cda(), partition=partition_mod4(golden_cda().k)),
+    "toeplitz2x2-halves": replace(build_toeplitz(2, 2), partition=((0, 1), (2, 3))),
+}
+
+
+def algebraic_verdicts(d):
+    reports = cli.run_checks(d, ("clro", "group", "whitened"), "qam4",
+                             draws=20, seed=0)
+    return [r.passed for r in reports]
+
+
+@pytest.mark.parametrize("power", [-6, -3, 0, 3, 6])
+@pytest.mark.parametrize("name", sorted(ALGEBRAIC_CASES))
+def test_algebraic_verdicts_independent_of_weight_scale(name, power):
+    # every zero test is relative, and the whitened check whitens by
+    # I + Gamma, which is positive definite at any scale; an absolute floor
+    # called both splits group decodable at 1e-6
+    d = ALGEBRAIC_CASES[name]
+    split = name.endswith(("-mod4", "-halves"))
+    want = [True, not split, not split]
+    assert algebraic_verdicts(replace(d, weights=d.weights * 10.0 ** power)) == want
