@@ -36,6 +36,21 @@ from .receivers import (Codebook, ResourceGuardError, lattice_codebook,
 
 OK, VERIFY_FAIL, CONFIG_ERROR, GUARD = 0, 2, 3, 4
 
+# The check stage's defaults: `dstc pipeline` reads them as config keys,
+# and `dstc verify` as its --checks, --constellation and --draws flags;
+# the QAM sizes the nvd check probes are a `dstc verify` flag only.
+_CHECK_DEFAULTS = {"checks": ["clro", "group"], "verify_constellation": "qam4",
+                  "draws": 20}
+_NVD_SIZES = (4, 16)
+# An absent or null constellation entry, and the defaults of an object
+_DEFAULT_CONSTELLATION = {"type": "pam", "points": 2}
+# The SimConfig fields a run config sets, and the config keys dstc reads
+_RUN_FIELDS = tuple(f.name for f in dataclasses.fields(SimConfig)
+                    if f.name not in ("design", "codebook"))
+_CONFIG_KEYS = ("design", "constellation", *_RUN_FIELDS, *_CHECK_DEFAULTS)
+# More points than any sweep needs; it bounds a "start:step:stop" range
+_MAX_SNR_POINTS = 10_000
+
 
 # ---------------------------------------------------------------------------
 # config resolution
@@ -51,6 +66,15 @@ def _check_type(key: str, value, types, what: str) -> None:
         raise ValueError(f"config entry {key!r} must be {what}, got {value!r}")
 
 
+def _check_keys(spec: dict, known, entry: str | None = None) -> None:
+    """Refuse a key that nothing reads, at the top of a run config or in
+    its object ``entry``."""
+    for key in spec:
+        if key not in known:
+            where = f"{entry!r} has unknown key {key!r}" if entry else f"{key!r} is unknown"
+            raise ValueError(f"config entry {where}; known: {sorted(known)}")
+
+
 def _resolve_design(spec) -> Design:
     """The design a config's ``design`` entry names: a design file's path,
     or a family with its relay and symbol counts. The ``direct`` family is
@@ -61,15 +85,17 @@ def _resolve_design(spec) -> Design:
     if isinstance(spec, str):
         spec = {"path": spec}
     if "path" in spec:
+        _check_keys(spec, ("path",), "design")
         # open() takes a number for a file descriptor
         _check_type("path", spec["path"], str, "a string")
         return load_design(spec["path"])
-    for key in ("relays", "t1"):
-        check_count(key, spec.get(key, 0), 0)
-    family = spec.get("family")
-    if family == "direct":
-        return direct_design(spec.get("t1", 0))
-    return build_family(family, spec.get("relays", 0), spec.get("t1", 0))
+    _check_keys(spec, ("family", "relays", "t1"), "design")
+    relays, t1 = spec.get("relays", 0), spec.get("t1", 0)
+    check_count("relays", relays, 0)
+    check_count("t1", t1, 0)
+    if spec.get("family") == "direct":
+        return direct_design(t1)
+    return build_family(spec.get("family"), relays, t1)
 
 
 def _resolve_codebook(d: Design, spec) -> Codebook:
@@ -78,13 +104,15 @@ def _resolve_codebook(d: Design, spec) -> Codebook:
     PAM takes the design's partition; a design with relays and a single
     group gets one group per real symbol instead. The relay-free design
     keeps its groups, one per complex symbol, and refuses a lattice. An
-    absent or null entry is PAM-2, and so are the defaults of an object.
+    absent or null entry is _DEFAULT_CONSTELLATION, and so are the defaults
+    of an object.
     """
     if spec is None:
-        spec = {"type": "pam", "points": 2}
+        spec = {}
     _check_type("constellation", spec, dict, "an object")
-    kind = spec.get("type", "pam")
-    points = spec.get("points", 2)
+    _check_keys(spec, (*_DEFAULT_CONSTELLATION, "rotation_file"), "constellation")
+    spec = {**_DEFAULT_CONSTELLATION, **spec}
+    kind, points = spec["type"], spec["points"]
     check_count("points", points, 2)
     if not d.r and kind == "lattice":
         raise ValueError("direct transmission takes a qam or pam "
@@ -111,10 +139,11 @@ def _resolve_codebook(d: Design, spec) -> Codebook:
 def _parse_snr(spec) -> tuple[float, ...]:
     """The SNR grid in dB, from a list of points or "start:step:stop".
 
-    Raises ValueError for a string that is not three numbers, a step that
-    is not finite and positive, or an end without a finite positive linear
-    power (snr_power): stepping from such an end might never reach the
-    other one. SimConfig checks the points of the grid.
+    A range's points are rounded to 1e-9 dB and end at most 1e-9 past
+    ``stop``. Raises ValueError for a string that is not three numbers, a
+    step that is not finite or is below that rounding, an end without a
+    finite positive linear power (snr_power), or a range of more than
+    _MAX_SNR_POINTS points. SimConfig checks the points of the grid.
     """
     if isinstance(spec, (list, tuple)):
         for v in spec:
@@ -124,44 +153,39 @@ def _parse_snr(spec) -> tuple[float, ...]:
         start, step, stop = (float(v) for v in str(spec).split(":"))
     except ValueError as exc:
         raise ValueError(f"bad SNR grid {spec!r}; use start:step:stop") from exc
-    if not 0 < step < math.inf:
-        raise ValueError("SNR step must be positive and finite")
+    if not 1e-9 <= step < math.inf:
+        raise ValueError(f"SNR step must be finite and at least 1e-9, got {step!r}")
     snr_power(start)
     snr_power(stop)
-    grid = []
-    v = start
-    while v <= stop + 1e-9:
-        grid.append(round(v, 9))
-        v += step
-    return tuple(grid)
+    n = max(0, math.floor((stop + 1e-9 - start) / step) + 1)
+    if n > _MAX_SNR_POINTS:
+        raise ValueError(f"SNR grid {spec!r} has {n} points; at most "
+                         f"{_MAX_SNR_POINTS} are allowed")
+    return tuple(round(start + i * step, 9) for i in range(n))
 
 
 def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
+    """The run a config describes, and the config to record with its output.
+
+    Only the keys the config gives reach SimConfig, whose defaults fill
+    the rest. The recorded config is read off the SimConfig that ran: the
+    package version, the raw ``design`` entry, every run field but
+    ``workers``, the raw ``constellation`` entry and the ``rotation`` used.
+    """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a run config must be a JSON object, got {cfg!r}")
+    _check_keys(cfg, _CONFIG_KEYS)
     d = _resolve_design(cfg.get("design"))
     book = _resolve_codebook(d, cfg.get("constellation"))
-    sim = SimConfig(
-        design=d,
-        codebook=book,
-        receiver=cfg.get("receiver", "joint-ml"),
-        snr_db=_parse_snr(cfg.get("snr_db", "0:5:20")),
-        trials=cfg.get("trials", 10000),
-        seed=cfg.get("seed", 0),
-        variant=cfg.get("variant", "gnaf2"),
-        pi=cfg.get("pi", (1.0, 1.0, 1.0)),
-        batch_size=cfg.get("batch_size", 4096),
-        workers=cfg.get("workers"),
-    )
+    run = {key: cfg[key] for key in _RUN_FIELDS if key in cfg}
+    if "snr_db" in run:
+        run["snr_db"] = _parse_snr(run["snr_db"])
+    sim = SimConfig(design=d, codebook=book, **run)
     resolved = {
         "version": __version__,
         "design": cfg.get("design"),
-        "variant": sim.variant,
-        "pi": list(sim.pi),
-        "snr_db": list(sim.snr_db),
-        "trials": sim.trials,
-        "receiver": sim.receiver,
-        "seed": sim.seed,
-        "batch_size": sim.batch_size,
-        "constellation": cfg.get("constellation", {"type": "pam", "points": 2}),
+        **{key: getattr(sim, key) for key in _RUN_FIELDS if key != "workers"},
+        "constellation": cfg.get("constellation", _DEFAULT_CONSTELLATION),
         "rotation": (None if book.lattice is None else
                      cfg["constellation"].get("rotation_file", "builtin")),
     }
@@ -173,7 +197,7 @@ def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
 # ---------------------------------------------------------------------------
 
 def run_checks(d: Design, checks, constellation: str, draws: int, seed: int,
-               nvd_sizes=(4, 16)) -> list[verifier.VerifierReport]:
+               nvd_sizes=_NVD_SIZES) -> list[verifier.VerifierReport]:
     """The verifier's reports for the named checks, in the order named.
 
     Each name maps to one verifier call, which makes the verdict: "whitened"
@@ -199,12 +223,11 @@ def run_checks(d: Design, checks, constellation: str, draws: int, seed: int,
 
 
 def _constellation_book(d: Design, name: str) -> Codebook:
-    """The codebook named qamN, pamN or latticeN, built by _resolve_codebook."""
+    """The codebook named qamN, pamN or latticeN: _resolve_codebook's for
+    the constellation object of that type with N points."""
     name = name.lower()
     for kind in ("qam", "pam", "lattice"):
         if name.startswith(kind):
-            if kind == "lattice" and len(d.partition) < 2:
-                raise ValueError("lattice constellation needs a grouped design")
             return _resolve_codebook(d, {"type": kind, "points": int(name[len(kind):])})
     raise ValueError(f"unknown constellation {name!r} (qamN, pamN or latticeN)")
 
@@ -254,26 +277,29 @@ def cmd_verify(args) -> int:
     return OK if all(r.passed for r in reports) else VERIFY_FAIL
 
 
-def cmd_simulate(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
-    sim, resolved = _sim_config(cfg)
-    results = run_monte_carlo(sim)
-    text = results_to_csv(results, {"config": json.dumps(resolved, sort_keys=True)})
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+def _sweep_csv(sim: SimConfig, resolved: dict) -> str:
+    """The results CSV of the sweep ``sim``, headed by its recorded config."""
+    return results_to_csv(run_monte_carlo(sim),
+                          {"config": json.dumps(resolved, sort_keys=True)})
+
+
+def _write_out(text: str, out) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
+
+
+def cmd_simulate(args) -> int:
+    _write_out(_sweep_csv(*_sim_config(json.loads(Path(args.config).read_text()))),
+               args.out)
     return OK
 
 
 def cmd_tradeoff(args) -> int:
-    text = dmg.emit_curves(args.relays, args.samples)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(dmg.emit_curves(args.relays, args.samples), args.out)
     return OK
 
 
@@ -283,16 +309,15 @@ def cmd_pipeline(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    checks = cfg.get("checks", ["clro", "group"])
-    _check_type("checks", checks, list, "a list of check names")
+    opts = {key: cfg.get(key, default) for key, default in _CHECK_DEFAULTS.items()}
+    _check_type("checks", opts["checks"], list, "a list of check names")
     reports = []
     # the relay-free design has no relays to check
-    if sim.design.r and checks:
-        draws = cfg.get("draws", 20)
-        check_count("draws", draws, 1)
-        constellation = cfg.get("verify_constellation", "qam4")
-        _check_type("verify_constellation", constellation, str, "a name")
-        reports = run_checks(sim.design, checks, constellation, draws, sim.seed)
+    if sim.design.r and opts["checks"]:
+        check_count("draws", opts["draws"], 1)
+        _check_type("verify_constellation", opts["verify_constellation"], str, "a name")
+        reports = run_checks(sim.design, opts["checks"], opts["verify_constellation"],
+                             opts["draws"], sim.seed)
     (outdir / "report.json").write_text(_report_text(reports, config=resolved))
     failed = [r for r in reports if not r.passed]
     if failed and not args.force:
@@ -302,9 +327,7 @@ def cmd_pipeline(args) -> int:
               file=sys.stderr)
         return VERIFY_FAIL
 
-    results = run_monte_carlo(sim)
-    text = results_to_csv(results, {"config": json.dumps(resolved, sort_keys=True)})
-    (outdir / "results.csv").write_text(text)
+    (outdir / "results.csv").write_text(_sweep_csv(sim, resolved))
     print(f"wrote {outdir / 'report.json'} and {outdir / 'results.csv'}")
     return OK
 
@@ -327,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run algebraic checks on a design file")
     v.add_argument("--design", required=True)
-    v.add_argument("--checks", default="clro,group")
-    v.add_argument("--constellation", default="qam4")
-    v.add_argument("--draws", type=int, default=20)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--nvd-sizes", default="4,16")
+    v.add_argument("--checks", default=",".join(_CHECK_DEFAULTS["checks"]))
+    v.add_argument("--constellation", default=_CHECK_DEFAULTS["verify_constellation"])
+    v.add_argument("--draws", type=int, default=_CHECK_DEFAULTS["draws"])
+    v.add_argument("--seed", type=int, default=SimConfig.seed)
+    v.add_argument("--nvd-sizes", default=",".join(map(str, _NVD_SIZES)))
     v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)
 

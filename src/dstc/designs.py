@@ -233,7 +233,7 @@ def build_pciod(r: int) -> Design:
     if r < 2 or r % 2:
         raise ValueError(
             f"pciod needs an even relay count >= 2, got {r}; "
-            "use build_pciod_rect for odd counts")
+            "use family 'pciod-rect' for odd counts")
     k = 2 * r
     w = np.zeros((k, r, r), dtype=np.complex128)
     for j in range(r // 2):
@@ -494,9 +494,6 @@ _FAMILY_BUILDERS = {
 
 def build_family(family: str, r: int = 0, t1: int = 0) -> Design:
     """Build a design by family name (used by the command-line surface)."""
-    if family == "pciod" and r % 2:
-        raise ValueError(
-            f"pciod needs an even relay count, got {r}; use family 'pciod-rect'")
     try:
         builder = _FAMILY_BUILDERS[family]
     except KeyError:

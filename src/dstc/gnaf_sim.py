@@ -432,16 +432,21 @@ class SimConfig:
     and a codebook whose K differs from the design's. The no-relay
     baseline is the relay-free design (designs.direct_design) under the
     ``direct`` variant.
+
+    Its defaults are the only run defaults: the command line passes only
+    the fields a run config sets. Each output records every field but
+    ``design``, ``codebook`` and ``workers``, in this order; leaving out
+    ``workers`` keeps the output the same for any worker count.
     """
 
     design: Design
     codebook: Codebook
-    receiver: str                  # joint-ml | grouped-ml | zf | mmse
-    snr_db: tuple[float, ...]
-    trials: int
-    seed: int
     variant: str = "gnaf2"
     pi: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
+    trials: int = 10000
+    receiver: str = "joint-ml"     # joint-ml | grouped-ml | zf | mmse
+    seed: int = 0
     batch_size: int = 4096
     workers: int | None = None
 

@@ -2,10 +2,11 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` of ``complex128``. All checks use a
 single zero-test predicate so every verifier in the package agrees on what
-"numerically zero" means. Matrices in this package are small (at most ~20x20)
-and well conditioned, so exactness of the algebraic identities matters more
-than speed; the PD inverse square root goes through a full Hermitian
-eigendecomposition rather than an iteration.
+"numerically zero" means. Matrices in this package are small (at most ~20x20),
+so exactness of the algebraic identities matters more than speed; the PD
+inverse square root goes through a full Hermitian eigendecomposition rather
+than an iteration, and refuses only what that eigensolver cannot tell apart
+from a singular matrix, not what the zero test would call ill conditioned.
 """
 
 from __future__ import annotations
@@ -64,17 +65,22 @@ def inv_sqrt_pd(m: np.ndarray) -> np.ndarray:
     filter of the verifier's whitened check (the cooperation block of the
     noise covariance).
 
+    Only a matrix the eigensolver cannot tell apart from a singular one is
+    refused: one whose smallest eigenvalue is not above the solver's error
+    bound, n * eps * largest eigenvalue. A positive-definite matrix that
+    is merely ill conditioned, such as I + Gamma of a design whose weights
+    are large, is not refused.
+
     Raises:
         ValueError: input not Hermitian to tolerance.
-        numpy.linalg.LinAlgError: smallest eigenvalue <= 0 (singular or
-            indefinite input).
+        numpy.linalg.LinAlgError: smallest eigenvalue within the solver's
+            error of 0, or below it (singular or indefinite input).
     """
     a = as_cmatrix(m)
     if not is_hermitian(a):
         raise ValueError("inv_sqrt_pd: input is not Hermitian")
     w, v = np.linalg.eigh(a)
-    scale = float(w[-1]) if a.size else 0.0
-    if a.size and w[0] <= zero_threshold(scale):
+    if a.size and w[0] <= len(w) * np.finfo(float).eps * w[-1]:
         raise np.linalg.LinAlgError(
             f"inv_sqrt_pd: matrix is not positive definite (min eig {w[0]:.3e})")
     x = (v * (1.0 / np.sqrt(w))) @ herm(v)

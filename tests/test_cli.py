@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from dstc import cli, verifier
 from dstc.cli import _sim_config, main
 from dstc.designs import (Design, build_toeplitz, design_to_dict, load_design,
                           save_design)
-from dstc.gnaf_sim import protocol_params
+from dstc.gnaf_sim import SimConfig, protocol_params
 from dstc.precoding import pam_alphabet
 from dstc.receivers import qam_codebook
 
@@ -318,6 +319,9 @@ class TestSimulateAndPipeline:
         "20:5:0", [],
         # points whose linear power overflows or underflows
         "1e308:1:1e308", "0:5:4000", [0.0, float("inf")], [-5000.0],
+        # a step below the grid's 1e-9 rounding; 0:1e-17:1 once never
+        # returned, since 0 + 1e-17 == 0; and a range of 10^9 points
+        "0:1e-17:1", "0:1e-10:1", "0:1e-9:1", "-3000:1e-6:3000",
     ])
     def test_unrunnable_snr_grid_exit_three(self, tmp_path, capsys, spec):
         with pytest.raises(ValueError, match="SNR"):
@@ -349,6 +353,62 @@ class TestSimulateAndPipeline:
         err = capsys.readouterr().err
         assert "error: pi must be three finite positive power fractions" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec, grid", [
+        ("0:5:20", (0.0, 5.0, 10.0, 15.0, 20.0)),
+        ("0:0.1:0.3", (0.0, 0.1, 0.2, 0.3)),
+        ("-2.5:2.5:2.5", (-2.5, 0.0, 2.5)),
+        ("1:1e-8:1.00000002", (1.0, 1.00000001, 1.00000002)),
+        ("5:1:5", (5.0,)),
+    ])
+    def test_snr_range_points(self, spec, grid):
+        assert cli._parse_snr(spec) == grid
+
+    def test_run_defaults_are_simconfig_defaults(self):
+        sim, _ = _sim_config({"design": {"family": "pciod", "relays": 2}})
+        for f in dataclasses.fields(SimConfig)[2:]:
+            assert getattr(sim, f.name) == f.default, f.name
+
+    def test_recorded_config_is_read_off_the_run(self):
+        sim, resolved = _sim_config({
+            "design": {"family": "pciod", "relays": 2}, "pi": [1, 2, 3],
+            "snr_db": "0:10:20", "trials": 5, "workers": 2,
+            "constellation": {"type": "lattice", "points": 2}})
+        # every SimConfig field but design, codebook and workers, in the
+        # documented order; workers stays out, so the bytes are the same
+        # for any worker count
+        fields = [f.name for f in dataclasses.fields(SimConfig)]
+        recorded = [k for k in fields if k not in ("design", "codebook", "workers")]
+        assert recorded == ["variant", "pi", "snr_db", "trials", "receiver",
+                            "seed", "batch_size"]
+        assert list(resolved) == ["version", "design", *recorded,
+                                  "constellation", "rotation"]
+        assert all(resolved[k] == getattr(sim, k) for k in recorded)
+        assert resolved["pi"] == (1.0, 2.0, 3.0) and resolved["rotation"] == "builtin"
+        assert resolved["constellation"] == {"type": "lattice", "points": 2}
+
+    def test_simulate_takes_the_pipeline_keys(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, checks=["clro"], draws=3,
+                             verify_constellation="qam4", trials=100)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "r.csv"]) == 0
+
+    @pytest.mark.parametrize("text", ["[]", "5", "null"])
+    def test_config_not_an_object_exit_three(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["simulate", "--config", cfg]) == 3
+        assert "error: a run config must be a JSON object" in capsys.readouterr().err
+
+    def test_verify_and_pipeline_share_the_check_defaults(self, tmp_path):
+        design = tmp_path / "d.json"
+        run(["construct", "--family", "pciod", "--relays", 2, "--out", design])
+        assert run(["verify", "--design", design, "--out", tmp_path / "rep.json"]) == 0
+        cfg = self.write_cfg(tmp_path, design=str(design), trials=10)
+        assert run(["pipeline", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
+        verified = json.loads((tmp_path / "rep.json").read_text())["checks"]
+        piped = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+        assert verified == piped and [c["check"] for c in piped] == [
+            "clro", "group_decodable"]
 
     def test_power_fractions_recorded_as_run(self, tmp_path):
         cfg = self.write_cfg(tmp_path, pi=[1, 2, 0.5], trials=100)
@@ -403,17 +463,28 @@ class TestSimulateAndPipeline:
         ("checks", "", "'checks' must be a list of check names, got ''"),
         ("checks", 0, "'checks' must be a list of check names, got 0"),
         ("checks", {}, "'checks' must be a list of check names, got {}"),
+        # unknown keys, at the top and in each object
+        ("reciever", "zf", "'reciever' is unknown; known: ["),
+        ("constellation", {"type": "pam", "point": 4},
+         "'constellation' has unknown key 'point'; known: "
+         "['points', 'rotation_file', 'type']"),
+        ("design", {"family": "pciod", "relay": 2},
+         "'design' has unknown key 'relay'; known: ['family', 'relays', 't1']"),
+        ("design", {"path": "pciod4.json", "relays": 4},
+         "'design' has unknown key 'relays'; known: ['path']"),
     ], ids=["constellation-string", "design-number", "snr-null", "checks-string",
             "design-path-number", "rotation-file-number",
             "constellation-empty-list", "constellation-empty-string",
             "constellation-zero", "constellation-false", "snr-true",
             "checks-false", "checks-empty-string", "checks-zero",
-            "checks-empty-object"])
+            "checks-empty-object", "unknown-key", "constellation-unknown-key",
+            "design-unknown-key", "design-path-unknown-key"])
     def test_wrong_json_type_exit_three(self, tmp_path, capsys, field, value,
                                         message):
         # each once ended in a traceback and exit 1, ran "clro" as the
         # checks "c", "l", "r" and "o", ran a falsy constellation as PAM-2,
-        # ran true as a 1 dB point, or ran no check for a falsy check list
+        # ran true as a 1 dB point, ran no check for a falsy check list, or
+        # ignored an unknown key: "reciever" ran joint ML and "point" PAM-2
         cfg = self.write_cfg(tmp_path, **{field: value})
         assert run(["pipeline", "--config", cfg, "--out-dir", tmp_path / "out"]) == 3
         err = capsys.readouterr().err
@@ -462,6 +533,21 @@ class TestSimulateAndPipeline:
         assert run(["simulate", "--config", cfg, "--out", out]) == 3
         assert "header must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("family, relays, t1", [
+    ("toeplitz", 2, 2), ("pciod", 4, 0), ("pciod-rect", 3, 0)])
+def test_lattice_name_is_the_object_form(family, relays, t1):
+    # latticeN was once refused on single-group designs, which simulate
+    # the object {"type": "lattice", "points": N}
+    design = {"family": family, "relays": relays, "t1": t1}
+    d = cli._resolve_design(design)
+    book = cli._constellation_book(d, "lattice2")
+    want = _sim_config({"design": design,
+                        "constellation": {"type": "lattice", "points": 2}})[0].codebook
+    assert book.groups == want.groups
+    assert all(np.array_equal(a, b) for a, b in
+               zip(book.group_values, want.group_values))
 
 
 class TestDirectConstellation:

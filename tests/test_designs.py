@@ -46,7 +46,7 @@ class TestPciod:
             assert nnz in (1, 2)
 
     def test_rejects_odd(self):
-        with pytest.raises(ValueError, match="rect"):
+        with pytest.raises(ValueError, match="family 'pciod-rect'"):
             build_pciod(3)
 
     def test_column_orthogonality(self):

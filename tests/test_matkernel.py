@@ -41,6 +41,14 @@ class TestInvSqrtPd:
         with pytest.raises(np.linalg.LinAlgError):
             mk.inv_sqrt_pd(np.diag([1.0, 0.0]).astype(complex))
 
+    def test_ill_conditioned_accepted_singular_to_the_solver_refused(self):
+        # condition 1e12 is far above the package zero test's 1e9, yet the
+        # eigensolver resolves the small eigenvalue; at 1e17 it cannot
+        x = mk.inv_sqrt_pd(np.diag([1.0, 1e12]).astype(complex))
+        assert np.allclose(x, np.diag([1.0, 1e-6]), rtol=1e-12, atol=0)
+        with pytest.raises(np.linalg.LinAlgError):
+            mk.inv_sqrt_pd(np.diag([1e-17, 1.0]).astype(complex))
+
 
 def test_herm_is_involution():
     rng = np.random.default_rng(1)

@@ -190,14 +190,17 @@ class TestWhitened:
     def test_silent_cooperation_row_gets_a_verdict(self):
         # the second row of the only relay matrix is zero, so Gamma is
         # singular whatever the gains; I + Gamma, which the check whitens
-        # by, is not, and the two matrices still anticommute after it
-        w = np.zeros((2, 2, 1), dtype=complex)
-        w[0, 0, 0], w[1, 0, 0] = 1.0, 1j
-        d = Design("custom", w)
-        params = protocol_params(d, 10.0)
-        rep = check_whitened_group_decodable(d, ((0,), (1,)), params, n_draws=2)
-        assert rep.passed and rep.witness is None
-        assert rep.details == {"draws": 2, "seed": 0}
+        # by, is not, and the two matrices still anticommute after it. At
+        # weights x 1e6, I + Gamma is diag(1, ~1e12): ill conditioned, but
+        # positive definite as far as the eigensolver can tell
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e5, 1e6):
+            w = np.zeros((2, 2, 1), dtype=complex)
+            w[0, 0, 0], w[1, 0, 0] = scale, 1j * scale
+            d = Design("custom", w)
+            params = protocol_params(d, 10.0)
+            rep = check_whitened_group_decodable(d, ((0,), (1,)), params, n_draws=2)
+            assert rep.passed and rep.witness is None, scale
+            assert rep.details == {"draws": 2, "seed": 0}
 
     @pytest.mark.parametrize("variant", ["gnaf1", "gnaf2", "jh"])
     def test_whitens_by_the_cooperation_block_of_noise_cov(self, monkeypatch,
