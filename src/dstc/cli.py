@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dmg, verifier
-from .designs import (Design, build_family, direct_design, load_design,
+from .designs import (FAMILIES, Design, build_family, check_count, load_design,
                       relay_matrix_set, save_design)
-from .gnaf_sim import (SimConfig, check_count, protocol_params, results_to_csv,
+from .gnaf_sim import (SimConfig, protocol_params, results_to_csv,
                        run_monte_carlo, snr_power)
 from .precoding import (RotatedLattice, default_lattice, load_rotation,
                         pam_alphabet)
@@ -77,8 +77,7 @@ def _check_keys(spec: dict, known, entry: str | None = None) -> None:
 
 def _resolve_design(spec) -> Design:
     """The design a config's ``design`` entry names: a design file's path,
-    or a family with its relay and symbol counts. The ``direct`` family is
-    the relay-free design (direct_design)."""
+    or a family with the counts it reads (designs.build_family)."""
     if spec is None:
         raise ValueError("config needs a 'design' entry")
     _check_type("design", spec, (str, dict), "a path or an object")
@@ -90,12 +89,12 @@ def _resolve_design(spec) -> Design:
         _check_type("path", spec["path"], str, "a string")
         return load_design(spec["path"])
     _check_keys(spec, ("family", "relays", "t1"), "design")
-    relays, t1 = spec.get("relays", 0), spec.get("t1", 0)
-    check_count("relays", relays, 0)
-    check_count("t1", t1, 0)
-    if spec.get("family") == "direct":
-        return direct_design(t1)
-    return build_family(spec.get("family"), relays, t1)
+    counts = {key: value for key, value in spec.items() if key != "family"}
+    # build_family takes None for a count not given
+    if None in counts.values():
+        raise ValueError("config entry 'design' gives a count as null; "
+                         "leave out a count not given")
+    return build_family(spec.get("family"), **counts)
 
 
 def _resolve_codebook(d: Design, spec) -> Codebook:
@@ -341,10 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("construct", help="build a design and write it to JSON")
-    c.add_argument("--family", required=True,
-                   help="pciod | pciod-rect | ciod4 | toeplitz | cda")
-    c.add_argument("--relays", type=int, default=0)
-    c.add_argument("--t1", type=int, default=0, help="toeplitz symbol count")
+    c.add_argument("--family", required=True, help=" | ".join(FAMILIES))
+    c.add_argument("--relays", type=int)
+    c.add_argument("--t1", type=int, help="source symbols of the broadcast phase")
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_construct)
 

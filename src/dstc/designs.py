@@ -35,6 +35,7 @@ disagrees with the weights' shape is refused with a ValueError naming it.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -433,8 +434,12 @@ def _c2pair(a: np.ndarray):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _pair2c(v) -> np.ndarray:
+def _pair2c(v, ndim: int) -> np.ndarray:
+    """The complex array of ``ndim`` axes that _c2pair wrote. JSON keeps no
+    axis after an empty one, so an empty array gets its missing axes back."""
     a = np.asarray(v, dtype=np.float64)
+    if not a.size:
+        return np.zeros(a.shape + (0,) * (ndim - a.ndim), dtype=np.complex128)
     return (a[..., 0] + 1j * a[..., 1]).astype(np.complex128)
 
 
@@ -462,14 +467,11 @@ def design_from_dict(obj: dict) -> Design:
             raise ValueError(f"design file has no {key!r} key")
     pre = None
     if obj.get("precode") is not None:
-        pre = PrecodePair(_pair2c(obj["precode"]["p"]), _pair2c(obj["precode"]["q"]))
-    d = Design(family=obj["family"], weights=_pair2c(obj["weights"]),
+        pre = PrecodePair(*(_pair2c(obj["precode"][side], 2) for side in "pq"))
+    d = Design(family=obj["family"], weights=_pair2c(obj["weights"], 3),
                partition=tuple(tuple(g) for g in obj["partition"]),
                precode=pre)
-    for key in ("t", "r", "k"):
-        if key in obj and obj[key] != getattr(d, key):
-            raise ValueError(f"design file gives {key}={obj[key]!r}, but its "
-                             f"weights have {key}={getattr(d, key)}")
+    _check_agrees(obj, {"t": d.t, "r": d.r, "k": d.k}, "design file", "its weights have")
     return d
 
 
@@ -483,20 +485,51 @@ def load_design(path) -> Design:
         return design_from_dict(json.load(fh))
 
 
-_FAMILY_BUILDERS = {
-    "pciod": lambda r, t1: build_pciod(r),
-    "pciod-rect": lambda r, t1: build_pciod_rect(r),
-    "ciod4": lambda r, t1: build_ciod4()[0],
-    "toeplitz": lambda r, t1: build_toeplitz(t1, r),
-    "cda": lambda r, t1: golden_cda(),
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+
+
+def _check_agrees(given: dict, have: dict, source: str, holder: str) -> None:
+    """Refuse a count of ``have`` that ``given`` gives another value; ``source``
+    names what gives ``given``, ``holder`` what has ``have``."""
+    for key, value in have.items():
+        if key in given and given[key] != value:
+            raise ValueError(f"{source} gives {key}={given[key]!r}, but {holder} "
+                             f"{key}={value}")
+
+
+# family -> its builder and the counts that builder reads, in argument order
+FAMILIES = {
+    "pciod": (build_pciod, ("relays",)),
+    "pciod-rect": (build_pciod_rect, ("relays",)),
+    "ciod4": (lambda: build_ciod4()[0], ()),
+    "toeplitz": (build_toeplitz, ("t1", "relays")),
+    "cda": (golden_cda, ()),
+    "direct": (direct_design, ("t1",)),
 }
 
 
-def build_family(family: str, r: int = 0, t1: int = 0) -> Design:
-    """Build a design by family name (used by the command-line surface)."""
-    try:
-        builder = _FAMILY_BUILDERS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; "
-                         f"known: {sorted(_FAMILY_BUILDERS)}") from None
-    return builder(r, t1)
+def build_family(family: str, relays: int | None = None, t1: int | None = None) -> Design:
+    """The design of ``family``, built from the counts it reads (FAMILIES).
+
+    None is a count not given. Every count the family reads is required,
+    every count given must pass check_count, and a count given must be true
+    of the design built: ``relays`` its R, ``t1`` its K/2, the broadcast
+    phase's length. Raises ValueError otherwise, or for an unknown family.
+    """
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    builder, reads = FAMILIES[family]
+    given = {key: n for key, n in (("relays", relays), ("t1", t1)) if n is not None}
+    for key, value in given.items():
+        check_count(key, value, 0)
+    if not set(reads) <= set(given):
+        raise ValueError(f"family {family!r} needs {' and '.join(reads)}")
+    d = builder(*(given[key] for key in reads))
+    _check_agrees(given, {"relays": d.r, "t1": d.n_complex}, f"family {family!r}",
+                  "its design has")
+    return d

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkernel
-from .designs import Design, RelayMatrixSet, relay_matrix_set
+from .designs import Design, RelayMatrixSet, check_count, relay_matrix_set
 from .receivers import (Codebook, MlTable, gram_crossterm, ml_grouped,
                         ml_joint, ml_table, mmse_detect, zf_detect)
 
@@ -497,14 +497,6 @@ def snr_power(snr_db: float) -> float:
         raise ValueError(f"SNR point {snr_db!r} dB has no finite positive "
                          "linear power")
     return p
-
-
-def check_count(name: str, value, least: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, "
-                         f"got {value!r}")
 
 
 # Bytes of complex128 model matrices one block of draws may hold; it sets

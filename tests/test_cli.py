@@ -56,6 +56,33 @@ class TestConstruct:
         assert list(json.loads(out.read_text())) == keys
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "cda", "--relays", 7],
+         "family 'cda' gives relays=7, but its design has relays=2"),
+        (["--family", "toeplitz", "--relays", 2], "family 'toeplitz' needs t1 and relays"),
+    ], ids=["count-not-true", "count-missing"])
+    def test_count_refused_exit_three(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "d.json"
+        assert run(["construct", *argv, "--out", out]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_direct_file_simulates_as_the_family(self, tmp_path, capsys):
+        out = tmp_path / "direct.json"
+        assert run(["construct", "--family", "direct", "--t1", 2, "--out", out]) == 0
+        assert "T=0 R=0 K=4" in capsys.readouterr().out
+        rows = []
+        for design in (str(out), {"family": "direct", "t1": 2}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"design": design, "variant": "direct",
+                                       "snr_db": [0, 10], "trials": 500}))
+            res = tmp_path / "res.csv"
+            assert run(["simulate", "--config", cfg, "--out", res]) == 0
+            rows.append([ln for ln in res.read_text().splitlines()
+                         if not ln.startswith("#")])
+        assert rows[0] == rows[1]
+
+
 class TestSevenKeyDesignFile:
     """A design file written before designs became their weight array."""
 
@@ -492,6 +519,41 @@ class TestSimulateAndPipeline:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize("design, message", [
+        ({"family": "cda", "relays": 7}, "family 'cda' gives relays=7, but its "
+                                         "design has relays=2"),
+        ({"family": "cda", "t1": 9}, "family 'cda' gives t1=9, but its design has t1=4"),
+        ({"family": "pciod", "relays": 4, "t1": 9},
+         "family 'pciod' gives t1=9, but its design has t1=4"),
+        ({"family": "toeplitz", "relays": 2}, "family 'toeplitz' needs t1 and relays"),
+        ({"family": "pciod", "relays": None}, "config entry 'design' gives a count as null"),
+        ({"family": "cda", "relays": 2.0}, "relays must be an integer of at least 0, got 2.0"),
+    ], ids=["cda-relays", "cda-t1", "pciod-t1", "toeplitz-no-t1", "relays-null",
+            "cda-relays-float"])
+    def test_count_not_true_of_the_design_exit_three(self, tmp_path, capsys,
+                                                     design, message):
+        # each but the last two once ran with exit 0 and recorded counts
+        # of a design other than the one that ran, or a count of 0
+        cfg = self.write_cfg(tmp_path, design=design, receiver="joint-ml",
+                             constellation={"type": "qam", "points": 4})
+        out = tmp_path / "res.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("design", [
+        {"family": "cda", "relays": 2, "t1": 4}, {"family": "ciod4", "relays": 4},
+        {"family": "pciod-rect", "relays": 3, "t1": 4},
+        {"family": "toeplitz", "relays": 3, "t1": 2}, {"family": "direct", "t1": 1}])
+    def test_recorded_counts_are_the_design_that_ran(self, design):
+        variant = "direct" if design["family"] == "direct" else "gnaf2"
+        sim, resolved = _sim_config({"design": design, "variant": variant,
+                                     "constellation": {"type": "qam", "points": 4}})
+        assert resolved["design"] == design
+        assert design.get("relays", sim.design.r) == sim.design.r
+        assert design.get("t1", sim.design.n_complex) == sim.design.n_complex
+
     @pytest.mark.parametrize("value", [None, {}])
     def test_null_or_empty_constellation_is_pam2(self, value):
         cfg = {"design": {"family": "pciod", "relays": 2}, "constellation": value}
@@ -536,11 +598,11 @@ class TestSimulateAndPipeline:
 
 
 @pytest.mark.parametrize("family, relays, t1", [
-    ("toeplitz", 2, 2), ("pciod", 4, 0), ("pciod-rect", 3, 0)])
+    ("toeplitz", 2, 2), ("pciod", 4, None), ("pciod-rect", 3, None)])
 def test_lattice_name_is_the_object_form(family, relays, t1):
     # latticeN was once refused on single-group designs, which simulate
     # the object {"type": "lattice", "points": N}
-    design = {"family": family, "relays": relays, "t1": t1}
+    design = {"family": family, "relays": relays, **({"t1": t1} if t1 else {})}
     d = cli._resolve_design(design)
     book = cli._constellation_book(d, "lattice2")
     want = _sim_config({"design": design,

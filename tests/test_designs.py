@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,17 @@ class TestSerialization:
                                              r"in K=8 real symbols needs K/2 x K/2"):
             design_from_dict(doc)
 
+    @pytest.mark.parametrize("t1", [1, 2, 3])
+    def test_relay_free_round_trip_bit_exact(self, tmp_path, t1):
+        # JSON keeps no axis after an empty one: the (2*t1, 0, 0) weights
+        # are written as 2*t1 empty lists
+        d, path = direct_design(t1), tmp_path / "direct.json"
+        save_design(d, path)
+        back = load_design(path)
+        assert back.weights.shape == d.weights.shape == (2 * t1, 0, 0)
+        assert design_to_dict(back) == design_to_dict(d)
+        assert (back.family, back.partition, back.precode) == ("direct", d.partition, None)
+
     def test_dict_round_trip_stable(self):
         d = golden_cda()
         blob = json.dumps(design_to_dict(d))
@@ -486,6 +498,30 @@ def test_build_family_dispatch():
         build_family("pciod", 3)
     with pytest.raises(ValueError, match="unknown family"):
         build_family("nope", 2)
-    # the relay-free design is a run config's family, not a built one
-    with pytest.raises(ValueError, match="unknown family"):
-        build_family("direct", 0, 2)
+    # the relay-free design is a family too, built from its symbol count
+    assert build_family("direct", t1=2).weights.shape == (4, 0, 0)
+
+
+@pytest.mark.parametrize("family, relays, t1, message", [
+    ("cda", 7, None, "family 'cda' gives relays=7, but its design has relays=2"),
+    ("cda", None, 9, "family 'cda' gives t1=9, but its design has t1=4"),
+    ("ciod4", 2, None, "family 'ciod4' gives relays=2, but its design has relays=4"),
+    ("pciod", 4, 9, "family 'pciod' gives t1=9, but its design has t1=4"),
+    ("direct", 1, 2, "family 'direct' gives relays=1, but its design has relays=0"),
+    ("toeplitz", 2, None, "family 'toeplitz' needs t1 and relays"),
+    ("pciod", None, 4, "family 'pciod' needs relays"),
+    ("direct", None, None, "family 'direct' needs t1"),
+    ("cda", 2.0, None, "relays must be an integer of at least 0, got 2.0"),
+    ("toeplitz", 2, True, "t1 must be an integer of at least 0, got True"),
+])
+def test_build_family_refuses_a_count_the_design_has_not(family, relays, t1, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_family(family, relays, t1)
+
+
+@pytest.mark.parametrize("family, relays, t1", [
+    ("cda", 2, 4), ("cda", None, None), ("ciod4", 4, 4), ("pciod", 4, 4),
+    ("pciod-rect", 3, 4), ("toeplitz", 3, 2), ("direct", 0, 2), ("direct", None, 1)])
+def test_build_family_takes_every_count_true_of_the_design(family, relays, t1):
+    d = build_family(family, relays, t1)
+    assert relays in (None, d.r) and t1 in (None, d.n_complex)

@@ -146,7 +146,7 @@ def decodable_designs(draw):
     vanishes across groups.
     """
     family, r = draw(st.sampled_from([("pciod", 2), ("pciod", 4),
-                                      ("pciod-rect", 3), ("ciod4", 0)]))
+                                      ("pciod-rect", 3), ("ciod4", None)]))
     d = build_family(family, r)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mix = np.zeros((d.k, d.k))
