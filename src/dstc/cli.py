@@ -113,6 +113,9 @@ def _resolve_codebook(d: Design, spec) -> Codebook:
     spec = {**_DEFAULT_CONSTELLATION, **spec}
     kind, points = spec["type"], spec["points"]
     check_count("points", points, 2)
+    if "rotation_file" in spec and kind != "lattice":
+        raise ValueError(f"config entry 'rotation_file' is read only for a lattice, "
+                         f"not for type {kind!r}")
     if not d.r and kind == "lattice":
         raise ValueError("direct transmission takes a qam or pam "
                          "constellation, not a lattice")
@@ -195,30 +198,39 @@ def _sim_config(cfg: dict) -> tuple[SimConfig, dict]:
 # verification driver shared by `verify` and `pipeline`
 # ---------------------------------------------------------------------------
 
+# check name -> the verifier call that makes its verdict (run_checks)
+_CHECKS = {
+    "clro": lambda d, **_: verifier.check_clro(d),
+    "group": lambda d, **_: verifier.check_group_decodable(d.weights, d.partition),
+    "whitened": lambda d, draws, seed, **_: verifier.check_whitened_group_decodable(
+        d, d.partition, protocol_params(d, p=10.0, rs=relay_matrix_set(d)),
+        n_draws=draws, seed=seed),
+    "fulldiv": lambda d, constellation, **_: verifier.check_full_diversity(
+        d, _constellation_book(d, constellation), constellation),
+    "nvd": lambda d, nvd_sizes, **_: verifier.nvd_probe(d, nvd_sizes),
+}
+
+
+def _check_names(checks) -> None:
+    """Refuse an entry of ``checks`` that names no check of _CHECKS."""
+    for check in checks:
+        if not isinstance(check, str) or check not in _CHECKS:
+            raise ValueError(f"unknown check {check!r}; known: {tuple(_CHECKS)}")
+
+
 def run_checks(d: Design, checks, constellation: str, draws: int, seed: int,
                nvd_sizes=_NVD_SIZES) -> list[verifier.VerifierReport]:
     """The verifier's reports for the named checks, in the order named.
 
-    Each name maps to one verifier call, which makes the verdict: "whitened"
-    runs ``draws`` channel draws from ``seed`` at p = 10, "fulldiv" scores
-    the codebook ``constellation`` names (_constellation_book), and "nvd"
-    probes the integer QAM sizes ``nvd_sizes``. An unknown name raises
-    ValueError before any check runs.
+    Each name maps to one verifier call (_CHECKS), which makes the verdict:
+    "whitened" runs ``draws`` channel draws from ``seed`` at p = 10,
+    "fulldiv" scores the codebook ``constellation`` names
+    (_constellation_book), and "nvd" probes the integer QAM sizes
+    ``nvd_sizes``. An unknown name raises ValueError before any check runs.
     """
-    table = {
-        "clro": lambda: verifier.check_clro(d),
-        "group": lambda: verifier.check_group_decodable(d.weights, d.partition),
-        "whitened": lambda: verifier.check_whitened_group_decodable(
-            d, d.partition, protocol_params(d, p=10.0, rs=relay_matrix_set(d)),
-            n_draws=draws, seed=seed),
-        "fulldiv": lambda: verifier.check_full_diversity(
-            d, _constellation_book(d, constellation), constellation),
-        "nvd": lambda: verifier.nvd_probe(d, nvd_sizes),
-    }
-    for check in checks:
-        if check not in table:
-            raise ValueError(f"unknown check {check!r}; known: {tuple(table)}")
-    return [table[check]() for check in checks]
+    _check_names(checks)
+    return [_CHECKS[check](d, constellation=constellation, draws=draws, seed=seed,
+                           nvd_sizes=nvd_sizes) for check in checks]
 
 
 def _constellation_book(d: Design, name: str) -> Codebook:
@@ -305,18 +317,16 @@ def cmd_tradeoff(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     sim, resolved = _sim_config(cfg)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     opts = {key: cfg.get(key, default) for key, default in _CHECK_DEFAULTS.items()}
     _check_type("checks", opts["checks"], list, "a list of check names")
-    reports = []
+    _check_names(opts["checks"])
+    check_count("draws", opts["draws"], 1)
+    _check_type("verify_constellation", opts["verify_constellation"], str, "a name")
     # the relay-free design has no relays to check
-    if sim.design.r and opts["checks"]:
-        check_count("draws", opts["draws"], 1)
-        _check_type("verify_constellation", opts["verify_constellation"], str, "a name")
-        reports = run_checks(sim.design, opts["checks"], opts["verify_constellation"],
-                             opts["draws"], sim.seed)
+    reports = run_checks(sim.design, opts["checks"], opts["verify_constellation"],
+                         opts["draws"], sim.seed) if sim.design.r else []
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(_report_text(reports, config=resolved))
     failed = [r for r in reports if not r.passed]
     if failed and not args.force:

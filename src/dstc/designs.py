@@ -97,10 +97,10 @@ class PrecodePair:
 class Design:
     """A T x R linear dispersion design in K real symbols.
 
-    ``weights`` is the finite (K, T, R) complex array, and T, R and K are
-    read off its shape. ``partition``, when given, splits the K symbol
-    indices into decoding groups, each index in exactly one. ``precode``
-    is the source-side pair of a precoded design, K/2 x K/2.
+    ``weights`` is the finite (K, T, R) complex array, K >= 1, and T, R
+    and K are read off its shape. ``partition``, when given, splits the K
+    symbol indices into decoding groups, each index in exactly one.
+    ``precode`` is the source-side pair of a precoded design, K/2 x K/2.
     """
 
     family: str
@@ -113,6 +113,8 @@ class Design:
         if w.ndim != 3:
             raise ValueError(f"design weights must be a (K, T, R) array, "
                              f"got shape {w.shape}")
+        if not len(w):
+            raise ValueError("a design needs at least one real symbol, got K=0")
         matkernel.require_finite(w, "design weights")
         object.__setattr__(self, "weights", w)
         if self.partition:
@@ -459,16 +461,20 @@ def design_from_dict(obj: dict) -> Design:
     """The design a dict of design_to_dict's keys describes.
 
     Raises ValueError naming a missing ``family``, ``weights`` or
-    ``partition`` key, or a ``t``, ``r`` or ``k`` that disagrees with the
-    weights.
+    ``partition`` key, weights that are not [re, im] pairs, or a ``t``,
+    ``r`` or ``k`` that disagrees with the weights.
     """
     for key in ("family", "weights", "partition"):
         if key not in obj:
             raise ValueError(f"design file has no {key!r} key")
     pre = None
     if obj.get("precode") is not None:
-        pre = PrecodePair(*(_pair2c(obj["precode"][side], 2) for side in "pq"))
-    d = Design(family=obj["family"], weights=_pair2c(obj["weights"], 3),
+        pre = PrecodePair(_pair2c(obj["precode"]["p"], 2), _pair2c(obj["precode"]["q"], 2))
+    w = np.asarray(obj["weights"], dtype=np.float64)
+    if w.size and w.shape[-1] != 2:
+        raise ValueError(f"design weights must be [re, im] pairs, got an array "
+                         f"of shape {w.shape}")
+    d = Design(family=obj["family"], weights=_pair2c(w, 3),
                partition=tuple(tuple(g) for g in obj["partition"]),
                precode=pre)
     _check_agrees(obj, {"t": d.t, "r": d.r, "k": d.k}, "design file", "its weights have")

@@ -128,6 +128,22 @@ class TestSevenKeyDesignFile:
         assert "error: design file gives k=6, but its weights have k=8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("weights, message", [
+        ([[1]], "design weights must be [re, im] pairs, got an array of shape (1, 1)"),
+        ([[[[1, 2, 3]]]], "design weights must be [re, im] pairs, got an array "
+                          "of shape (1, 1, 1, 3)"),
+        ([], "a design needs at least one real symbol, got K=0"),
+    ], ids=["number", "triple", "empty"])
+    def test_malformed_weights_exit_three(self, tmp_path, capsys, weights, message):
+        # the first and the last once ended in an IndexError traceback
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"family": "x", "weights": weights, "partition": [[0]]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"design": str(bad), "variant": "direct"}))
+        for argv in (["verify", "--design", bad], ["simulate", "--config", cfg]):
+            assert run(argv) == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestVerify:
     def test_passing_checks_exit_zero(self, tmp_path):
@@ -499,13 +515,17 @@ class TestSimulateAndPipeline:
          "'design' has unknown key 'relay'; known: ['family', 'relays', 't1']"),
         ("design", {"path": "pciod4.json", "relays": 4},
          "'design' has unknown key 'relays'; known: ['path']"),
+        # read only for a lattice: once ran PAM-4 and recorded the file
+        ("constellation", {"type": "pam", "points": 4, "rotation_file": "nope.txt"},
+         "'rotation_file' is read only for a lattice, not for type 'pam'"),
     ], ids=["constellation-string", "design-number", "snr-null", "checks-string",
             "design-path-number", "rotation-file-number",
             "constellation-empty-list", "constellation-empty-string",
             "constellation-zero", "constellation-false", "snr-true",
             "checks-false", "checks-empty-string", "checks-zero",
             "checks-empty-object", "unknown-key", "constellation-unknown-key",
-            "design-unknown-key", "design-path-unknown-key"])
+            "design-unknown-key", "design-path-unknown-key",
+            "rotation-file-without-lattice"])
     def test_wrong_json_type_exit_three(self, tmp_path, capsys, field, value,
                                         message):
         # each once ended in a traceback and exit 1, ran "clro" as the
@@ -563,6 +583,27 @@ class TestSimulateAndPipeline:
         assert all(np.array_equal(a, b) for a, b in
                    zip(book.group_values, want.group_values))
         assert np.array_equal(book.group_values[0], [[-1.0], [1.0]])
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"design": {"family": "direct", "t1": 2}, "variant": "direct",
+          "checks": ["bogus"], "draws": 0}, "unknown check 'bogus'"),
+        ({"design": {"family": "direct", "t1": 2}, "variant": "direct",
+          "checks": [["clro"]]}, "unknown check ['clro']"),
+        ({"design": {"family": "pciod", "relays": 2}, "checks": [], "draws": "x"},
+         "draws must be an integer of at least 1, got 'x'"),
+        ({"design": {"family": "pciod", "relays": 2}, "checks": [],
+          "verify_constellation": 5}, "config entry 'verify_constellation' must be a name"),
+    ], ids=["direct-unknown-check", "direct-unhashable-check", "no-checks-draws",
+            "no-checks-constellation"])
+    def test_check_options_refused_when_no_check_runs(self, tmp_path, capsys, cfg,
+                                                       message):
+        # each once ran with exit 0: the relay-free design runs no checks,
+        # and an empty list ran none, so their options went unread
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "snr_db": [0], "trials": 10}))
+        assert run(["pipeline", "--config", path, "--out-dir", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_bad_draws_exit_three(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, checks=["whitened"], draws=2.5)

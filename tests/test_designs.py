@@ -404,6 +404,15 @@ class TestSerialization:
                                              r"in K=8 real symbols needs K/2 x K/2"):
             design_from_dict(doc)
 
+    @pytest.mark.parametrize("weights, message", [
+        ([[1]], r"design weights must be \[re, im\] pairs, got an array of shape \(1, 1\)"),
+        ([[[[1, 2, 3]]]], r"\[re, im\] pairs, got an array of shape \(1, 1, 1, 3\)"),
+        ([], "a design needs at least one real symbol, got K=0"),
+    ], ids=["number", "triple", "empty"])
+    def test_weights_not_pairs_refused(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            design_from_dict({"family": "x", "weights": weights, "partition": [[0]]})
+
     @pytest.mark.parametrize("t1", [1, 2, 3])
     def test_relay_free_round_trip_bit_exact(self, tmp_path, t1):
         # JSON keeps no axis after an empty one: the (2*t1, 0, 0) weights
@@ -513,7 +522,11 @@ def test_build_family_dispatch():
     ("direct", None, None, "family 'direct' needs t1"),
     ("cda", 2.0, None, "relays must be an integer of at least 0, got 2.0"),
     ("toeplitz", 2, True, "t1 must be an integer of at least 0, got True"),
-])
+    # a JSON list once ended in a TypeError traceback, unhashable as a key
+    (["pciod"], 4, None, "unknown family ['pciod']"),
+], ids=["cda-relays", "cda-t1", "ciod4-relays", "pciod-t1", "direct-relays",
+        "toeplitz-no-t1", "pciod-no-relays", "direct-no-t1", "relays-float", "t1-bool",
+        "family-list"])
 def test_build_family_refuses_a_count_the_design_has_not(family, relays, t1, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build_family(family, relays, t1)

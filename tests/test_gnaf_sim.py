@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import pickle
@@ -21,7 +22,8 @@ from dstc.gnaf_sim import (ChannelRealization, NoiseDraw, ProtocolParams,
                            SimConfig, SimResult, column_gains, draw_noise,
                            effective_matrix, make_rng, noise_cov,
                            protocol_params, relay_noise_cov, results_to_csv,
-                           run_monte_carlo, sample_channel, simulate_trial)
+                           run_monte_carlo, sample_channel, simulate_trial,
+                           snr_power)
 from dstc.precoding import default_lattice
 from dstc.receivers import (ResourceGuardError, lattice_codebook, pam_codebook,
                             qam_codebook)
@@ -555,6 +557,38 @@ def test_grouped_ml_on_direct_decides_as_joint_ml():
     assert [(r.errors, r.fallbacks) for r in res["grouped-ml"]] == [
         (r.errors, 0) for r in res["joint-ml"]]
     assert all(r.errors > 0 for r in res["joint-ml"])
+
+
+def _qam4_rayleigh_ser(gamma: float) -> float:
+    """Exact average SER of 4-QAM on one Rayleigh-faded complex symbol at
+    mean SNR ``gamma``: 2q - q^2 of the per-coordinate error q, averaged
+    over the fade in Craig's form (Simon and Alouini, Digital Communication
+    over Fading Channels, ch. 8), with mu = sqrt(gamma / (1 + gamma))."""
+    mu = math.sqrt(gamma / (1.0 + gamma))
+    return (1.0 - mu) - 0.25 * (1.0 - 4.0 / math.pi * mu * math.atan(1.0 / mu))
+
+
+@pytest.mark.parametrize("pi", [(1.0, 1.0, 1.0), (0.5, 1.0, 1.0)])
+def test_direct_ser_is_its_closed_form(pi):
+    # Direct transmission with t1 = 1 sends one 4-QAM symbol per trial as
+    # a = sqrt(pi1 P) g0 times the symbol plus unit complex noise, so each
+    # trial is one decision and the error count is binomial with the
+    # closed-form SER at gamma = pi1 P. ZF, MMSE and joint ML decide alike
+    # there (MMSE scales the ZF estimate by a positive number, and 4-QAM
+    # decides by quadrant), and the draws do not depend on the receiver,
+    # so the three counts must be equal and the gate runs once per point.
+    # Exact binomial tails put P(|z| > 4) at 6.3e-5 to 1.0e-4 per point, so
+    # the 8 points of the two parametrizations falsely fail with
+    # probability below 5.7e-4. The seed was fixed before any run.
+    counts = {rx: [(r.snr_db, r.trials, r.errors) for r in run_monte_carlo(SimConfig(
+        design=direct_design(1), codebook=qam_codebook(1, 4), variant="direct", pi=pi,
+        snr_db=(0.0, 10.0, 20.0, 30.0), trials=200_000, receiver=rx, seed=2026))]
+        for rx in ("zf", "mmse", "joint-ml")}
+    assert counts["zf"] == counts["mmse"] == counts["joint-ml"]
+    for snr_db, n, errors in counts["zf"]:
+        p = _qam4_rayleigh_ser(pi[0] * snr_power(snr_db))
+        z = (errors - n * p) / math.sqrt(n * p * (1.0 - p))
+        assert abs(z) <= 4.0, (snr_db, errors, n * p, z)
 
 
 _BLOCK_CASES = [(v, r) for v in gnaf_sim.VARIANTS for r in gnaf_sim._RECEIVERS]
