@@ -113,9 +113,13 @@ def _resolve_codebook(d: Design, spec) -> Codebook:
     spec = {**_DEFAULT_CONSTELLATION, **spec}
     kind, points = spec["type"], spec["points"]
     check_count("points", points, 2)
-    if "rotation_file" in spec and kind != "lattice":
-        raise ValueError(f"config entry 'rotation_file' is read only for a lattice, "
-                         f"not for type {kind!r}")
+    if "rotation_file" in spec:
+        _check_type("rotation_file", spec["rotation_file"], str, "a string")
+        if not spec["rotation_file"]:
+            raise ValueError("config entry 'rotation_file' must name a file, got ''")
+        if kind != "lattice":
+            raise ValueError(f"config entry 'rotation_file' is read only for a "
+                             f"lattice, not for type {kind!r}")
     if not d.r and kind == "lattice":
         raise ValueError("direct transmission takes a qam or pam "
                          "constellation, not a lattice")
@@ -128,8 +132,7 @@ def _resolve_codebook(d: Design, spec) -> Codebook:
     if kind == "lattice":
         # Codebook refuses groups of another size than the lattice's
         n = len(partition[0])
-        if spec.get("rotation_file"):
-            _check_type("rotation_file", spec["rotation_file"], str, "a string")
+        if "rotation_file" in spec:
             g = load_rotation(spec["rotation_file"])
             lattice = RotatedLattice(n, g, pam_alphabet(points))
         else:

@@ -436,12 +436,19 @@ def _c2pair(a: np.ndarray):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _pair2c(v, ndim: int) -> np.ndarray:
+def _pair2c(v, ndim: int, name: str) -> np.ndarray:
     """The complex array of ``ndim`` axes that _c2pair wrote. JSON keeps no
-    axis after an empty one, so an empty array gets its missing axes back."""
+    axis after an empty one, so an empty array gets its missing axes back.
+
+    Raises ValueError naming ``name`` and the array's shape unless a
+    nonempty array holds [re, im] pairs on its last axis.
+    """
     a = np.asarray(v, dtype=np.float64)
     if not a.size:
         return np.zeros(a.shape + (0,) * (ndim - a.ndim), dtype=np.complex128)
+    if a.shape[-1:] != (2,):
+        raise ValueError(f"{name} must be [re, im] pairs, got an array "
+                         f"of shape {a.shape}")
     return (a[..., 0] + 1j * a[..., 1]).astype(np.complex128)
 
 
@@ -461,20 +468,17 @@ def design_from_dict(obj: dict) -> Design:
     """The design a dict of design_to_dict's keys describes.
 
     Raises ValueError naming a missing ``family``, ``weights`` or
-    ``partition`` key, weights that are not [re, im] pairs, or a ``t``,
-    ``r`` or ``k`` that disagrees with the weights.
+    ``partition`` key, weights or a precode side that are not [re, im]
+    pairs, or a ``t``, ``r`` or ``k`` that disagrees with the weights.
     """
     for key in ("family", "weights", "partition"):
         if key not in obj:
             raise ValueError(f"design file has no {key!r} key")
     pre = None
     if obj.get("precode") is not None:
-        pre = PrecodePair(_pair2c(obj["precode"]["p"], 2), _pair2c(obj["precode"]["q"], 2))
-    w = np.asarray(obj["weights"], dtype=np.float64)
-    if w.size and w.shape[-1] != 2:
-        raise ValueError(f"design weights must be [re, im] pairs, got an array "
-                         f"of shape {w.shape}")
-    d = Design(family=obj["family"], weights=_pair2c(w, 3),
+        pre = PrecodePair(*(_pair2c(obj["precode"][side], 2, f"precode {side}")
+                            for side in ("p", "q")))
+    d = Design(family=obj["family"], weights=_pair2c(obj["weights"], 3, "design weights"),
                partition=tuple(tuple(g) for g in obj["partition"]),
                precode=pre)
     _check_agrees(obj, {"t": d.t, "r": d.r, "k": d.k}, "design file", "its weights have")

@@ -50,8 +50,14 @@ tasks. A batch draws all its randomness at once, then forms (z, G) for
 and decides its draws in equal blocks, sized as if their model matrices
 had to fit ``_BLOCK_BYTES``, and joint ML scores the codebook in fixed
 chunks of candidates; so the memory of a task grows with its batch size only by the
-per-draw random inputs, and with the codebook not at all. The calling
-process is one of the workers. With more than one, no
+per-draw random inputs, and with the codebook not at all. Each worker
+owns one workspace (matkernel.Workspace) for the sweep, which the call
+drops when it returns. A batch and its blocks take their arrays from it
+(_run_batch), so after its first batch a worker allocates almost nothing
+of batch or block size, and glibc has no freed heap to trim and fault
+in again. Arrays from the workspace are overwritten by their next user:
+a block's (z, G) are valid until the next block, and a caller that keeps
+them copies them. The calling process is one of the workers. With more than one, no
 more than the usable cores or the task count, it starts one pool of
 helpers that receive the config, the relay set, the task list and a
 shared task counter once, at start-up. Helpers are forked from the
@@ -70,6 +76,7 @@ returns, and the server reaps it.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import numbers
@@ -80,8 +87,9 @@ import numpy as np
 
 from . import matkernel
 from .designs import Design, RelayMatrixSet, check_count, relay_matrix_set
-from .receivers import (Codebook, MlTable, gram_crossterm, ml_grouped,
-                        ml_joint, ml_table, mmse_detect, zf_detect)
+from .receivers import (Codebook, MlTable, SlicerTable, gram_crossterm,
+                        ml_grouped, ml_joint, ml_table, mmse_detect,
+                        slicer_table, zf_detect)
 
 VARIANTS = ("gnaf1", "gnaf2", "gnaf3", "jh", "direct")
 _RECEIVERS = ("joint-ml", "grouped-ml", "zf", "mmse")
@@ -93,13 +101,17 @@ def make_rng(master_seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
+def crandn(rng: np.random.Generator, *shape: int,
+           out: np.ndarray | None = None) -> np.ndarray:
     """i.i.d. circularly symmetric complex Gaussian, unit variance.
 
     Each complex draw is a consecutive (real, imaginary) pair of standard
-    normals, scaled in place and viewed as complex128.
+    normals, scaled in place and viewed as complex128. The normals are
+    written into ``out``, a C-contiguous float64 array of shape
+    ``shape + (2,)``, when it is given; they are the bits a fresh draw
+    would have.
     """
-    z = rng.standard_normal(tuple(shape) + (2,))
+    z = rng.standard_normal(tuple(shape) + (2,), out=out)
     z *= 1.0 / np.sqrt(2.0)
     return z.view(np.complex128)[..., 0]
 
@@ -271,14 +283,24 @@ def simulate_trial(d: Design, params: ProtocolParams,
 # effective real-linear receiver model
 # ---------------------------------------------------------------------------
 
-def column_gains(rs: RelayMatrixSet, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def column_gains(rs: RelayMatrixSet, f: np.ndarray, g: np.ndarray,
+                 ws: matkernel.Workspace | None = None) -> np.ndarray:
     """Effective gain per design column: g_i f_i, conjugating relays g_i f_i^*.
 
     ``f`` and ``g`` hold the relay link gains in relay order on their last
     axis, (..., R); the result has the same shape, in design-column order.
+    It and its scratch are taken from ``ws`` when given.
     """
-    h = np.empty(np.shape(g), dtype=np.complex128)
-    h[..., list(rs.columns)] = g * np.where(rs.conj, np.conj(f), f)
+    ws = matkernel.Workspace() if ws is None else ws
+    # first f, conjugated for the conjugating relays, in relay order
+    h = ws.array("gains.columns", np.shape(f), np.complex128)
+    np.copyto(h, f)
+    np.conjugate(h, out=h, where=np.array(rs.conj, dtype=bool))
+    # the product goes to another array: numpy may multiply in place by
+    # another loop, whose last bits differ
+    product = np.multiply(g, h, out=ws.array("gains.product", np.shape(g),
+                                              np.complex128))
+    h[..., list(rs.columns)] = product
     return h
 
 
@@ -317,18 +339,26 @@ def _relay_table(d: Design, params: ProtocolParams) -> np.ndarray:
     return table.reshape(2 * c, params.t2 * 2 * (k + 1))
 
 
-def _relay_gains(params: ProtocolParams, g0: np.ndarray,
-                 h_cols: np.ndarray) -> np.ndarray:
+def _relay_gains(params: ProtocolParams, g0: np.ndarray, h_cols: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """[Re c, Im c] per draw, (B, 2C), for the slabs of _relay_table.
 
     The design columns' gains h, and for ``gnaf1`` the source's
-    cooperation-phase gain relative to the front factor, c_a0 g0.
+    cooperation-phase gain relative to the front factor, c_a0 g0, in the
+    last slab. Written into ``out`` when given.
     """
+    b, r = h_cols.shape
+    c = r + (params.variant == "gnaf1")
+    out = np.empty((b, 2 * c)) if out is None else out
+    out[:, :r] = h_cols.real
+    out[:, c:c + r] = h_cols.imag
     if params.variant == "gnaf1":
         p, pi1, pi2, pi3 = params.p, params.pi1, params.pi2, params.pi3
         c_a0 = np.sqrt(pi2 * (pi1 * p + 1.0) / (pi3 * pi1 * p))
-        h_cols = np.concatenate([h_cols, (c_a0 * g0)[:, None]], axis=1)
-    return np.concatenate([h_cols.real, h_cols.imag], axis=1)
+        # Re and Im of c_a0 g0, each one rounding, as the complex product
+        np.multiply(g0.real, c_a0, out=out[:, r])
+        np.multiply(g0.imag, c_a0, out=out[:, -1])
+    return out
 
 
 def effective_matrix(d: Design, params: ProtocolParams,
@@ -366,17 +396,25 @@ def effective_matrix(d: Design, params: ProtocolParams,
 
 
 def omega_diagonals(params: ProtocolParams, rs: RelayMatrixSet,
-                    g: np.ndarray) -> np.ndarray:
+                    g: np.ndarray,
+                    ws: matkernel.Workspace | None = None) -> np.ndarray:
     """Diagonal of the noise covariance per trial, shape (B, rows).
 
     Valid for row-orthogonal relay sets, where the covariance is diagonal.
+    The diagonal and its scratch are taken from ``ws`` when given.
     """
+    ws = matkernel.Workspace() if ws is None else ws
     b = g.shape[0]
     row_energy = np.einsum("itt->it", rs.grams).real
-    lower = 1.0 + params.amplify * (np.abs(g) ** 2) @ row_energy   # (b, t2)
-    if params.variant == "jh":
-        return lower
-    return np.concatenate([np.ones((b, params.t1)), lower], axis=1)
+    out = ws.array("omega", (b, params.rows))
+    coop = params.rows - params.t2
+    out[:, :coop] = 1.0
+    power = np.abs(g, out=ws.array("omega.power", g.shape))
+    np.square(power, out=power)
+    power *= params.amplify
+    lower = np.matmul(power, row_energy, out=out[:, coop:])       # (b, t2)
+    lower += 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -513,57 +551,70 @@ _BLOCK_BYTES = 1 << 19
 
 
 def _run_batch(cfg: SimConfig, rs: RelayMatrixSet, snr_idx: int,
-               batch_idx: int, n: int):
+               batch_idx: int, n: int, ws: matkernel.Workspace | None = None):
     """Simulate one batch of trials; ``rs`` is the design's relay set.
 
     The batch's randomness is drawn first, whole and in its keyed order:
     channels, symbols, noise. The design's weight table (_relay_table), the
     draws' real gains and their noise diagonal on the cooperation rows
-    (omega_diagonals) are laid out once per batch, as is the candidate
-    table (ml_table) of the ML receiver that runs. The sufficient
+    (omega_diagonals) are laid out once per batch, as is the table of the
+    receiver that runs: the candidate table (ml_table) of an ML receiver,
+    the slicer levels (slicer_table) of a linear one. The sufficient
     statistics (z, G) of the whitened model and the decisions then run
     over equal blocks of draws, as few as keep each block's model matrices,
     were they built, within ``_BLOCK_BYTES``. (z, G) are formed once per
     block, from the gains and without the model (_whitened_stats), and
-    every detector and the grouped-ML decodability check read them. So
-    apart from the per-draw random inputs and decisions, the memory of a
-    batch does not grow with its size.
+    every detector and the grouped-ML decodability check read them.
+
+    The arrays of batch or block size are taken from the workspace ``ws``
+    (a fresh one when None): the draws, symbols and decisions, the gains
+    and noise diagonal, the kernel's rows and [G | z], and the ML
+    coefficients and scores. A worker passes one workspace to all its
+    batches, so after its first batch it faults in no fresh memory for
+    them. Left to numpy's own allocation, being short-lived: each group's
+    symbol draw, the gathers of G's entries for ML and the decodability
+    check (numpy gathers only into a new array), and the linear
+    receivers' elimination. A block's (z, G) are valid until the next
+    block.
 
     Returns (symbol errors, decisions, fallbacks, erasures).
     """
+    ws = matkernel.Workspace() if ws is None else ws
     params = protocol_params(cfg.design, snr_power(cfg.snr_db[snr_idx]),
                              cfg.variant, cfg.pi, rs=rs)
     book = cfg.codebook
     rng = make_rng(cfg.seed, snr_idx, batch_idx)
 
     # channels
-    z = crandn(rng, n, 2 * params.r + 1)
+    z = crandn(rng, n, 2 * params.r + 1, out=ws.array("channels", (n, 2 * params.r + 1, 2)))
     g0, f, g = z[:, 0], z[:, 1:params.r + 1], z[:, params.r + 1:]
 
     # symbols
-    tx = np.zeros((n, book.n_groups), dtype=np.intp)
+    tx = ws.array("tx", (n, book.n_groups), np.intp)
     for gi, sz in enumerate(book.group_sizes):
         tx[:, gi] = rng.integers(0, sz, size=n)
-    x = book.assemble(tx)
+    x = book.assemble(tx, out=ws.array("x", (n, book.k)))
 
     # unit white noise on the whitened receive vector
-    noise = crandn(rng, n, params.rows)
+    noise = crandn(rng, n, params.rows, out=ws.array("noise", (n, params.rows, 2)))
 
     per_block = max(1, _BLOCK_BYTES // (16 * params.rows * book.k))
     blocks = -(-n // per_block)
     edges = [n * i // blocks for i in range(blocks + 1)]
-    dec = np.empty((n, book.n_groups), dtype=np.intp)
+    dec = ws.array("decisions", (n, book.n_groups), np.intp)
     fallbacks = 0
     table = _relay_table(cfg.design, params)
-    gains = _relay_gains(params, g0, column_gains(rs, f, g))
-    omega = omega_diagonals(params, rs, g)[:, params.rows - params.t2:]
-    ml = None
+    gains = _relay_gains(params, g0, column_gains(rs, f, g, ws),
+                         ws.array("gains", (n, table.shape[0])))
+    omega = omega_diagonals(params, rs, g, ws)[:, params.rows - params.t2:]
     if cfg.receiver in ("joint-ml", "grouped-ml"):
-        ml = ml_table(book, grouped=cfg.receiver == "grouped-ml")
+        receiver_table = ml_table(book, grouped=cfg.receiver == "grouped-ml")
+    else:
+        receiver_table = slicer_table(book)
     for blk in map(slice, edges, edges[1:]):
         dec[blk], block_fallbacks = _detect(cfg.receiver, *_whitened_stats(
-            params, x[blk], noise[blk], g0[blk], table, gains[blk], omega[blk]),
-            book, ml)
+            params, x[blk], noise[blk], g0[blk], table, gains[blk], omega[blk], ws),
+            book, receiver_table, ws)
         fallbacks += block_fallbacks
 
     errors = int(np.sum(dec != tx))
@@ -573,7 +624,8 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet, snr_idx: int,
 
 def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
                     g0: np.ndarray, table: np.ndarray, gains: np.ndarray,
-                    omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    omega: np.ndarray, ws: matkernel.Workspace | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Sufficient statistics (z, G) of a block of draws, from their gains.
 
     For the whitened compact model y = M X + noise of every draw, with
@@ -592,65 +644,87 @@ def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
     are orthogonal with squared norm |a|^2 per column, so they add |a|^2 I
     to G and |a|^2 x + realify(conj(a) n_top) to z without being formed;
     ``jh`` has no such rows.
+
+    The relay rows, [G | z] and the temporaries of K or more entries per
+    draw are taken from ``ws`` (a fresh one when None): z and G are views
+    of the workspace's [G | z], valid until the next call that is given
+    the same workspace.
     """
+    ws = matkernel.Workspace() if ws is None else ws
     b, k = x.shape
     t2 = params.t2
-    aug = (gains @ table).reshape(b, t2, 2 * (k + 1))
-    aug *= (params.scale / np.sqrt(omega))[:, :, None]
+    aug = np.matmul(gains, table, out=ws.array("stats.rows", (b, table.shape[1])))
+    aug = aug.reshape(b, t2, 2 * (k + 1))
+    weight = np.sqrt(omega, out=ws.array("stats.weight", omega.shape))
+    np.divide(params.scale, weight, out=weight)
+    aug *= weight[:, :, None]
     aug = aug.reshape(b, 2 * t2, k + 1)
-    aug[..., k] = np.einsum("bjk,bk->bj", aug[..., :k], x)
-    aug[..., k] += noise[:, params.rows - t2:].view(np.float64)
-    zg = np.swapaxes(aug[..., :k], -1, -2) @ aug
+    y = np.einsum("bjk,bk->bj", aug[..., :k], x, out=ws.array("stats.y", (b, 2 * t2)))
+    y += noise[:, params.rows - t2:].view(np.float64)
+    aug[..., k] = y
+    zg = np.matmul(np.swapaxes(aug[..., :k], -1, -2), aug,
+                   out=ws.array("stats.zg", (b, k, k + 1)))
     z, gram = zg[..., k], zg[..., :k]
     if params.variant != "jh":
         a = _direct_gain(params, g0)
         a2 = a.real ** 2 + a.imag ** 2
-        i = np.arange(k)
-        gram[:, i, i] += a2[:, None]
-        z += a2[:, None] * x
-        z += (np.conj(a)[:, None] * noise[:, :k // 2]).view(np.float64)
+        # G's diagonal, a writable strided view of [G | z]
+        zg.reshape(b, k * (k + 1))[:, ::k + 2] += a2[:, None]
+        z += np.multiply(a2[:, None], x, out=ws.array("stats.direct", (b, k)))
+        z += np.multiply(np.conj(a)[:, None], noise[:, :k // 2],
+                         out=ws.array("stats.matched", (b, k // 2), np.complex128)
+                         ).view(np.float64)
     return z, gram
 
 
 def _detect(receiver: str, z: np.ndarray, gram: np.ndarray, book: Codebook,
-            table: MlTable | None = None) -> tuple[np.ndarray, int]:
+            table: MlTable | SlicerTable | None = None,
+            ws: matkernel.Workspace | None = None
+            ) -> tuple[np.ndarray, int]:
     """Decisions of ``receiver`` on a block's (z, G), and its fallback count.
 
     ``receiver`` is one of _RECEIVERS (SimConfig refuses any other), and
-    ``table`` the batch's ml_table of ``book`` for the ML receiver that
-    runs, joint or grouped. Grouped ML re-decides the draws whose whitened
-    model couples its groups by joint ML, which then builds its own table;
-    such draws are rare, and no pinned sweep has one.
+    ``table`` the batch's table of ``book`` for the receiver that runs:
+    ml_table, joint or grouped, for ML, slicer_table for ZF and MMSE.
+    Grouped ML re-decides the draws whose whitened model couples its
+    groups by joint ML, which then builds its own table; such draws are
+    rare, and no pinned sweep has one. The decodability check's zero test
+    is relative to G's largest entry, which for the positive semidefinite
+    G is the largest on its diagonal. The ML coefficients and scores are
+    taken from ``ws``.
     """
     if receiver == "joint-ml":
-        return ml_joint(z, gram, book, table), 0
+        return ml_joint(z, gram, book, table, ws), 0
     if receiver == "grouped-ml":
-        dec = ml_grouped(z, gram, book, table)
+        dec = ml_grouped(z, gram, book, table, ws)
         # grouped ML is exact only where the whitened model decomposes
         worst = gram_crossterm(gram, book.groups)
-        coupled = worst > matkernel.zero_threshold(np.max(np.abs(gram), axis=(1, 2)))
+        # G's diagonal is a sum of squares, so 0 is a neutral start
+        scale = np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1, initial=0.0)
+        coupled = worst > matkernel.zero_threshold(scale)
         if np.any(coupled):
             dec[coupled] = ml_joint(z[coupled], gram[coupled], book)
         return dec, int(np.sum(coupled))
     if receiver == "zf":
-        return zf_detect(z, gram, book), 0
-    return mmse_detect(z, gram, book), 0
+        return zf_detect(z, gram, book, table), 0
+    return mmse_detect(z, gram, book, table), 0
 
 
 def _drain(cfg: SimConfig, rs: RelayMatrixSet,
            tasks: list[tuple[int, int, int]], counter) -> list:
     """Claim tasks from the shared counter and run them until none is left.
 
-    Returns the (task index, batch result) pairs this process ran.
+    Returns the (task index, batch result) pairs this process ran. Its
+    batches share one workspace, dropped on return.
     """
-    done = []
+    done, ws = [], matkernel.Workspace()
     while True:
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
         if index >= len(tasks):
             return done
-        done.append((index, _run_batch(cfg, rs, *tasks[index])))
+        done.append((index, _run_batch(cfg, rs, *tasks[index], ws)))
 
 
 # A helper's (config, relay set, tasks, counter), set once by _init_worker.
@@ -697,7 +771,10 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     shared counter, which the helpers then claim from too. If the caller
     ran every batch, it waits for the pool to be up and stops the
     helpers, some of them maybe still starting; otherwise their parts are
-    collected. Either way every helper exits within this call.
+    collected. Either way every helper exits within this call, and the
+    pool is released before it returns: helpers stopped before they ran
+    their drain job leave the job pending in the pool, and that reference
+    cycle, which holds the pool's named semaphores, is collected here.
 
     Raises ValueError before any batch runs for a design the batched model
     would get wrong: a design that does not match the variant (the
@@ -764,7 +841,7 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
         starter.join()
         if isinstance(started[0], BaseException):
             raise started[0]
-        pool, jobs = started[0]
+        pool, jobs = started.pop()
         with pool:
             # if the caller ran every task no helper holds one, and leaving
             # the block stops them all, those still starting included
@@ -773,9 +850,18 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
                     done += job.get()
                 pool.close()
                 pool.join()
+        if not all(job.ready() for job in jobs):
+            # a drain job that no helper ran stays in the stopped pool's
+            # cache, which points back at the pool: once these are the
+            # last outside references (started is empty), the cycle would
+            # hold the pool's queues and the counter, with their named
+            # semaphores, until the cyclic collector ran
+            del pool, jobs
+            gc.collect()
         parts = [part for _, part in sorted(done)]
     else:
-        parts = [_run_batch(cfg, rs, *t) for t in tasks]
+        ws = matkernel.Workspace()
+        parts = [_run_batch(cfg, rs, *t, ws) for t in tasks]
 
     results = []
     for si in range(len(cfg.snr_db)):

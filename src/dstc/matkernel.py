@@ -7,14 +7,43 @@ so exactness of the algebraic identities matters more than speed; the PD
 inverse square root goes through a full Hermitian eigendecomposition rather
 than an iteration, and refuses only what that eigensolver cannot tell apart
 from a singular matrix, not what the zero test would call ill conditioned.
+
+``Workspace`` is the one place scratch arrays outlive a call: the Monte
+Carlo gives each of its workers one per sweep, and the batch path
+(gnaf_sim and the detectors in receivers) takes its arrays of batch or
+block size from it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 # Relative zero tolerance, used package-wide (see zero_threshold).
 REL_TOL = 1e-9
+
+
+class Workspace:
+    """Named scratch arrays, reused by every call that is given the workspace.
+
+    ``array(name, shape, dtype)`` returns a C-contiguous array over the
+    buffer kept under ``name``: allocated on first use, grown when a later
+    call needs more, never shrunk. Its entries are whatever the last user
+    of ``name`` left, so a caller writes every entry before it reads one,
+    and an array stays valid only until the next request for its name.
+    Dropping the workspace frees every buffer.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def as_cmatrix(m) -> np.ndarray:

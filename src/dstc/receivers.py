@@ -113,10 +113,13 @@ class Codebook:
     def size(self) -> int:
         return math.prod(self.group_sizes)
 
-    def assemble(self, indices: np.ndarray) -> np.ndarray:
-        """Real symbol vectors from per-group point indices (..., n_groups)."""
+    def assemble(self, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Real symbol vectors from per-group point indices (..., n_groups).
+
+        Written into ``out``, of shape (..., K), when given.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        x = np.zeros(idx.shape[:-1] + (self.k,))
+        x = np.zeros(idx.shape[:-1] + (self.k,)) if out is None else out
         for g, (grp, vals) in enumerate(zip(self.groups, self.group_values)):
             x[..., list(grp)] = vals[idx[..., g]]
         return x
@@ -248,7 +251,8 @@ def gram_crossterm(gram: np.ndarray, groups) -> np.ndarray:
     gram = np.asarray(gram)
     label = _group_labels(groups, gram.shape[-1])
     rows, cols = np.nonzero(label[:, None] != label[None, :])
-    return np.max(np.abs(gram[..., rows, cols]), axis=-1, initial=0.0)
+    cross = gram[..., rows, cols]
+    return np.max(np.abs(cross, out=cross), axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +329,8 @@ def _candidate_rows(codebook: Codebook, grouped: bool, pairs,
 
 
 def _ml_argmin(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
-               grouped: bool, table: MlTable | None) -> np.ndarray:
+               grouped: bool, table: MlTable | None,
+               ws: matkernel.Workspace | None) -> np.ndarray:
     """Lowest-index argmin of the ML score in each segment of candidates.
 
     Joint ML has one segment, the codebook; grouped ML one per group
@@ -334,24 +339,29 @@ def _ml_argmin(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
     a segment cut by a chunk boundary keeps a running minimum that moves
     only on a strict <, so the lowest index wins a tie, and memory depends
     on the chunk, not on the candidate count. Segments of one size within
-    one chunk take one argmin over a reshape.
+    one chunk take one argmin over a reshape. The draws' coefficient rows
+    and each chunk's scores are taken from ``ws`` when given.
     """
     if table is None:
         table = ml_table(codebook, grouped)
+    ws = matkernel.Workspace() if ws is None else ws
     sizes = codebook.group_sizes if grouped else (codebook.size,)
     bounds = np.cumsum((0,) + sizes)
+    n, k = z.shape
     i, j = table.pairs
+    p = len(i)
     # pairs of indices, not flat ones: G is often a strided view (the
     # Monte Carlo's [G | z]), which a flat np.take would first copy
-    coef = np.concatenate([gram[:, i, j], z], axis=1)
-    n = len(z)
+    coef = ws.array("ml.coef", (n, p + k))
+    coef[:, :p] = gram[:, i, j]
+    coef[:, p:] = z
     out = np.empty((n, len(sizes)), dtype=np.intp)
     best = np.empty((n, len(sizes)))
     for start in range(0, bounds[-1], _ML_CHUNK):
         stop = min(start + _ML_CHUNK, bounds[-1])
         rows = (table.rows[start:stop] if table.rows is not None else
                 _candidate_rows(codebook, grouped, table.pairs, start, stop))
-        scores = coef @ rows.T
+        scores = np.matmul(coef, rows.T, out=ws.array("ml.scores", (n, stop - start)))
         if stop - start == bounds[-1] and len(set(sizes)) == 1:
             return np.argmin(scores.reshape(n, len(sizes), sizes[0]), axis=-1)
         for s in range(len(sizes)):
@@ -372,36 +382,94 @@ def _ml_argmin(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
 
 
 def ml_joint(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
-             table: MlTable | None = None) -> np.ndarray:
+             table: MlTable | None = None,
+             ws: matkernel.Workspace | None = None) -> np.ndarray:
     """Exhaustive ML decision on (z, G), returned as per-group point indices.
 
     Guarded against oversized codebooks; ties resolve to the lowest flat
     codeword index. ``table`` is ml_table(codebook), built by the call when
     not given; past one chunk the codewords are built chunk by chunk from
-    their flat indices, so no table of the whole codebook is formed.
+    their flat indices, so no table of the whole codebook is formed. The
+    coefficient and score arrays come from ``ws`` when given.
     """
     if codebook.size > ML_SIZE_GUARD:
         raise ResourceGuardError(f"codebook size {codebook.size} exceeds ML guard")
-    return codebook.flat_to_indices(_ml_argmin(z, gram, codebook, False, table)[:, 0])
+    return codebook.flat_to_indices(_ml_argmin(z, gram, codebook, False, table, ws)[:, 0])
 
 
 def ml_grouped(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
-               table: MlTable | None = None) -> np.ndarray:
+               table: MlTable | None = None,
+               ws: matkernel.Workspace | None = None) -> np.ndarray:
     """Per-group ML decisions (valid when the model decomposes across groups).
 
     Searches sum(group sizes) candidates instead of their product: group g
     is scored on its own entries z_g and diagonal block G_gg, every group
     by the same GEMM. ``table`` is ml_table(codebook, grouped=True), built
-    by the call when not given. The lowest index within a group wins a tie.
+    by the call when not given, and ``ws`` as for ml_joint. The lowest
+    index within a group wins a tie.
     """
-    return _ml_argmin(z, gram, codebook, True, table)
+    return _ml_argmin(z, gram, codebook, True, table, ws)
 
 
 # ---------------------------------------------------------------------------
 # linear receivers
 # ---------------------------------------------------------------------------
 
-def _slice_groups(xhat: np.ndarray, codebook: Codebook) -> np.ndarray:
+@dataclass(frozen=True)
+class Levels:
+    """A value table prepared for slicing (_nearest_values).
+
+    ``u`` holds the table's sorted distinct values. For each neighbouring
+    pair of them ``pick`` holds the table index of the lower value, of the
+    upper one, and of the one a tie goes to (the lower index); ``first`` is
+    the table index of the least value, the only one when all are equal.
+    An estimate is sliced by the two-value rule only where |v| <= ``bound``
+    (_nearest_values).
+    """
+
+    values: np.ndarray
+    u: np.ndarray
+    first: int
+    pick: np.ndarray
+    bound: float
+
+
+def _levels(values: np.ndarray) -> Levels:
+    u, first = np.unique(values, return_index=True)
+    pick = np.stack([first[:-1], first[1:], np.minimum(first[:-1], first[1:])],
+                    axis=-1).ravel()
+    bound = np.inf
+    if len(u) > 2:
+        gap = np.min(np.diff(u))
+        bound = gap * 2.0 ** 40 - np.max(np.abs(u)) if gap > 2.0 ** -500 else -1.0
+    return Levels(values, u, int(first[0]), pick, float(bound))
+
+
+# One entry per set of coordinates sliced together: the groups, and the
+# levels their coordinates are sliced against (slicer_table).
+SlicerTable = tuple[tuple[tuple[int, ...], Levels], ...]
+
+
+def slicer_table(codebook: Codebook) -> SlicerTable:
+    """The levels the linear receivers slice ``codebook``'s coordinates to.
+
+    A lattice codebook has one entry: every group, against the lattice's
+    levels. Otherwise one-coordinate groups that share a value table share
+    an entry; other groups have none. Fixed per codebook: the Monte Carlo
+    builds it once per batch, as it does ml_table.
+    """
+    lat = codebook.lattice
+    if lat is not None:
+        return ((tuple(range(codebook.n_groups)), _levels(lat.base)),)
+    scalar = {}            # value table bytes -> (values, group indices)
+    for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
+        if len(grp) == 1:
+            scalar.setdefault(vals.tobytes(), (vals[:, 0], []))[1].append(g)
+    return tuple((tuple(gs), _levels(values)) for values, gs in scalar.values())
+
+
+def _slice_groups(xhat: np.ndarray, codebook: Codebook,
+                  table: SlicerTable | None = None) -> np.ndarray:
     """Nearest constellation point per group.
 
     A lattice codebook rotates each group back (x_g @ G, G the lattice's
@@ -410,46 +478,44 @@ def _slice_groups(xhat: np.ndarray, codebook: Codebook) -> np.ndarray:
     group in the order of points(). Otherwise one-coordinate groups that
     share a value table are sliced together (_nearest_values), and other
     groups take the nearest table row. The lowest index wins a tie.
+    ``table`` is slicer_table(codebook), built by the call when not given.
     """
+    if table is None:
+        table = slicer_table(codebook)
     lat = codebook.lattice
     if lat is not None:
+        [(_, levels)] = table
         a = np.stack([xhat[:, list(grp)] @ lat.g for grp in codebook.groups], axis=1)
-        coord = _nearest_values(a, lat.base)
+        coord = _nearest_values(a, levels)
         return np.ravel_multi_index(tuple(np.moveaxis(coord, -1, 0)),
                                     (len(lat.base),) * lat.n)
     out = np.zeros((xhat.shape[0], codebook.n_groups), dtype=np.intp)
-    scalar = {}            # value table bytes -> (values, group indices)
     for g, (grp, vals) in enumerate(zip(codebook.groups, codebook.group_values)):
-        if len(grp) == 1:
-            scalar.setdefault(vals.tobytes(), (vals[:, 0], []))[1].append(g)
-        else:
+        if len(grp) > 1:
             seg = xhat[:, list(grp)]
             d2 = np.sum((seg[:, None, :] - vals[None, :, :]) ** 2, axis=-1)
             out[:, g] = np.argmin(d2, axis=-1)
-    for values, gs in scalar.values():
-        out[:, gs] = _nearest_values(xhat[:, [codebook.groups[g][0] for g in gs]], values)
+    for gs, levels in table:
+        out[:, gs] = _nearest_values(xhat[:, [codebook.groups[g][0] for g in gs]], levels)
     return out
 
 
-def _nearest_values(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _nearest_values(v: np.ndarray, levels: Levels) -> np.ndarray:
     """argmin_j of the computed (v - values_j)^2 for every entry of ``v``.
 
-    The lowest index j wins a tie, as with np.argmin over the whole table.
-    Along the sorted distinct values the computed squared distance falls,
-    then rises, so its minimum lies at one of the two values around v
-    (searchsorted) and only those two are scored. A third value can share
-    that minimum only through rounding: by subtraction when |v| + max|values|
-    exceeds 2^40 times the least gap between distinct values, or by
-    underflow when that gap is below 2^-500. Such entries, and NaN, take
-    the full argmin.
+    ``levels`` is the value table prepared by _levels. The lowest index j
+    wins a tie, as with np.argmin over the whole table. Along the sorted
+    distinct values the computed squared distance falls, then rises, so
+    its minimum lies at one of the two values around v (searchsorted) and
+    only those two are scored. A third value can share that minimum only
+    through rounding: by subtraction when |v| + max|values| exceeds 2^40
+    times the least gap between distinct values, or by underflow when that
+    gap is below 2^-500. Such entries, and NaN, take the full argmin.
     """
-    u, first = np.unique(values, return_index=True)
+    u = levels.u
     m = len(u)
     if m == 1:
-        return np.full(v.shape, first[0])
-    # per neighbouring pair: the lower value's index, the upper's, a tie's
-    pick = np.stack([first[:-1], first[1:], np.minimum(first[:-1], first[1:])],
-                    axis=-1).ravel()
+        return np.full(v.shape, levels.first)
     lo = np.searchsorted(u[1:-1], v) if m > 2 else 0
     d_lo = v - u[lo]
     d_lo *= d_lo
@@ -458,14 +524,10 @@ def _nearest_values(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     code = 3 * lo
     code += d_hi < d_lo
     code += 2 * (d_hi == d_lo)
-    out = pick[code]
-    bound = np.inf
-    if m > 2:
-        gap = np.min(np.diff(u))
-        bound = gap * 2.0 ** 40 - np.max(np.abs(u)) if gap > 2.0 ** -500 else -1.0
-    far = ~(np.abs(v) <= bound)
+    out = levels.pick[code]
+    far = ~(np.abs(v) <= levels.bound)
     if far.any():
-        out[far] = np.argmin((v[far][:, None] - values) ** 2, axis=-1)
+        out[far] = np.argmin((v[far][:, None] - levels.values) ** 2, axis=-1)
     return out
 
 
@@ -506,17 +568,18 @@ def _solve(gram: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decide(gram: np.ndarray, z: np.ndarray, codebook: Codebook,
-            floor: float) -> np.ndarray:
+            floor: float, table: SlicerTable | None) -> np.ndarray:
     """Sliced solutions of G x = z; draws whose Hadamard ratio is not above
     ``floor`` are erased, index -1 in every group."""
     xhat, ratio = _solve(gram, z)
     good = ratio > floor
     out = np.full((len(z), codebook.n_groups), -1, dtype=np.intp)
-    out[good] = _slice_groups(xhat[good], codebook)
+    out[good] = _slice_groups(xhat[good], codebook, table)
     return out
 
 
-def zf_detect(z: np.ndarray, gram: np.ndarray, codebook: Codebook) -> np.ndarray:
+def zf_detect(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
+              table: SlicerTable | None = None) -> np.ndarray:
     """Zero-forcing: solve G x = z, then slice per group.
 
     ``z`` is (n, K) and ``gram`` (n, K, K), one row per draw. The block's
@@ -527,21 +590,24 @@ def zf_detect(z: np.ndarray, gram: np.ndarray, codebook: Codebook) -> np.ndarray
     scale: by Hadamard's inequality det G <= prod(diag G) for the PSD G,
     with equality for orthogonal columns, and G counts as singular unless
     det G / prod(diag G) = prod_j pivot_j / G_jj exceeds REL_TOL. A zero or
-    negative pivot makes that ratio 0, so the draw is erased.
+    negative pivot makes that ratio 0, so the draw is erased. ``table`` is
+    slicer_table(codebook), built by the call when not given.
     """
-    return _decide(gram, z, codebook, matkernel.REL_TOL)
+    return _decide(gram, z, codebook, matkernel.REL_TOL, table)
 
 
-def mmse_detect(z: np.ndarray, gram: np.ndarray, codebook: Codebook) -> np.ndarray:
+def mmse_detect(z: np.ndarray, gram: np.ndarray, codebook: Codebook,
+                table: SlicerTable | None = None) -> np.ndarray:
     """Linear MMSE: solve (G + diag(1/2 / Es)) x = z, then slice per group.
 
     Shapes as for zf_detect. Whitening leaves the noise unit complex
     variance, so 1/2 per real dimension; the prior symbol energy Es per
     coordinate is estimated from the codebook. The regularised systems are
-    positive definite and solved by the same elimination as ZF's (_solve).
+    positive definite and solved by the same elimination as ZF's (_solve),
+    and ``table`` is as for zf_detect.
     """
     es = np.zeros(codebook.k)
     for grp, vals in zip(codebook.groups, codebook.group_values):
         es[list(grp)] = np.mean(vals ** 2, axis=0)
     es = np.where(es > 0, es, 1.0)
-    return _decide(gram + np.diag(0.5 / es), z, codebook, 0.0)
+    return _decide(gram + np.diag(0.5 / es), z, codebook, 0.0, table)

@@ -144,6 +144,18 @@ class TestSevenKeyDesignFile:
             assert run(argv) == 3
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_precode_not_pairs_exit_three(self, tmp_path, capsys):
+        # once ended in an IndexError traceback and exit 1
+        path = tmp_path / "ciod4.json"
+        run(["construct", "--family", "ciod4", "--out", path])
+        doc = json.loads(path.read_text())
+        doc["precode"]["p"] = [[1]]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--design", path]) == 3
+        assert capsys.readouterr().err == ("error: precode p must be [re, im] pairs, "
+                                           "got an array of shape (1, 1)\n")
+
 
 class TestVerify:
     def test_passing_checks_exit_zero(self, tmp_path):
@@ -497,6 +509,11 @@ class TestSimulateAndPipeline:
         ("design", {"path": 2}, "'path' must be a string, got 2"),
         ("constellation", {"type": "lattice", "points": 2, "rotation_file": 2},
          "'rotation_file' must be a string, got 2"),
+        # once ran the built-in rotation and recorded "rotation": null
+        ("constellation", {"type": "lattice", "points": 2, "rotation_file": None},
+         "'rotation_file' must be a string, got None"),
+        ("constellation", {"type": "lattice", "points": 2, "rotation_file": ""},
+         "'rotation_file' must name a file, got ''"),
         ("constellation", [], "'constellation' must be an object, got []"),
         ("constellation", "", "'constellation' must be an object, got ''"),
         ("constellation", 0, "'constellation' must be an object, got 0"),
@@ -519,7 +536,8 @@ class TestSimulateAndPipeline:
         ("constellation", {"type": "pam", "points": 4, "rotation_file": "nope.txt"},
          "'rotation_file' is read only for a lattice, not for type 'pam'"),
     ], ids=["constellation-string", "design-number", "snr-null", "checks-string",
-            "design-path-number", "rotation-file-number",
+            "design-path-number", "rotation-file-number", "rotation-file-null",
+            "rotation-file-empty",
             "constellation-empty-list", "constellation-empty-string",
             "constellation-zero", "constellation-false", "snr-true",
             "checks-false", "checks-empty-string", "checks-zero",

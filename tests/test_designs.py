@@ -382,17 +382,22 @@ class TestSerialization:
                                              rf"{index[1]}\] is not finite"):
             design_from_dict(doc)
 
-    @pytest.mark.parametrize("side, cut, shapes", [
-        # a row of three numbers is read as one (re, im) pair: a (1,) vector
-        ("p", lambda m: [[1, 2, 3]], r"\(1,\) and \(4, 4\)"),
-        ("p", lambda m: m[:3], r"\(3, 4\) and \(4, 4\)"),
-        ("q", lambda m: [row[:3] for row in m[:3]], r"\(4, 4\) and \(3, 3\)"),
-    ], ids=["not-a-matrix", "not-square", "mismatched"])
-    def test_precode_shapes_refused(self, side, cut, shapes):
+    @pytest.mark.parametrize("side, cut, message", [
+        # a row of numbers is not a row of [re, im] pairs
+        ("p", lambda m: [[1, 2, 3]], r"precode p must be \[re, im\] pairs, got an "
+                                     r"array of shape \(1, 3\)"),
+        ("q", lambda m: [[1]], r"precode q must be \[re, im\] pairs, got an "
+                               r"array of shape \(1, 1\)"),
+        ("p", lambda m: m[:3], r"precode pair must be two square matrices of one "
+                               r"size, got shapes \(3, 4\) and \(4, 4\)"),
+        ("q", lambda m: [row[:3] for row in m[:3]],
+         r"precode pair must be two square matrices of one size, got shapes "
+         r"\(4, 4\) and \(3, 3\)"),
+    ], ids=["not-a-matrix", "not-pairs", "not-square", "mismatched"])
+    def test_precode_shapes_refused(self, side, cut, message):
         doc = design_to_dict(build_ciod4()[0])
         doc["precode"][side] = cut(doc["precode"][side])
-        with pytest.raises(ValueError, match=r"precode pair must be two square "
-                                             r"matrices of one size, got shapes " + shapes):
+        with pytest.raises(ValueError, match=message):
             design_from_dict(doc)
 
     def test_precode_of_wrong_size_refused(self):

@@ -76,6 +76,10 @@ def test_crandn_bits_equal_the_plain_formula(shape):
     got = gnaf_sim.crandn(make_rng(17, len(shape)), *shape)
     assert got.shape == shape and got.dtype == np.complex128
     assert got.tobytes() == want.tobytes()
+    # drawn into a reused array, stale entries and all
+    out = np.full(shape + (2,), np.nan)
+    into = gnaf_sim.crandn(make_rng(17, len(shape)), *shape, out=out)
+    assert np.shares_memory(into, out) and into.tobytes() == want.tobytes()
 
 
 class TestBuildEffective:
@@ -546,6 +550,100 @@ def test_pinned_decision_counts(variant, receiver):
     assert [(r.errors, r.erasures, r.fallbacks) for r in res] == _PINNED[variant, receiver]
 
 
+def _block_case(name):
+    """A SimConfig whose batches span several blocks, and a short last batch.
+
+    pciod4's blocks hold 512 draws, Toeplitz 2x2's 1638 and golden CDA's
+    682; each batch is three blocks, and each point runs two full batches
+    and a last one of one block.
+    """
+    if name in ("grouped-ml", "joint-ml"):
+        d = build_pciod(4)
+        fields = dict(codebook=lattice_codebook(d.partition, default_lattice(2, 2)),
+                      variant="gnaf2", batch_size=1536, trials=3500)
+    elif name == "zf":
+        d = build_toeplitz(2, 2)
+        fields = dict(codebook=qam_codebook(2, 4), variant="gnaf2",
+                      batch_size=4000, trials=9000)
+    else:
+        d = golden_cda()
+        fields = dict(codebook=qam_codebook(4, 4), variant="gnaf1",
+                      batch_size=1536, trials=3500)
+    return SimConfig(design=d, receiver=name, snr_db=(4.0, 10.0), seed=27, **fields)
+
+
+# Per-point (symbol errors, erasures, fallbacks) of _block_case, recorded
+# before the batches shared a workspace
+_PINNED_BLOCKS = {
+    "grouped-ml": [(545, 0, 0), (19, 0, 0)],
+    "joint-ml": [(545, 0, 0), (19, 0, 0)],
+    "zf": [(804, 0, 0), (52, 0, 0)],
+    "mmse": [(1228, 0, 0), (243, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("receiver", list(_PINNED_BLOCKS))
+def test_pinned_counts_across_blocks_and_batches(receiver):
+    cfg = _block_case(receiver)
+    rs = relay_matrix_set(cfg.design)
+    per_block = gnaf_sim._BLOCK_BYTES // (
+        16 * protocol_params(cfg.design, 1.0, cfg.variant, rs=rs).rows * cfg.design.k)
+    assert -(-cfg.batch_size // per_block) == 3
+    assert 0 < cfg.trials % cfg.batch_size <= per_block
+    res = run_monte_carlo(cfg)
+    assert [(r.errors, r.erasures, r.fallbacks) for r in res] == _PINNED_BLOCKS[receiver]
+
+
+def test_one_workspace_serves_configs_of_every_shape():
+    # a worker's workspace carries stale arrays of other shapes and
+    # dtypes from config to config; every batch must still decide as it
+    # would in a fresh workspace
+    cases = [_block_case("grouped-ml"), _block_case("zf"), _block_case("grouped-ml"),
+             _block_case("mmse"), replace(_block_case("joint-ml"), variant="jh")]
+    ws = mk.Workspace()
+    for cfg in cases:
+        rs = relay_matrix_set(cfg.design)
+        for task in ((0, 0, cfg.batch_size), (1, 2, 428), (1, 1, cfg.batch_size)):
+            assert gnaf_sim._run_batch(cfg, rs, *task, ws) == \
+                gnaf_sim._run_batch(cfg, rs, *task, mk.Workspace())
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor faults as Linux counts them")
+def test_later_batches_fault_in_no_memory():
+    # The batches of a serial sweep share one workspace, so only the first
+    # faults its arrays in. Before, each batch freed and re-faulted about
+    # 700 pages of pciod4 arrays, and glibc trimmed the heap after it.
+    # Minor faults do not depend on the machine's load, but they do on the
+    # heap a process has built up, so the sweeps run in a fresh one.
+    src = str(Path(gnaf_sim.__file__).resolve().parents[1])
+    script = f"""
+import resource, sys
+sys.path.insert(0, {src!r})
+from dataclasses import replace
+from dstc.designs import build_pciod
+from dstc.gnaf_sim import SimConfig, run_monte_carlo
+from dstc.precoding import default_lattice
+from dstc.receivers import lattice_codebook
+
+d = build_pciod(4)
+cfg = SimConfig(design=d, codebook=lattice_codebook(d.partition, default_lattice(2, 2)),
+                receiver="grouped-ml", snr_db=(10.0,), trials=4096, seed=3)
+
+def faults(batches):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_monte_carlo(replace(cfg, trials=4096 * batches))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(1), faults(8)                        # warm-up, one sweep of each size
+print(faults(1), faults(8))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    one, eight = map(int, out.stdout.split())
+    assert eight - one <= 7 * 32, (one, eight)
+
+
 def test_grouped_ml_on_direct_decides_as_joint_ml():
     # the relay-free design's G is |a|^2 I, so its complex symbols decouple
     # and per-group ML is exact on every draw
@@ -602,12 +700,16 @@ def _half_coupled(gram, groups):
 
 
 def _record_detect(monkeypatch):
-    """Wrap gnaf_sim._detect; returns the list of (z, G, decisions) per block."""
+    """Wrap gnaf_sim._detect; returns the list of (z, G, decisions) per block.
+
+    Copies are kept: a block's (z, G) live in the batch's workspace, which
+    the next block overwrites.
+    """
     blocks, detect = [], gnaf_sim._detect
 
-    def recording(receiver, z, gram, book, *tables):
-        out = detect(receiver, z, gram, book, *tables)
-        blocks.append((z, gram, out[0]))
+    def recording(receiver, z, gram, book, *args):
+        out = detect(receiver, z, gram, book, *args)
+        blocks.append((z.copy(), gram.copy(), out[0].copy()))
         return out
 
     monkeypatch.setattr(gnaf_sim, "_detect", recording)
@@ -698,11 +800,19 @@ class TestBlocks:
                 return _build(codebook, grouped)
 
             monkeypatch.setattr(module, "ml_table", counting)
+        # the linear receivers' slicer levels, once per batch too
+        slicers, slicer_table = [], gnaf_sim.slicer_table
+
+        def counting_slicer(codebook):
+            slicers.append(codebook)
+            return slicer_table(codebook)
+
+        monkeypatch.setattr(gnaf_sim, "slicer_table", counting_slicer)
         diagonals, omega_diagonals = [], gnaf_sim.omega_diagonals
 
-        def counting_diagonals(params, rs, g):
+        def counting_diagonals(params, rs, g, *args):
             diagonals.append(len(g))
-            return omega_diagonals(params, rs, g)
+            return omega_diagonals(params, rs, g, *args)
 
         monkeypatch.setattr(gnaf_sim, "omega_diagonals", counting_diagonals)
         # the fallback calls ml_joint through gnaf_sim's globals, which the
@@ -732,6 +842,7 @@ class TestBlocks:
         else:
             assert built[receivers] == []
         assert diagonals == [100, 100]
+        assert len(slicers) == (2 if receiver in ("zf", "mmse") else 0)
 
     def test_coupled_draws_of_a_mixed_block_decide_as_joint_ml(self, monkeypatch):
         # Toeplitz 2x2 does not decompose over its QAM groups, so per-group
@@ -1021,6 +1132,40 @@ print("ok")
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "ok"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="named semaphores are files in /dev/shm")
+    def test_helpers_stopped_unstarted_leave_no_semaphore(self, monkeypatch):
+        # A pool slow to start leaves every task to the caller, which then
+        # stops the helpers before they run their drain job. The pending job
+        # keeps the pool in a reference cycle with its queues and the task
+        # counter, 7 named semaphores, until the cyclic collector runs: the
+        # sweep must release them itself, with the collector off.
+        import gc
+        get_context = multiprocessing.get_context
+
+        class SlowStart:
+            def __init__(self, method=None):
+                self._ctx = get_context(method)
+
+            def Pool(self, *args, **kwargs):
+                time.sleep(0.5)
+                return self._ctx.Pool(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._ctx, name)
+
+        monkeypatch.setattr(multiprocessing, "get_context", SlowStart)
+        cfg = self.config(trials=100, batch_size=50)
+        semaphores = set(Path("/dev/shm").glob("sem.*"))
+        gc.disable()
+        try:
+            run_monte_carlo(cfg)
+            left = set(Path("/dev/shm").glob("sem.*")) - semaphores
+        finally:
+            gc.enable()
+        assert left == set()
+        assert multiprocessing.active_children() == []
 
     def test_failed_pool_start_is_raised(self, monkeypatch):
         # the pool starts on a thread; its error reaches the caller
