@@ -27,9 +27,11 @@ Families:
 
 A design file (save_design, load_design) is JSON with the keys ``family``,
 ``weights`` (the (K, T, R) array as [re, im] pairs), ``partition`` and, for
-a precoded design, ``precode``. Older files also carry ``t``, ``r``, ``k``
-and ``col_conj``: ``col_conj`` is ignored, and a ``t``, ``r`` or ``k`` that
-disagrees with the weights' shape is refused with a ValueError naming it.
+a precoded design, ``precode`` (an object of the two sides ``p`` and
+``q``). Older files also carry ``t``, ``r``, ``k`` and ``col_conj``:
+``col_conj`` is ignored, and a ``t``, ``r`` or ``k`` that disagrees with
+the weights' shape is refused with a ValueError naming it. Any other key
+is refused the same way, since nothing would read it.
 """
 
 from __future__ import annotations
@@ -269,19 +271,16 @@ def build_ciod4() -> tuple[Design, PrecodePair]:
     whose entries swap imaginary parts across the two diagonal blocks:
     first entry Re(x1) + i Im(x3), and so on.
     """
-    half = 0.5
-    p = half * np.array([[1, 0, 1, 0],
-                         [0, 1, 0, 1],
-                         [1, 0, 1, 0],
-                         [0, 1, 0, 1]], dtype=np.complex128)
-    q = half * np.array([[1, 0, -1, 0],
-                         [0, 1, 0, -1],
-                         [-1, 0, 1, 0],
-                         [0, -1, 0, 1]], dtype=np.complex128)
+    p = 0.5 * np.array([[1, 0, 1, 0],
+                        [0, 1, 0, 1],
+                        [1, 0, 1, 0],
+                        [0, 1, 0, 1]], dtype=np.complex128)
+    q = 0.5 * np.array([[1, 0, -1, 0],
+                        [0, 1, 0, -1],
+                        [-1, 0, 1, 0],
+                        [0, -1, 0, 1]], dtype=np.complex128)
     pre = PrecodePair(p, q)
-    base = build_pciod(4)
-    d = replace(base, family="ciod4", precode=pre)
-    return d, pre
+    return replace(build_pciod(4), family="ciod4", precode=pre), pre
 
 
 def build_toeplitz(t1: int, r: int) -> Design:
@@ -464,23 +463,35 @@ def design_to_dict(d: Design) -> dict:
     return out
 
 
+# the keys a design file may carry, sorted: design_to_dict's, and the older
+# files' header, which is only checked against the weights
+_FILE_KEYS = ("col_conj", "family", "k", "partition", "precode", "r", "t", "weights")
+
+
 def design_from_dict(obj: dict) -> Design:
     """The design a dict of design_to_dict's keys describes.
 
-    Raises ValueError naming a missing ``family``, ``weights`` or
-    ``partition`` key, weights or a precode side that are not [re, im]
-    pairs, or a ``t``, ``r`` or ``k`` that disagrees with the weights.
+    Raises ValueError naming a key that nothing reads, a missing
+    ``family``, ``weights`` or ``partition`` key, a precode that is not an
+    object of exactly the keys ``p`` and ``q``, weights or a precode side
+    that are not [re, im] pairs, or a ``t``, ``r`` or ``k`` that disagrees
+    with the weights.
     """
+    for key in obj:
+        if key not in _FILE_KEYS:
+            raise ValueError(f"design file key {key!r} is unknown; known: {list(_FILE_KEYS)}")
     for key in ("family", "weights", "partition"):
         if key not in obj:
             raise ValueError(f"design file has no {key!r} key")
-    pre = None
-    if obj.get("precode") is not None:
-        pre = PrecodePair(*(_pair2c(obj["precode"][side], 2, f"precode {side}")
-                            for side in ("p", "q")))
-    d = Design(family=obj["family"], weights=_pair2c(obj["weights"], 3, "design weights"),
-               partition=tuple(tuple(g) for g in obj["partition"]),
-               precode=pre)
+    pre = obj.get("precode")
+    if pre is not None:
+        got = sorted(pre) if isinstance(pre, dict) else type(pre).__name__
+        if got != ["p", "q"]:
+            raise ValueError("design file's precode must be an object of exactly the "
+                             f"keys 'p' and 'q', got {got}")
+        pre = PrecodePair(*(_pair2c(pre[side], 2, f"precode {side}") for side in "pq"))
+    d = Design(obj["family"], _pair2c(obj["weights"], 3, "design weights"),
+               tuple(tuple(g) for g in obj["partition"]), pre)
     _check_agrees(obj, {"t": d.t, "r": d.r, "k": d.k}, "design file", "its weights have")
     return d
 

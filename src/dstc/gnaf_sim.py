@@ -58,25 +58,26 @@ of batch or block size, and glibc has no freed heap to trim and fault
 in again. Arrays from the workspace are overwritten by their next user:
 a block's (z, G) are valid until the next block, and a caller that keeps
 them copies them. The calling process is one of the workers. With more than one, no
-more than the usable cores or the task count, it starts one pool of
-helpers that receive the config, the relay set, the task list and a
-shared task counter once, at start-up. Helpers are forked from the
-standard library's forkserver, which the first pooled sweep of a process
-starts with numpy preloaded; later sweeps fork from the same warm server,
-so a helper only imports dstc before it takes a task. The server keeps
+more than the usable cores or the task count, it starts helper processes
+that receive the config, the relay set, the task list and a shared task
+counter once, at start-up. Helpers are forked from the standard library's
+forkserver, which the first pooled sweep of a process starts with numpy
+preloaded; later sweeps fork from the same warm server, so a helper only
+imports dstc before it takes a task. The server keeps
 the environment of its start (the BLAS thread variables among it); later
 changes to the caller's environment do not reach the helpers. A thread
-starts the pool, so the caller runs batches while the server is started
-and forks the helpers. The caller and every helper claim tasks from the
-counter until none is left. Helpers left without a task are stopped, not
-awaited, once the pool is up; every helper exits before the call
-returns, and the server reaps it.
+starts the helpers, each with its own one-way pipe, so the caller runs
+batches while the server is started and forks them. The caller and every
+helper claim tasks from the counter until none is left; each helper then
+sends its parts, or the exception that stopped it, on its pipe. Helpers
+left without a task are stopped, not awaited, once they are started; a
+helper that dies before it sends raises in the caller, not a hang. Every
+helper exits before the call returns, and the server reaps it.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import math
 import numbers
@@ -727,30 +728,14 @@ def _drain(cfg: SimConfig, rs: RelayMatrixSet,
         done.append((index, _run_batch(cfg, rs, *tasks[index], ws)))
 
 
-# A helper's (config, relay set, tasks, counter), set once by _init_worker.
-# Only pool helpers assign it; the calling process never does.
-_worker_args = None
-
-
-def _init_worker(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _helper_drain() -> list:
-    return _drain(*_worker_args)
-
-
-def _start_helpers(ctx, helpers: int, args: tuple, started: list) -> None:
-    """Start a pool of ``helpers`` processes and hand each one drain job.
-
-    Appends (pool, jobs) to ``started``, or the exception raised instead.
-    """
+def _helper(sender, *drain_args) -> None:
+    """A helper process's body: drain tasks (_drain) and send back its
+    parts, or the exception that stopped it, on its one-way pipe. A
+    helper that exits otherwise sends nothing, which the caller reports."""
     try:
-        pool = ctx.Pool(helpers, _init_worker, args)
-        started.append((pool, [pool.apply_async(_helper_drain) for _ in range(helpers)]))
-    except BaseException as exc:
-        started.append(exc)
+        sender.send(_drain(*drain_args))
+    except Exception as exc:
+        sender.send(exc)
 
 
 def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
@@ -765,16 +750,16 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
 
     The relay set is built once, by the clro check. The caller counts as
     one of min(``cfg.resolved_workers()``, usable cores, batches) workers;
-    with one, the batches run here in order. With more, a thread forks a
-    pool of the other workers from the forkserver (started on first use,
-    with numpy preloaded) while the caller already claims batches from a
-    shared counter, which the helpers then claim from too. If the caller
-    ran every batch, it waits for the pool to be up and stops the
-    helpers, some of them maybe still starting; otherwise their parts are
-    collected. Either way every helper exits within this call, and the
-    pool is released before it returns: helpers stopped before they ran
-    their drain job leave the job pending in the pool, and that reference
-    cycle, which holds the pool's named semaphores, is collected here.
+    with one, the batches run here in order. With more, a thread forks
+    the other workers, one helper process each, from the forkserver
+    (started on first use, with numpy preloaded) while the caller already
+    claims batches from a shared counter, which the helpers then claim
+    from too. If the caller ran every batch, it waits for the helpers to
+    be started and stops them unread; otherwise it reads one message from
+    each helper's pipe: its parts, or the exception that stopped it,
+    which is raised here. A helper that exits without sending, killed for
+    instance, raises RuntimeError naming its pid and exit code. Either way
+    every helper is stopped and reaped before this call returns.
 
     Raises ValueError before any batch runs for a design the batched model
     would get wrong: a design that does not match the variant (the
@@ -814,7 +799,7 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     processes = min(cfg.resolved_workers(), len(os.sched_getaffinity(0)), len(tasks))
     if processes > 1:
         import multiprocessing as mp
-        import threading
+        from concurrent.futures import ThreadPoolExecutor
         ctx = mp.get_context("forkserver")
         # Preload numpy only, never dstc: on 3.11 the server ignores the
         # caller's sys.path, so a dstc preload fails silently when dstc is on
@@ -824,40 +809,43 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
         # which the standard library sends with each new child.
         ctx.set_forkserver_preload(["numpy"])
         counter = ctx.Value("q", 0)
-        # Pool() returns once the server has forked every helper, which on
-        # a process's first sweep waits for the new server to import numpy:
-        # a thread starts the pool so that the caller works meanwhile.
-        started = []
-        starter = threading.Thread(target=_start_helpers, args=(
-            ctx, processes - 1, (cfg, rs, tasks, counter), started))
-        starter.start()
+        helpers = []        # (process, receiving end), appended as each starts
+
+        def start() -> None:
+            for _ in range(processes - 1):
+                receiver, sender = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_helper, daemon=True,
+                                   args=(sender, cfg, rs, tasks, counter))
+                proc.start()
+                helpers.append((proc, receiver))
+                # the helper holds the one other send end, so its exit ends the pipe
+                sender.close()
+
         try:
-            done = _drain(cfg, rs, tasks, counter)
-        except BaseException:
-            starter.join()
-            if isinstance(started[0], tuple):
-                started[0][0].terminate()
-            raise
-        starter.join()
-        if isinstance(started[0], BaseException):
-            raise started[0]
-        pool, jobs = started.pop()
-        with pool:
-            # if the caller ran every task no helper holds one, and leaving
-            # the block stops them all, those still starting included
+            # start() returns once the server has forked every helper, which
+            # on a process's first sweep waits for the new server to import
+            # numpy: a thread starts them so that the caller works meanwhile
+            with ThreadPoolExecutor(1) as starter:
+                starting = starter.submit(start)
+                done = _drain(cfg, rs, tasks, counter)
+                starting.result()
+            # if the caller ran every task no helper holds one, and the
+            # finally stops them all, unread
             if len(done) < len(tasks):
-                for job in jobs:
-                    done += job.get()
-                pool.close()
-                pool.join()
-        if not all(job.ready() for job in jobs):
-            # a drain job that no helper ran stays in the stopped pool's
-            # cache, which points back at the pool: once these are the
-            # last outside references (started is empty), the cycle would
-            # hold the pool's queues and the counter, with their named
-            # semaphores, until the cyclic collector ran
-            del pool, jobs
-            gc.collect()
+                for proc, receiver in helpers:
+                    try:
+                        part = receiver.recv()
+                    except EOFError:
+                        proc.join()
+                        part = RuntimeError(f"Monte Carlo helper {proc.pid} exited before it "
+                                            f"sent its batches (exit code {proc.exitcode})")
+                    if isinstance(part, Exception):
+                        raise part
+                    done += part
+        finally:
+            for proc, _ in helpers:
+                proc.terminate()
+                proc.join()
         parts = [part for _, part in sorted(done)]
     else:
         ws = matkernel.Workspace()

@@ -156,6 +156,24 @@ class TestSevenKeyDesignFile:
         assert capsys.readouterr().err == ("error: precode p must be [re, im] pairs, "
                                            "got an array of shape (1, 1)\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(precode=5), "design file's precode must be an object "
+                                        "of exactly the keys 'p' and 'q', got int"),
+        (lambda d: d.update(precdoe=d.pop("precode")), "design file key 'precdoe' "
+                                                       "is unknown"),
+    ], ids=["number", "misspelled"])
+    def test_precode_object_refused_exit_three(self, tmp_path, capsys, edit, message):
+        # a number once ended in a TypeError traceback, exit 1, and a
+        # misspelled key verified ciod4 without its precoder, exit 0
+        path = tmp_path / "ciod4.json"
+        run(["construct", "--family", "ciod4", "--out", path])
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--design", path]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
 
 class TestVerify:
     def test_passing_checks_exit_zero(self, tmp_path):

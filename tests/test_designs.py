@@ -400,6 +400,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             design_from_dict(doc)
 
+    @pytest.mark.parametrize("edit, got", [
+        (lambda doc: doc.update(precode=5), "int"),
+        (lambda doc: doc.update(precode=[1, 2]), "list"),
+        (lambda doc: doc["precode"].pop("q"), r"\['p'\]"),
+        (lambda doc: doc["precode"].update(r=1), r"\['p', 'q', 'r'\]"),
+    ], ids=["number", "list", "no-q", "extra-r"])
+    def test_precode_not_a_pair_object_refused(self, edit, got):
+        # a number or list once ended in a TypeError, a missing side in a
+        # bare KeyError, and an extra key was ignored
+        doc = design_to_dict(build_ciod4()[0])
+        edit(doc)
+        with pytest.raises(ValueError, match=r"design file's precode must be an object of "
+                                             rf"exactly the keys 'p' and 'q', got {got}$"):
+            design_from_dict(doc)
+
+    def test_unknown_key_refused(self):
+        # a misspelled precode key once loaded ciod4 without its precoder
+        doc = design_to_dict(build_ciod4()[0])
+        doc["precdoe"] = doc.pop("precode")
+        with pytest.raises(ValueError, match=r"design file key 'precdoe' is unknown; "
+                                             r"known: \['col_conj', 'family', 'k', "
+                                             r"'partition', 'precode', 'r', 't', "
+                                             r"'weights'\]"):
+            design_from_dict(doc)
+
     def test_precode_of_wrong_size_refused(self):
         # a 2x2 pair is square and finite, but ciod4 has K/2 = 4 complex symbols
         doc = design_to_dict(build_ciod4()[0])

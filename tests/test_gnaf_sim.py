@@ -2,12 +2,14 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 from dataclasses import replace
 from multiprocessing import forkserver
+from multiprocessing.context import ForkServerProcess
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -935,7 +937,7 @@ class TestBatchMemory:
 
 
 class TestSweepTaskLoop:
-    """One pool per sweep, no larger than the cores or the tasks, fed once."""
+    """One set of helpers per sweep, no more than the cores or the tasks, fed once."""
 
     def config(self, workers=None, trials=2500, snr_db=(0.0, 10.0, 20.0)):
         return SimConfig(design=build_toeplitz(2, 2), codebook=qam_codebook(2, 4),
@@ -944,18 +946,23 @@ class TestSweepTaskLoop:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Record (start method, size) of every Pool started through
-        multiprocessing.get_context, and every forkserver preload list."""
+        """Record (start method, helpers started) of every context a sweep
+        takes from multiprocessing.get_context, and every forkserver
+        preload list. Each pooled sweep takes one context."""
         get_context = multiprocessing.get_context
         pools = SimpleNamespace(starts=[], preloads=[])
 
         class Counting:
             def __init__(self, method=None):
                 self._method, self._ctx = method, get_context(method)
+                self._index = len(pools.starts)
+                pools.starts.append((method, 0))
 
-            def Pool(self, processes=None, *args, **kwargs):
-                pools.starts.append((self._method, processes))
-                return self._ctx.Pool(processes, *args, **kwargs)
+            def Process(self, *args, **kwargs):
+                # the context's own process class: the server must unpickle it
+                method, helpers = pools.starts[self._index]
+                pools.starts[self._index] = (method, helpers + 1)
+                return self._ctx.Process(*args, **kwargs)
 
             def set_forkserver_preload(self, modules):
                 pools.preloads.append(list(modules))
@@ -973,7 +980,7 @@ class TestSweepTaskLoop:
         res = run_monte_carlo(self.config(workers=8))   # 3 points x 3 batches
         assert len(res) == 3
         assert len(pools.starts) == 1
-        # the caller is one of the workers; the pool holds only the helpers
+        # the caller is one of the workers; only the others are helpers
         assert 1 <= pools.starts[0][1] <= min(len(os.sched_getaffinity(0)), 9) - 1
 
     def test_pool_capped_by_tasks(self, pools, monkeypatch):
@@ -1012,7 +1019,7 @@ class TestSweepTaskLoop:
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                     reason="a pool needs at least two usable cores")
 class TestPoolLifecycle:
-    """The caller works in its own pool, and no helper outlives the sweep."""
+    """The caller works beside its helpers, and no helper outlives the sweep."""
 
     def config(self, trials, batch_size, snr_db=(0.0, 10.0, 20.0), **kw):
         fields = dict(design=build_toeplitz(2, 2), codebook=qam_codebook(2, 4),
@@ -1058,33 +1065,36 @@ class TestPoolLifecycle:
         assert servers[0] is not None
         assert servers[0] == servers[1]
 
+    @staticmethod
+    def slow_start(monkeypatch, started=None):
+        """Delay every helper start by 0.5 s; patched on the class, since
+        the server unpickles each helper, and a patched instance would
+        not pickle."""
+        start = ForkServerProcess.start
+
+        def slow(process):
+            time.sleep(0.5)
+            if started is not None:
+                started.append(time.perf_counter())
+            start(process)
+
+        monkeypatch.setattr(ForkServerProcess, "start", slow)
+
     def test_caller_works_while_the_pool_starts(self, monkeypatch):
-        # Pool() returns only once the server has forked every helper; the
-        # caller runs its batches meanwhile, so a pool slow to start leaves
+        # a helper's start returns only once the server has forked it; the
+        # caller runs its batches meanwhile, so helpers slow to start leave
         # every task to the caller, and the sweep still stops its helpers
         cfg = self.config(trials=100, batch_size=10)        # 3 points x 10 batches
         serial = results_to_csv(run_monte_carlo(SimConfig(**{**cfg.__dict__,
                                                             "workers": None})))
-        get_context, run_batch = multiprocessing.get_context, gnaf_sim._run_batch
+        run_batch = gnaf_sim._run_batch
         started, ran = [], []
-
-        class SlowStart:
-            def __init__(self, method=None):
-                self._ctx = get_context(method)
-
-            def Pool(self, *args, **kwargs):
-                time.sleep(0.5)
-                started.append(time.perf_counter())
-                return self._ctx.Pool(*args, **kwargs)
-
-            def __getattr__(self, name):
-                return getattr(self._ctx, name)
 
         def timed(*args):
             ran.append(time.perf_counter())
             return run_batch(*args)
 
-        monkeypatch.setattr(multiprocessing, "get_context", SlowStart)
+        self.slow_start(monkeypatch, started)
         monkeypatch.setattr(gnaf_sim, "_run_batch", timed)
         assert results_to_csv(run_monte_carlo(cfg)) == serial
         assert len(ran) == 30
@@ -1136,26 +1146,13 @@ print("ok")
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
                         reason="named semaphores are files in /dev/shm")
     def test_helpers_stopped_unstarted_leave_no_semaphore(self, monkeypatch):
-        # A pool slow to start leaves every task to the caller, which then
-        # stops the helpers before they run their drain job. The pending job
-        # keeps the pool in a reference cycle with its queues and the task
-        # counter, 7 named semaphores, until the cyclic collector runs: the
-        # sweep must release them itself, with the collector off.
+        # Helpers slow to start leave every task to the caller, which then
+        # stops them before they claim one. The task counter's lock is the
+        # sweep's one named semaphore; nothing may keep it alive in a
+        # reference cycle, which with the collector off would hold it past
+        # the sweep.
         import gc
-        get_context = multiprocessing.get_context
-
-        class SlowStart:
-            def __init__(self, method=None):
-                self._ctx = get_context(method)
-
-            def Pool(self, *args, **kwargs):
-                time.sleep(0.5)
-                return self._ctx.Pool(*args, **kwargs)
-
-            def __getattr__(self, name):
-                return getattr(self._ctx, name)
-
-        monkeypatch.setattr(multiprocessing, "get_context", SlowStart)
+        self.slow_start(monkeypatch)
         cfg = self.config(trials=100, batch_size=50)
         semaphores = set(Path("/dev/shm").glob("sem.*"))
         gc.disable()
@@ -1168,20 +1165,11 @@ print("ok")
         assert multiprocessing.active_children() == []
 
     def test_failed_pool_start_is_raised(self, monkeypatch):
-        # the pool starts on a thread; its error reaches the caller
-        get_context = multiprocessing.get_context
+        # the helpers start on a thread; its error reaches the caller
+        def no_start(process):
+            raise OSError("no pool")
 
-        class NoPool:
-            def __init__(self, method=None):
-                self._ctx = get_context(method)
-
-            def Pool(self, *args, **kwargs):
-                raise OSError("no pool")
-
-            def __getattr__(self, name):
-                return getattr(self._ctx, name)
-
-        monkeypatch.setattr(multiprocessing, "get_context", NoPool)
+        monkeypatch.setattr(ForkServerProcess, "start", no_start)
         with pytest.raises(OSError, match="no pool"):
             run_monte_carlo(self.config(trials=100, batch_size=10))
         assert multiprocessing.active_children() == []
@@ -1192,3 +1180,64 @@ print("ok")
         with pytest.raises(ResourceGuardError):
             run_monte_carlo(cfg)
         assert multiprocessing.active_children() == []
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # joint ML over 64^4 codewords trips the size guard of a batch; the
+        # caller's batches are patched to succeed, slowly, so only the
+        # helper, which imports dstc afresh, raises
+        cfg = self.config(trials=10, batch_size=1, design=build_pciod(4),
+                          codebook=qam_codebook(4, 64), receiver="joint-ml")
+
+        def idle(*args):
+            time.sleep(0.1)
+            return 0, 0, 0, 0
+
+        monkeypatch.setattr(gnaf_sim, "_run_batch", idle)
+        with pytest.raises(ResourceGuardError):
+            run_monte_carlo(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_helper_raises(self, tmp_path):
+        # A helper killed holding claimed batches never sends them: the
+        # sweep must raise, not wait for them. The caller kills the helper
+        # as soon as the task it claims is not the one after its last,
+        # which shows the helper has claimed the tasks in between. Run in
+        # a fresh process, so that a sweep that hangs fails by the timeout.
+        src = str(Path(gnaf_sim.__file__).resolve().parents[1])
+        script = f"""
+import sys
+sys.path.insert(0, {src!r})
+import multiprocessing, os, signal
+from dstc import gnaf_sim
+from dstc.designs import build_toeplitz
+from dstc.gnaf_sim import SimConfig, run_monte_carlo
+from dstc.receivers import qam_codebook
+
+cfg = SimConfig(design=build_toeplitz(2, 2), codebook=qam_codebook(2, 4),
+                receiver="zf", snr_db=tuple(range(0, 35, 5)), trials=200000,
+                seed=11, workers=2)
+run_batch, n_batches = gnaf_sim._run_batch, -(-cfg.trials // cfg.batch_size)
+last, killed = [-1], []
+
+def watched(cfg, rs, si, bi, n, ws):
+    index = si * n_batches + bi
+    if index != last[0] + 1 and not killed:
+        killed.extend(multiprocessing.active_children())
+        for helper in killed:
+            os.kill(helper.pid, signal.SIGKILL)
+    last[0] = index
+    return run_batch(cfg, rs, si, bi, n, ws)
+
+gnaf_sim._run_batch = watched
+try:
+    run_monte_carlo(cfg)
+except RuntimeError as exc:
+    print(exc)
+assert len(killed) == 1, killed
+assert multiprocessing.active_children() == []
+"""
+        out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert re.fullmatch(r"Monte Carlo helper \d+ exited before it sent its "
+                            r"batches \(exit code -9\)\n", out.stdout), out.stdout
