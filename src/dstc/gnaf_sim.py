@@ -71,8 +71,13 @@ batches while the server is started and forks them. The caller and every
 helper claim tasks from the counter until none is left; each helper then
 sends its parts, or the exception that stopped it, on its pipe. Helpers
 left without a task are stopped, not awaited, once they are started; a
-helper that dies before it sends raises in the caller, not a hang. Every
-helper exits before the call returns, and the server reaps it.
+helper that dies before it sends, even holding the counter's lock,
+raises in the caller, not a hang. Every helper exits before the call
+returns, and the server reaps it.
+
+Every batch returns the SimResult of its own draws, and a point's
+SimResult is the sum of its batches' (SimResult.__add__), taken left to
+right in batch order whatever process ran each batch.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ import io
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -424,11 +429,18 @@ def omega_diagonals(params: ProtocolParams, rs: RelayMatrixSet,
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per-SNR error statistics. ``trials`` counts symbol decisions.
+    """Error statistics of one batch of draws, or of one SNR point: the
+    sum of its batches. ``trials`` counts symbol decisions.
 
     ``fallbacks`` counts grouped-ML draws re-decided by joint ML;
     ``erasures`` counts draws the ZF receiver erased (every group of such
     a draw is also scored as an error).
+
+    Every field is a function of the config alone, so that equal configs
+    give equal results for any worker count: the benchmark compares
+    results for equality, and acceptance c10 the bytes written from them.
+    Nothing that varies from run to run (seconds, resource usage) may
+    become a field.
     """
 
     snr_db: float
@@ -439,6 +451,15 @@ class SimResult:
     design: str
     fallbacks: int = 0
     erasures: int = 0
+
+    def __add__(self, other: SimResult) -> SimResult:
+        """The counts of two parts of one SNR point added; the point's
+        fields (SNR, receiver, seed, design) are this part's. Both parts
+        must be of the same point: nothing checks it."""
+        return replace(self, trials=self.trials + other.trials,
+                       errors=self.errors + other.errors,
+                       fallbacks=self.fallbacks + other.fallbacks,
+                       erasures=self.erasures + other.erasures)
 
     @property
     def ser(self) -> float:
@@ -578,7 +599,9 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet, snr_idx: int,
     receivers' elimination. A block's (z, G) are valid until the next
     block.
 
-    Returns (symbol errors, decisions, fallbacks, erasures).
+    Returns the SimResult of the batch's draws: the point's SNR, receiver,
+    seed and design, with ``trials`` the batch's decisions and its own
+    errors, fallbacks and erasures.
     """
     ws = matkernel.Workspace() if ws is None else ws
     params = protocol_params(cfg.design, snr_power(cfg.snr_db[snr_idx]),
@@ -618,9 +641,9 @@ def _run_batch(cfg: SimConfig, rs: RelayMatrixSet, snr_idx: int,
             book, receiver_table, ws)
         fallbacks += block_fallbacks
 
-    errors = int(np.sum(dec != tx))
-    erasures = int(np.sum(np.any(dec < 0, axis=1)))
-    return errors, n * book.n_groups, fallbacks, erasures
+    return SimResult(cfg.snr_db[snr_idx], n * book.n_groups, int(np.sum(dec != tx)),
+                     cfg.receiver, cfg.seed, cfg.design.family, fallbacks,
+                     int(np.sum(np.any(dec < 0, axis=1))))
 
 
 def _whitened_stats(params: ProtocolParams, x: np.ndarray, noise: np.ndarray,
@@ -711,18 +734,49 @@ def _detect(receiver: str, z: np.ndarray, gram: np.ndarray, book: Codebook,
     return mmse_detect(z, gram, book, table), 0
 
 
+# Seconds the caller waits, for the task counter's lock or for a helper's
+# message, between looks for a helper that died. A claim holds the lock for
+# microseconds, so a wait this long for it means its holder is gone or
+# stalled; either wait goes on for as long as no helper has died.
+_HELPER_WAIT = 1.0
+
+
+def _exited(proc) -> RuntimeError:
+    """The error for a helper that exited without sending its batches."""
+    return RuntimeError(f"Monte Carlo helper {proc.pid} exited before it "
+                        f"sent its batches (exit code {proc.exitcode})")
+
+
+def _check_helpers(helpers) -> None:
+    """Raise _exited for a dead helper among the caller's (process, pipe)
+    ``helpers``: one with a nonzero exit code, since a helper exits with 0
+    only after it has released the lock and sent its message. A helper
+    killed holding the lock leaves it held for good, so that every later
+    claim would wait without end."""
+    for proc, _ in helpers:
+        if proc.exitcode:
+            raise _exited(proc)
+
+
 def _drain(cfg: SimConfig, rs: RelayMatrixSet,
-           tasks: list[tuple[int, int, int]], counter) -> list:
+           tasks: list[tuple[int, int, int]], counter, helpers=()) -> list:
     """Claim tasks from the shared counter and run them until none is left.
 
-    Returns the (task index, batch result) pairs this process ran. Its
-    batches share one workspace, dropped on return.
+    Returns the (task index, SimResult of the batch) pairs this process
+    ran. Its batches share one workspace, dropped on return. The caller
+    passes its ``helpers``, which _check_helpers looks through whenever a
+    claim has waited _HELPER_WAIT for the lock.
     """
     done, ws = [], matkernel.Workspace()
+    lock = counter.get_lock()
     while True:
-        with counter.get_lock():
+        while not lock.acquire(timeout=_HELPER_WAIT):
+            _check_helpers(helpers)
+        try:
             index = counter.value
             counter.value = index + 1
+        finally:
+            lock.release()
         if index >= len(tasks):
             return done
         done.append((index, _run_batch(cfg, rs, *tasks[index], ws)))
@@ -742,8 +796,9 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     """Symbol error rates over the SNR grid.
 
     Deterministic given (seed, config): batches are keyed by (seed, snr
-    index, batch index) and reduced by integer sums per SNR point, so the
-    result is independent of worker count and execution order. Each
+    index, batch index), and each SNR point's SimResult is the sum of its
+    batches' SimResults (_run_batch), added left to right in batch order,
+    so the result is independent of worker count and execution order. Each
     batch decides its draws in blocks of bounded memory (_run_batch), so
     ``cfg.batch_size`` sets how many draws a task holds, not how large its
     model, statistics and score arrays get.
@@ -758,8 +813,11 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     be started and stops them unread; otherwise it reads one message from
     each helper's pipe: its parts, or the exception that stopped it,
     which is raised here. A helper that exits without sending, killed for
-    instance, raises RuntimeError naming its pid and exit code. Either way
-    every helper is stopped and reaped before this call returns.
+    instance, raises RuntimeError naming its pid and exit code; so does
+    one killed holding the counter's lock, which no other worker can then
+    take, within _HELPER_WAIT of a claim or a read that waits on it.
+    Either way every helper is stopped and reaped before this call
+    returns.
 
     Raises ValueError before any batch runs for a design the batched model
     would get wrong: a design that does not match the variant (the
@@ -768,9 +826,8 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     under which whitening by the diagonal would be wrong.
     """
     from . import verifier  # deferred: verifier depends on this module
-    tag = cfg.design.family
     if (cfg.design.r == 0) != (cfg.variant == "direct"):
-        raise ValueError(f"design {tag!r} with variant {cfg.variant!r}: only "
+        raise ValueError(f"design {cfg.design.family!r} with variant {cfg.variant!r}: only "
                          "the direct design runs the no-relay baseline")
     if cfg.design.k % 2:
         raise ValueError(f"design has odd K={cfg.design.k}: the source "
@@ -827,18 +884,20 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
             # numpy: a thread starts them so that the caller works meanwhile
             with ThreadPoolExecutor(1) as starter:
                 starting = starter.submit(start)
-                done = _drain(cfg, rs, tasks, counter)
+                done = _drain(cfg, rs, tasks, counter, helpers)
                 starting.result()
             # if the caller ran every task no helper holds one, and the
             # finally stops them all, unread
             if len(done) < len(tasks):
                 for proc, receiver in helpers:
+                    # a helper that waits on a lock a dead one holds never sends
+                    while not receiver.poll(_HELPER_WAIT):
+                        _check_helpers(helpers)
                     try:
                         part = receiver.recv()
                     except EOFError:
                         proc.join()
-                        part = RuntimeError(f"Monte Carlo helper {proc.pid} exited before it "
-                                            f"sent its batches (exit code {proc.exitcode})")
+                        part = _exited(proc)
                     if isinstance(part, Exception):
                         raise part
                     done += part
@@ -850,14 +909,9 @@ def run_monte_carlo(cfg: SimConfig) -> list[SimResult]:
     else:
         ws = matkernel.Workspace()
         parts = [_run_batch(cfg, rs, *t, ws) for t in tasks]
-
-    results = []
-    for si in range(len(cfg.snr_db)):
-        point = parts[si * n_batches:(si + 1) * n_batches]
-        errors, decisions, fallbacks, erasures = (sum(col) for col in zip(*point))
-        results.append(SimResult(cfg.snr_db[si], decisions, errors, cfg.receiver,
-                                 cfg.seed, tag, fallbacks, erasures))
-    return results
+    # left to right in batch order, as the serial loop runs them
+    return [sum(parts[i + 1:i + n_batches], parts[i])
+            for i in range(0, len(parts), n_batches)]
 
 
 def results_to_csv(results: list[SimResult], meta: dict | None = None) -> str:

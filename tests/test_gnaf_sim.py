@@ -659,34 +659,45 @@ def test_grouped_ml_on_direct_decides_as_joint_ml():
     assert all(r.errors > 0 for r in res["joint-ml"])
 
 
-def _qam4_rayleigh_ser(gamma: float) -> float:
-    """Exact average SER of 4-QAM on one Rayleigh-faded complex symbol at
-    mean SNR ``gamma``: 2q - q^2 of the per-coordinate error q, averaged
-    over the fade in Craig's form (Simon and Alouini, Digital Communication
-    over Fading Channels, ch. 8), with mu = sqrt(gamma / (1 + gamma))."""
-    mu = math.sqrt(gamma / (1.0 + gamma))
-    return (1.0 - mu) - 0.25 * (1.0 - 4.0 / math.pi * mu * math.atan(1.0 / mu))
+def _qam_rayleigh_ser(side: int, gamma: float) -> float:
+    """Exact average SER of square QAM, ``side`` PAM levels per coordinate
+    at unit energy per coordinate, on one Rayleigh-faded complex symbol at
+    mean SNR ``gamma``. Each coordinate errs with 2 q Q(sqrt(2 g |h|^2)),
+    g = 3 gamma / (side^2 - 1) and q = 1 - 1/side; the symbol errs with
+    twice that less its square, averaged over the fade in Craig's form
+    (Simon and Alouini, Digital Communication over Fading Channels, ch. 8),
+    with mu = sqrt(g / (1 + g)). With side = 2 this is 4-QAM's 2Q - Q^2."""
+    g = 3.0 * gamma / (side * side - 1)
+    mu = math.sqrt(g / (1.0 + g))
+    q = 1.0 - 1.0 / side
+    return 2.0 * q * (1.0 - mu) - q * q * (1.0 - 4.0 / math.pi * mu * math.atan(1.0 / mu))
 
 
 @pytest.mark.parametrize("pi", [(1.0, 1.0, 1.0), (0.5, 1.0, 1.0)])
-def test_direct_ser_is_its_closed_form(pi):
-    # Direct transmission with t1 = 1 sends one 4-QAM symbol per trial as
+@pytest.mark.parametrize("side,receivers", [(2, ("zf", "mmse", "joint-ml")),
+                                            (4, ("zf", "joint-ml"))],
+                         ids=["qam4", "qam16"])
+def test_direct_ser_is_its_closed_form(side, receivers, pi):
+    # Direct transmission with t1 = 1 sends one QAM symbol per trial as
     # a = sqrt(pi1 P) g0 times the symbol plus unit complex noise, so each
     # trial is one decision and the error count is binomial with the
-    # closed-form SER at gamma = pi1 P. ZF, MMSE and joint ML decide alike
-    # there (MMSE scales the ZF estimate by a positive number, and 4-QAM
-    # decides by quadrant), and the draws do not depend on the receiver,
-    # so the three counts must be equal and the gate runs once per point.
+    # closed-form SER at gamma = pi1 P. ZF and joint ML decide alike
+    # there (G = |a|^2 I, so ML slices each coordinate of the ZF estimate),
+    # and so does MMSE on 4-QAM, which decides by quadrant; MMSE scales
+    # the estimate by a positive number, which biases it on 16-QAM, so it
+    # is left out there. The draws do not depend on the receiver, so the
+    # counts must be equal and the gate runs once per point. Each point is
+    # the sum of 49 batches, so this also checks that sum against theory.
     # Exact binomial tails put P(|z| > 4) at 6.3e-5 to 1.0e-4 per point, so
-    # the 8 points of the two parametrizations falsely fail with
-    # probability below 5.7e-4. The seed was fixed before any run.
+    # the 16 points of the four parametrizations falsely fail with
+    # probability below 1.1e-3. The seed was fixed before any run.
     counts = {rx: [(r.snr_db, r.trials, r.errors) for r in run_monte_carlo(SimConfig(
-        design=direct_design(1), codebook=qam_codebook(1, 4), variant="direct", pi=pi,
-        snr_db=(0.0, 10.0, 20.0, 30.0), trials=200_000, receiver=rx, seed=2026))]
-        for rx in ("zf", "mmse", "joint-ml")}
-    assert counts["zf"] == counts["mmse"] == counts["joint-ml"]
+        design=direct_design(1), codebook=qam_codebook(1, side * side), variant="direct",
+        pi=pi, snr_db=(0.0, 10.0, 20.0, 30.0), trials=200_000, receiver=rx, seed=2026))]
+        for rx in receivers}
+    assert all(c == counts["zf"] for c in counts.values())
     for snr_db, n, errors in counts["zf"]:
-        p = _qam4_rayleigh_ser(pi[0] * snr_power(snr_db))
+        p = _qam_rayleigh_ser(side, pi[0] * snr_power(snr_db))
         z = (errors - n * p) / math.sqrt(n * p * (1.0 - p))
         assert abs(z) <= 4.0, (snr_db, errors, n * p, z)
 
@@ -740,15 +751,15 @@ class TestBlocks:
         for draws in (100, 7):
             monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", draws * per_draw)
             blocks.clear()
-            counts = gnaf_sim._run_batch(cfg, rs, 0, 3, 100)
+            part = gnaf_sim._run_batch(cfg, rs, 0, 3, 100)
             decided = [dec for _, _, dec in blocks]
-            runs[draws] = counts, np.concatenate(decided), [len(b) for b in decided]
+            runs[draws] = part, np.concatenate(decided), [len(b) for b in decided]
         (whole, dec, sizes), (blocked, blocked_dec, blocked_sizes) = runs[100], runs[7]
         assert sizes == [100] and sorted(set(blocked_sizes)) == [6, 7]
         assert blocked == whole and np.array_equal(blocked_dec, dec)
-        assert whole[0] > 0
+        assert whole.errors > 0
         if receiver == "grouped-ml":
-            assert 0 < whole[2] < 100
+            assert 0 < whole.fallbacks < 100
 
     @pytest.mark.parametrize("receiver", gnaf_sim._RECEIVERS)
     def test_each_block_forms_its_statistics_once(self, receiver, monkeypatch):
@@ -771,7 +782,7 @@ class TestBlocks:
         monkeypatch.setattr(gnaf_sim, "_whitened_stats", counting)
         per_draw = 16 * protocol_params(d, 1.0, cfg.variant, rs=rs).rows * book.k
         monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 7 * per_draw)
-        fallbacks = gnaf_sim._run_batch(cfg, rs, 0, 3, 100)[2]
+        fallbacks = gnaf_sim._run_batch(cfg, rs, 0, 3, 100).fallbacks
         assert len(calls) == -(-100 // 7) and sum(calls) == 100
         assert (fallbacks > 0) == (receiver == "grouped-ml")
 
@@ -831,7 +842,7 @@ class TestBlocks:
         per_draw = 16 * protocol_params(d, 1.0, cfg.variant, rs=rs).rows * book.k
         monkeypatch.setattr(gnaf_sim, "_BLOCK_BYTES", 7 * per_draw)
         for batch in range(2):
-            fallbacks = gnaf_sim._run_batch(cfg, rs, 0, batch, 100)[2]
+            fallbacks = gnaf_sim._run_batch(cfg, rs, 0, batch, 100).fallbacks
             assert (fallbacks > 0) == (receiver == "grouped-ml")
         once = {"joint-ml": [False], "grouped-ml": [True]}.get(receiver, [])
         assert built[gnaf_sim] == 2 * once
@@ -1015,6 +1026,18 @@ class TestSweepTaskLoop:
         assert results_to_csv(pooled) == results_to_csv(serial)
         assert all(r.trials == 2500 * 2 for r in serial)   # 2 groups per trial
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_each_point_is_the_sum_of_its_batches(self, workers):
+        # each point's result is its batches' results added left to right,
+        # whichever process ran them; the last of the three is short
+        cfg = self.config(workers=workers)
+        rs = relay_matrix_set(cfg.design)
+        for si, point in enumerate(run_monte_carlo(cfg)):
+            first, second, last = (gnaf_sim._run_batch(cfg, rs, si, bi, n)
+                                   for bi, n in enumerate((1000, 1000, 500)))
+            assert last.trials == 500 * 2
+            assert point == (first + second) + last
+
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                     reason="a pool needs at least two usable cores")
@@ -1188,9 +1211,9 @@ print("ok")
         cfg = self.config(trials=10, batch_size=1, design=build_pciod(4),
                           codebook=qam_codebook(4, 64), receiver="joint-ml")
 
-        def idle(*args):
+        def idle(cfg, rs, si, *args):
             time.sleep(0.1)
-            return 0, 0, 0, 0
+            return SimResult(cfg.snr_db[si], 0, 0, cfg.receiver, cfg.seed, cfg.design.family)
 
         monkeypatch.setattr(gnaf_sim, "_run_batch", idle)
         with pytest.raises(ResourceGuardError):
@@ -1237,6 +1260,63 @@ assert len(killed) == 1, killed
 assert multiprocessing.active_children() == []
 """
         out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert re.fullmatch(r"Monte Carlo helper \d+ exited before it sent its "
+                            r"batches \(exit code -9\)\n", out.stdout), out.stdout
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_killed_lock_holder_raises(self, workers, tmp_path):
+        # A helper killed while it holds the task counter's lock leaves the
+        # lock held for good; the sweep must raise, not wait without end.
+        # The last helper started takes the lock and kills itself: with 2
+        # workers before its first claim, so that the caller's next claim
+        # waits on the lock; with 3 once the caller has claimed past the
+        # last task, so that the caller instead waits on the message of
+        # the first helper, whose batches are slow and whose next claim
+        # waits on the lock. The caller's batches are slowed so that it
+        # still has tasks to claim when the helpers start. The helpers
+        # import this script as __mp_main__, so it is a file, run in a
+        # fresh process so that a hang fails by the timeout.
+        src = str(Path(gnaf_sim.__file__).resolve().parents[1])
+        script = tmp_path / "lock_holder.py"
+        script.write_text(f"""
+import sys
+sys.path.insert(0, {src!r})
+import multiprocessing, os, signal, time
+from dstc import gnaf_sim
+from dstc.designs import build_toeplitz
+from dstc.gnaf_sim import SimConfig, run_monte_carlo
+from dstc.receivers import qam_codebook
+
+drain, run_batch, workers = gnaf_sim._drain, gnaf_sim._run_batch, {workers}
+
+def holding(cfg, rs, tasks, counter, *args):
+    if multiprocessing.current_process().name.endswith(f"-{{workers - 1}}"):
+        while workers > 2 and counter.value <= len(tasks):
+            time.sleep(0.01)
+        counter.get_lock().acquire()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return drain(cfg, rs, tasks, counter, *args)
+
+def slow(*args):
+    time.sleep(0.1 if multiprocessing.parent_process() is None else 0.5)
+    return run_batch(*args)
+
+gnaf_sim._drain, gnaf_sim._run_batch = holding, slow
+
+if __name__ == "__main__":
+    os.sched_getaffinity = lambda pid: set(range(workers))
+    cfg = SimConfig(design=build_toeplitz(2, 2), codebook=qam_codebook(2, 4),
+                    receiver="zf", snr_db=(0.0, 10.0, 20.0), trials=100, seed=11,
+                    batch_size=10, workers=workers)
+    try:
+        run_monte_carlo(cfg)
+    except RuntimeError as exc:
+        print(exc)
+    assert multiprocessing.active_children() == []
+""")
+        out = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert re.fullmatch(r"Monte Carlo helper \d+ exited before it sent its "
